@@ -8,7 +8,6 @@ from .algebra import (
     MonomialOrder,
     Polynomial,
     Quiver,
-    compose,
     leading_data,
     monomial_poly,
 )
@@ -36,7 +35,6 @@ from .completion import (
     Branching,
     CompletionBoundExceeded,
     PatternMeasure,
-    SPolynomial,
     TerminationCertificate,
     certify_termination,
     check_confluence,

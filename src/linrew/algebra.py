@@ -371,10 +371,6 @@ class MonomialOrder:
         return best
 
 
-def compose(m1: Monomial, m2: Monomial) -> Monomial:
-    return m1 * m2
-
-
 def leading_data(f: Polynomial, order: MonomialOrder):
     """(leading monomial, leading coefficient, leading term); zeros for f = 0."""
     lm = order.max_monomial(f)

@@ -12,6 +12,8 @@ import sys
 
 from . import lpformat
 from .completion import (
+    DEFAULT_MAX_DEGREE,
+    DEFAULT_MAX_RULES,
     CompletionBoundExceeded,
     certify_termination,
     check_confluence,
@@ -38,6 +40,8 @@ EXIT_UNCERTIFIED = 3
 
 
 class _Uncertified(Exception):
+    """Exit 3 after merging ``report`` into the command's JSON report."""
+
     def __init__(self, report):
         self.report = report
 
@@ -53,13 +57,17 @@ def _load(path: str, seed=None):
     return P, meta
 
 
+def _rules(rules) -> dict:
+    return {r.name: {"source": str(r.source), "target": lpformat._poly_str(r.target)} for r in rules}
+
+
 def _base_report(P, meta) -> dict:
     out = {
         "schema_version": SCHEMA_VERSION,
         "file": meta.get("path"),
         "field": str(P.field),
         "generators": [g.name for g in P.quiver.generators.values()],
-        "rules": {r.name: {"source": str(r.source), "target": lpformat._poly_str(r.target)} for r in P.rules},
+        "rules": _rules(P.rules),
     }
     if meta.get("seed") is not None:
         out["seed"] = meta["seed"]
@@ -81,17 +89,15 @@ def _certify(P, meta) -> dict:
         raise _Uncertified(summary)
     P.termination_certificate = cert
     report = check_confluence(P)
-    summary["confluence"] = {
-        "convergent": report["convergent"],
-        "critical_branchings": report["critical_branchings"],
-        "entries": [
-            {k: v for k, v in e.items() if not k.startswith("_")}
-            for e in report["entries"]
-        ],
-    }
+    summary["confluence"] = report
     if not report["convergent"]:
         raise _Uncertified(summary)
     return summary
+
+
+def _added_rules(done, P) -> dict:
+    names = {r.name for r in P.rules}
+    return _rules(r for r in done.rules if r.name not in names)
 
 
 def _prepare(P, meta, doc):
@@ -105,11 +111,7 @@ def _prepare(P, meta, doc):
             raise
         done = complete(P, P.order)
         doc["completed"] = True
-        doc["added_rules"] = {
-            r.name: {"source": str(r.source), "target": lpformat._poly_str(r.target)}
-            for r in done.rules
-            if r.name not in {x.name for x in P.rules}
-        }
+        doc["added_rules"] = _added_rules(done, P)
         return done
 
 
@@ -118,8 +120,7 @@ def _emit(doc):
     sys.stdout.write("\n")
 
 
-def _cmd_nf(args) -> int:
-    P, meta = _load(args.file, args.seed)
+def _cmd_nf(args, P, meta, doc) -> int:
     quiver = P.quiver
     word = lpformat._expand_word(lpformat._tokens_with_cols(args.term), 0, quiver)
     if not word:
@@ -136,43 +137,26 @@ def _cmd_nf(args) -> int:
     return EXIT_OK
 
 
-def _cmd_check(args) -> int:
-    P, meta = _load(args.file, args.seed)
-    doc = _base_report(P, meta)
+def _cmd_check(args, P, meta, doc) -> int:
     try:
         doc.update(_certify(P, meta))
     except _Uncertified as u:
-        doc.update(u.report)
-        doc["convergent"] = False
-        _emit(doc)
-        return EXIT_UNCERTIFIED
+        u.report["convergent"] = False
+        raise
     doc["convergent"] = True
     _emit(doc)
     return EXIT_OK
 
 
-def _cmd_complete(args) -> int:
-    P, meta = _load(args.file, args.seed)
-    order = P.order
-    if order is None:
+def _cmd_complete(args, P, meta, doc) -> int:
+    if P.order is None:
         raise LpError("complete needs an order declaration")
-    doc = _base_report(P, meta)
     try:
-        done = complete(P, order, max_degree=args.max_degree, max_rules=args.max_rules)
+        done = complete(P, P.order, max_degree=args.max_degree, max_rules=args.max_rules)
     except CompletionBoundExceeded as e:
-        doc["error"] = str(e)
-        doc["partial_rules"] = [str(r) for r in e.partial.rules]
-        _emit(doc)
-        return EXIT_UNCERTIFIED
-    doc["added_rules"] = {
-        r.name: {"source": str(r.source), "target": lpformat._poly_str(r.target)}
-        for r in done.rules
-        if r.name not in {x.name for x in P.rules}
-    }
-    doc["rules"] = {
-        r.name: {"source": str(r.source), "target": lpformat._poly_str(r.target)}
-        for r in done.rules
-    }
+        raise _Uncertified({"error": str(e), "partial_rules": [str(r) for r in e.partial.rules]})
+    doc["added_rules"] = _added_rules(done, P)
+    doc["rules"] = _rules(done.rules)
     doc["convergent"] = done.certified_convergent
     if args.output:
         lpformat.write_file(args.output, done, meta)
@@ -181,11 +165,8 @@ def _cmd_complete(args) -> int:
     return EXIT_OK
 
 
-def _cmd_branchings(args) -> int:
-    P, meta = _load(args.file, args.seed)
-    doc = _base_report(P, meta)
+def _cmd_branchings(args, P, meta, doc) -> int:
     if args.fold <= 2:
-        crits = enumerate_critical_branchings(P)
         doc["fold"] = 2
         doc["critical_branchings"] = [
             {
@@ -193,36 +174,22 @@ def _cmd_branchings(args) -> int:
                 "rules": [b.step1.rule.name, b.step2.rule.name],
                 "positions": list(b.positions),
             }
-            for b in crits
+            for b in enumerate_critical_branchings(P)
         ]
-        _emit(doc)
-        return EXIT_OK
-    try:
-        P = _prepare(P, meta, doc)
-    except _Uncertified as u:
-        doc.update(u.report)
-        _emit(doc)
-        return EXIT_UNCERTIFIED
-    cells = enumerate_chains(P, args.fold + 1, args.dmax)
-    doc["fold"] = args.fold
-    doc["branchings"] = [
-        {"word": str(c.word), "redexes": [[r, s] for r, s in c.redexes]}
-        for c in cells
-        if c.dim == args.fold + 1
-    ]
+    else:
+        cells = enumerate_chains(_prepare(P, meta, doc), args.fold + 1, args.dmax)
+        doc["fold"] = args.fold
+        doc["branchings"] = [
+            {"word": str(c.word), "redexes": [[r, s] for r, s in c.redexes]}
+            for c in cells
+            if c.dim == args.fold + 1
+        ]
     _emit(doc)
     return EXIT_OK
 
 
-def _cmd_chains(args) -> int:
-    P, meta = _load(args.file, args.seed)
-    doc = _base_report(P, meta)
-    try:
-        P = _prepare(P, meta, doc)
-    except _Uncertified as u:
-        doc.update(u.report)
-        _emit(doc)
-        return EXIT_UNCERTIFIED
+def _cmd_chains(args, P, meta, doc) -> int:
+    P = _prepare(P, meta, doc)
     cells = enumerate_chains(P, args.kmax, args.dmax)
     N = P.homogeneity_degree if P.homogeneous else None
     doc["kmax"] = args.kmax
@@ -240,16 +207,8 @@ def _cmd_chains(args) -> int:
     return EXIT_OK
 
 
-def _cmd_tor(args) -> int:
-    P, meta = _load(args.file, args.seed)
-    doc = _base_report(P, meta)
-    try:
-        P = _prepare(P, meta, doc)
-    except _Uncertified as u:
-        doc.update(u.report)
-        _emit(doc)
-        return EXIT_UNCERTIFIED
-    table = tor_table(P, args.kmax, args.dmax)
+def _cmd_tor(args, P, meta, doc) -> int:
+    table = tor_table(_prepare(P, meta, doc), args.kmax, args.dmax)
     doc["kmax"] = args.kmax
     doc["dmax"] = args.dmax
     doc["tor"] = table.as_dict()
@@ -260,35 +219,20 @@ def _cmd_tor(args) -> int:
     return EXIT_OK
 
 
-def _cmd_koszul(args) -> int:
-    P, meta = _load(args.file, args.seed)
-    doc = _base_report(P, meta)
+def _cmd_koszul(args, P, meta, doc) -> int:
+    # Unlike the other resolution commands, koszul reports a failed
+    # completion or verdict inside its JSON rather than on stderr.
     try:
-        P = _prepare(P, meta, doc)
-        verdict = koszul_verdict(P, args.kmax, args.dmax)
-    except _Uncertified as u:
-        doc.update(u.report)
-        _emit(doc)
-        return EXIT_UNCERTIFIED
-    except (NotCertifiedError, RewriteError) as e:
-        doc["error"] = str(e)
-        _emit(doc)
-        return EXIT_UNCERTIFIED
+        verdict = koszul_verdict(_prepare(P, meta, doc), args.kmax, args.dmax)
+    except RewriteError as e:
+        raise _Uncertified({"error": str(e)})
     doc["verdict"] = verdict.as_dict()
     _emit(doc)
     return EXIT_OK
 
 
-def _cmd_hilbert(args) -> int:
-    P, meta = _load(args.file, args.seed)
-    doc = _base_report(P, meta)
-    try:
-        P = _prepare(P, meta, doc)
-    except _Uncertified as u:
-        doc.update(u.report)
-        _emit(doc)
-        return EXIT_UNCERTIFIED
-    basis = standard_basis(P, args.dmax)
+def _cmd_hilbert(args, P, meta, doc) -> int:
+    basis = standard_basis(_prepare(P, meta, doc), args.dmax)
     doc["dmax"] = args.dmax
     doc["counts"] = {str(d): n for d, n in basis.counts().items()}
     doc["basis"] = {
@@ -298,9 +242,7 @@ def _cmd_hilbert(args) -> int:
     return EXIT_OK
 
 
-def _cmd_pbw(args) -> int:
-    P, meta = _load(args.file, args.seed)
-    doc = _base_report(P, meta)
+def _cmd_pbw(args, P, meta, doc) -> int:
     with open(args.basis_file, encoding="utf-8") as fh:
         text = fh.read()
     candidate = []
@@ -336,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("complete", help="Knuth-Bendix/Buchberger completion")
     p.add_argument("file")
-    p.add_argument("--max-degree", type=int, default=12)
-    p.add_argument("--max-rules", type=int, default=512)
+    p.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
+    p.add_argument("--max-rules", type=int, default=DEFAULT_MAX_RULES)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_complete)
 
@@ -387,19 +329,17 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_INPUT if e.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except (LpError, FileNotFoundError) as e:
-        print(json.dumps({"error": str(e)}), file=sys.stderr)
-        return EXIT_INPUT
-    except CompletionBoundExceeded as e:
-        print(json.dumps({"error": str(e)}), file=sys.stderr)
+        P, meta = _load(args.file, args.seed)
+        doc = _base_report(P, meta)
+        return args.func(args, P, meta, doc)
+    except _Uncertified as u:
+        doc.update(u.report)
+        _emit(doc)
         return EXIT_UNCERTIFIED
-    except (NotCertifiedError, StepBudgetExceeded) as e:
+    except (LpError, FileNotFoundError, RewriteError) as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)
-        return EXIT_UNCERTIFIED
-    except RewriteError as e:
-        print(json.dumps({"error": str(e)}), file=sys.stderr)
-        return EXIT_INPUT
+        uncertified = (CompletionBoundExceeded, NotCertifiedError, StepBudgetExceeded)
+        return EXIT_UNCERTIFIED if isinstance(e, uncertified) else EXIT_INPUT
 
 
 if __name__ == "__main__":

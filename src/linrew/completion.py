@@ -5,7 +5,6 @@ completion, and interreduction.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,14 +23,6 @@ from .rewriting import (
 DEFAULT_CONTEXT_BOUND = 3
 DEFAULT_MAX_DEGREE = 12
 DEFAULT_MAX_RULES = 512
-
-
-def worker_count() -> int:
-    try:
-        n = int(os.environ.get("LINREW_THREADS", "1"))
-    except ValueError:
-        n = 1
-    return max(1, n)
 
 
 @dataclass(frozen=True)
@@ -83,14 +74,6 @@ class Branching:
     @property
     def rules(self) -> tuple[Rule, Rule]:
         return (self.step1.rule, self.step2.rule)
-
-
-@dataclass(frozen=True)
-class SPolynomial:
-    poly: Polynomial
-    rule1: Rule
-    rule2: Rule
-    overlap_word: Monomial
 
 
 def certify_termination(P: Polygraph2, hint=None) -> TerminationCertificate:
@@ -172,13 +155,15 @@ def local_branchings(f: Polynomial, P: Polygraph2) -> list[Branching]:
 def enumerate_critical_branchings(P: Polygraph2) -> list[Branching]:
     """One branching per proper overlap of two rule sources (nonempty proper
     suffix of source(r1) = prefix of source(r2)); on non-left-reduced systems
-    inclusion overlaps are also emitted."""
+    inclusion overlaps are also emitted.  Ordered by rule pair, then by
+    overlap weight."""
     field = P.field
     out = []
     for i, r1 in enumerate(P.rules):
         w1 = r1.source.word
         for j, r2 in enumerate(P.rules):
             w2 = r2.source.word
+            found = []
             for o in range(1, min(len(w1), len(w2))):
                 if w1[len(w1) - o :] != w2[:o]:
                     continue
@@ -188,7 +173,7 @@ def enumerate_critical_branchings(P: Polygraph2) -> list[Branching]:
                 left1, right1 = P.contexts(word, i, 0)
                 step1 = RewriteStep(field.one, left1, r1, right1)
                 step2 = RewriteStep(field.one, left2, r2, right2)
-                out.append(Branching(word, step1, step2, "critical", (0, start2)))
+                found.append(Branching(word, step1, step2, "critical", (0, start2)))
             if not P.left_reduced and i != j and len(w2) <= len(w1):
                 for start2 in r1.source.factor_positions(w2):
                     if start2 == 0 and len(w2) == len(w1):
@@ -198,17 +183,12 @@ def enumerate_critical_branchings(P: Polygraph2) -> list[Branching]:
                     step1 = RewriteStep(field.one, P.quiver.identity(word.source), r1,
                                         P.quiver.identity(word.target))
                     step2 = RewriteStep(field.one, left2, r2, right2)
-                    out.append(Branching(word, step1, step2, "critical", (0, start2)))
-    out.sort(key=lambda b: (_rule_index(P, b.step1.rule), _rule_index(P, b.step2.rule),
-                            b.word.weight))
+                    found.append(Branching(word, step1, step2, "critical", (0, start2)))
+            out.extend(sorted(found, key=lambda b: b.word.weight))
     return out
 
 
-def _rule_index(P: Polygraph2, rule: Rule) -> int:
-    return next(i for i, r in enumerate(P.rules) if r.name == rule.name)
-
-
-def s_polynomial(b: Branching) -> SPolynomial:
+def s_polynomial(b: Branching) -> Polynomial:
     """t1(leftmost leg) - t1(rightmost leg) of a critical branching."""
     if b.classification != "critical":
         raise RewriteError("S-polynomial is only defined for critical branchings")
@@ -216,7 +196,7 @@ def s_polynomial(b: Branching) -> SPolynomial:
     w = monomial_poly(field, b.word)
     t1 = b.step1.apply(w)
     t2 = b.step2.apply(w)
-    return SPolynomial(t1 - t2, b.step1.rule, b.step2.rule, b.word)
+    return t1 - t2
 
 
 def check_confluence(P: Polygraph2) -> dict:
@@ -225,34 +205,22 @@ def check_confluence(P: Polygraph2) -> dict:
     if not P.certified_terminating:
         raise NotCertifiedError("confluence check requires a termination certificate")
     branchings = enumerate_critical_branchings(P)
-
-    def handle(b: Branching):
+    entries = []
+    for b in branchings:
         sp = s_polynomial(b)
-        field = P.field
-        w = monomial_poly(field, b.word)
-        nf1, trace1 = normal_form(b.step1.apply(w), P)
-        nf2, trace2 = normal_form(b.step2.apply(w), P)
-        spnf, _ = normal_form(sp.poly, P)
-        return {
+        w = monomial_poly(P.field, b.word)
+        nf1, _ = normal_form(b.step1.apply(w), P)
+        nf2, _ = normal_form(b.step2.apply(w), P)
+        spnf, _ = normal_form(sp, P)
+        entries.append({
             "word": str(b.word),
-            "rules": (sp.rule1.name, sp.rule2.name),
-            "s_polynomial": str(sp.poly),
+            "rules": (b.step1.rule.name, b.step2.rule.name),
+            "s_polynomial": str(sp),
             "s_polynomial_nf": str(spnf),
             "joinable": spnf.is_zero(),
             "nf1": str(nf1),
             "nf2": str(nf2),
-            "_spnf": spnf,
-            "_traces": (trace1, trace2),
-        }
-
-    n = worker_count()
-    if n > 1 and len(branchings) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            entries = list(pool.map(handle, branchings))
-    else:
-        entries = [handle(b) for b in branchings]
+        })
     convergent = all(e["joinable"] for e in entries)
     report = {
         "convergent": convergent,
@@ -322,8 +290,7 @@ def complete(
         )
         added = False
         for _, b in pending:
-            sp = s_polynomial(b)
-            spnf, _ = normal_form(sp.poly, cur)
+            spnf, _ = normal_form(s_polynomial(b), cur)
             if spnf.is_zero():
                 continue
             new_rule = orient(spnf, order, f"c{next(fresh)}")

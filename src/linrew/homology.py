@@ -49,7 +49,6 @@ class ReducedComplex:
         self.cells: dict[int, list] = {}
         self.degrees: dict[tuple[int, object], int] = {}
         self.delta: dict[int, dict] = {}
-        self.exact: dict[int, bool] = {}
         self.boundary_steps: dict[tuple[int, object], list] = {}
 
     def add_cell(self, k: int, cell_id, degree: int):
@@ -149,7 +148,6 @@ class ReducedComplex:
         other.cells = {k: list(v) for k, v in self.cells.items()}
         other.degrees = dict(self.degrees)
         other.delta = {k: {c: dict(col) for c, col in cols.items()} for k, cols in self.delta.items()}
-        other.exact = dict(self.exact)
         other.boundary_steps = dict(self.boundary_steps)
         return other
 
@@ -265,9 +263,6 @@ def build_complex(P: Polygraph2, cells: Iterable[ChainCell], kmax: int, dmax: in
                 col[inst.cell_key] = field.add(col.get(inst.cell_key, field.zero), v)
         cx.set_column(3, c.redexes, col)
         cx.boundary_steps[(4, c.redexes)] = occurrences
-
-    for k in range(0, 4):
-        cx.exact[k] = True
     return cx
 
 
@@ -311,8 +306,20 @@ def tor_table(P: Polygraph2, kmax: int, dmax: int, cells=None, cx: Optional[Redu
     if cx is None:
         cx = build_complex(P, cells, kmax, dmax)
     table = TorTable(kmax, dmax)
-    field = P.field
     N = cx.N
+    ranks: dict[tuple[int, int], int] = {}
+
+    def rank(k: int, i: int) -> int:
+        """rank of delta[k] in internal degree i, each matrix ranked once."""
+        if k < 0:
+            return 0
+        if (k, i) not in ranks:
+            ranks[(k, i)] = linalg.rank(cx.matrix(k, i)[0], cx.field)
+        return ranks[(k, i)]
+
+    def kernel_dim(k: int, i: int) -> int:
+        return len(cx.basis(k, i)) - rank(k - 1, i)
+
     count5: dict[int, int] = {}
     for c in cells:
         if c.dim == 5:
@@ -323,10 +330,10 @@ def tor_table(P: Polygraph2, kmax: int, dmax: int, cells=None, cx: Optional[Redu
                 table.set(k, i, kind="hard-zero", dim=0)
                 continue
             if k <= 3:
-                dim = cx.kernel_dim(k, i) - cx.rank(k, i)
+                dim = kernel_dim(k, i) - rank(k, i)
                 table.set(k, i, kind="exact", dim=dim)
             elif k == 4:
-                hi = cx.kernel_dim(4, i)
+                hi = kernel_dim(4, i)
                 lo = max(0, hi - count5.get(i, 0))
                 if lo == hi:
                     table.set(k, i, kind="exact", dim=hi)

@@ -21,6 +21,7 @@ from .rewriting import (
     Rule,
     Trace,
     normal_form,
+    rightmost_redex,
 )
 
 
@@ -182,15 +183,6 @@ def generating_confluence(b: ChainCell, P: Polygraph2) -> Confluence3Cell:
 # -- normalizing 3-trace recursion -------------------------------------------
 
 
-def _rightmost_occurrence(P: Polygraph2, m: Monomial):
-    occ = P.occurrences(m)
-    if not occ:
-        return None
-    best_start = max(start for _, start in occ)
-    idx = min(i for i, start in occ if start == best_start)
-    return idx, best_start
-
-
 def _chain3_key(rule1: Rule, rule2: Rule, start2: int) -> tuple:
     return ((rule1.name, 0), (rule2.name, start2))
 
@@ -203,9 +195,7 @@ def _rho_star_rule(P: Polygraph2, rule: Rule, mhat: Monomial, memo: dict) -> lis
         return memo[key]
     field = P.field
     m = rule.source * mhat
-    occ = _rightmost_occurrence(P, m)
-    assert occ is not None
-    idx, start = occ
+    idx, start = rightmost_redex(m, P)
     psi = P.rules[idx]
     if start == 0:
         # The given step is already the rightmost one: identity 3-cell.

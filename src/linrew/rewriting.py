@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Literal, Optional
+from typing import Iterable, Optional
 
 from .algebra import (
     CompositionError,
@@ -39,9 +39,7 @@ class NotCertifiedError(RewriteError):
 
 
 class StepBudgetExceeded(RewriteError):
-    def __init__(self, message, partial_trace=None):
-        super().__init__(message)
-        self.partial_trace = partial_trace
+    pass
 
 
 @dataclass(frozen=True)
@@ -141,11 +139,6 @@ class RewriteStep:
         field = self.rule.target.field
         return RewriteStep(field.mul(c, self.coeff), self.left, self.rule, self.right)
 
-    def whiskered(self, left: Optional[Monomial], right: Optional[Monomial]) -> "RewriteStep":
-        l = self.left if left is None else left * self.left
-        r = self.right if right is None else self.right * right
-        return RewriteStep(self.coeff, l, self.rule, r)
-
 
 @dataclass(frozen=True)
 class Trace:
@@ -190,7 +183,7 @@ class Polygraph2:
         self.termination_certificate = None
         self.convergence_certificate = None
         self._automaton = _Automaton(self.rules)
-        self._nf_cache: dict[tuple[str, Monomial], tuple[Polynomial, tuple[RewriteStep, ...]]] = {}
+        self._nf_cache: dict[Monomial, tuple[Polynomial, tuple[RewriteStep, ...]]] = {}
         self.left_reduced = self._compute_left_reduced()
         self.right_reduced = self._compute_right_reduced()
         self.homogeneous = all(r.homogeneous for r in self.rules)
@@ -222,9 +215,6 @@ class Polygraph2:
     @property
     def certified_convergent(self) -> bool:
         return self.certified_terminating and bool(self.convergence_certificate)
-
-    def replaced(self, rules: Iterable[Rule], order: Optional[MonomialOrder] = None) -> "Polygraph2":
-        return Polygraph2(self.quiver, self.field, rules, order if order is not None else self.order)
 
     # -- redex search --------------------------------------------------------
 
@@ -274,15 +264,20 @@ def find_redexes(f: Polynomial, P: Polygraph2) -> list[RewriteStep]:
     return steps
 
 
-def rightmost_step(m: Monomial, P: Polygraph2) -> RewriteStep:
-    """The step on m whose left context has maximal length (ties broken by
-    lowest rule id; only possible on non-left-reduced systems)."""
+def rightmost_redex(m: Monomial, P: Polygraph2) -> tuple[int, int]:
+    """(rule index, start) of the occurrence in m with the latest start (ties
+    broken by lowest rule index; only possible on non-left-reduced systems)."""
     occ = P.occurrences(m)
     if not occ:
         raise NoStepError(f"{m} is irreducible")
     best_start = max(start for _, start in occ)
-    idx = min(i for i, start in occ if start == best_start)
-    left, right = P.contexts(m, idx, best_start)
+    return min(i for i, start in occ if start == best_start), best_start
+
+
+def rightmost_step(m: Monomial, P: Polygraph2) -> RewriteStep:
+    """The step on m whose left context has maximal length."""
+    idx, start = rightmost_redex(m, P)
+    left, right = P.contexts(m, idx, start)
     return RewriteStep(P.field.one, left, P.rules[idx], right)
 
 
@@ -306,33 +301,33 @@ class _Budget:
 
 
 def _nf_monomial(
-    m: Monomial, P: Polygraph2, strategy: str, budget: _Budget
+    m: Monomial, P: Polygraph2, budget: _Budget
 ) -> tuple[Polynomial, tuple[RewriteStep, ...]]:
-    cached = P._nf_cache.get((strategy, m))
+    cached = P._nf_cache.get(m)
     if cached is not None:
         return cached
     field = P.field
     if not P.is_reducible(m):
         result = (monomial_poly(field, m), ())
-        P._nf_cache[(strategy, m)] = result
+        P._nf_cache[m] = result
         return result
     budget.spend()
-    step = rightmost_step(m, P) if strategy == "rightmost" else leftmost_step(m, P)
+    step = rightmost_step(m, P)
     h = step.rule.target.whisker(step.left, step.right)
-    nf, tail = _nf_polynomial(h, P, strategy, budget)
+    nf, tail = _nf_polynomial(h, P, budget)
     result = (nf, (step,) + tail)
-    P._nf_cache[(strategy, m)] = result
+    P._nf_cache[m] = result
     return result
 
 
 def _nf_polynomial(
-    f: Polynomial, P: Polygraph2, strategy: str, budget: _Budget
+    f: Polynomial, P: Polygraph2, budget: _Budget
 ) -> tuple[Polynomial, tuple[RewriteStep, ...]]:
     field = P.field
     nf = P.quiver.zero(field, f.source, f.target)
     steps: list[RewriteStep] = []
     for coeff, m in f.items():
-        mnf, msteps = _nf_monomial(m, P, strategy, budget)
+        mnf, msteps = _nf_monomial(m, P, budget)
         nf = nf + mnf.scale(coeff)
         steps.extend(s.scaled(coeff) for s in msteps)
     return nf, tuple(steps)
@@ -341,11 +336,10 @@ def _nf_polynomial(
 def normal_form(
     f: Polynomial,
     P: Polygraph2,
-    strategy: Literal["rightmost", "leftmost"] = "rightmost",
     step_budget: Optional[int] = None,
 ) -> tuple[Polynomial, Trace]:
-    """Normalize f; under 'rightmost' the trace is the rightmost
-    normalisation strategy applied monomial by monomial (linear in f)."""
+    """Normalize f; the trace is the rightmost normalisation strategy
+    applied monomial by monomial (linear in f)."""
     if step_budget is None:
         if not P.certified_terminating:
             step_budget = DEFAULT_STEP_BUDGET
@@ -353,7 +347,7 @@ def normal_form(
             step_budget = DEFAULT_STEP_BUDGET * 10
     budget = _Budget(step_budget)
     try:
-        nf, steps = _nf_polynomial(f, P, strategy, budget)
+        nf, steps = _nf_polynomial(f, P, budget)
     except StepBudgetExceeded as e:
         raise StepBudgetExceeded(
             f"step budget exhausted while normalizing {f}"
@@ -430,7 +424,7 @@ def monomialize(P: Polygraph2) -> Polygraph2:
         Rule(r.name, r.source, P.quiver.zero(P.field, r.source.source, r.source.target))
         for r in P.rules
     ]
-    return P.replaced(rules)
+    return Polygraph2(P.quiver, P.field, rules, P.order)
 
 
 def words_up_to(quiver: Quiver, dmax: int) -> list[Monomial]:

@@ -8,6 +8,7 @@ from linrew import (
     Polygraph2,
     QQ,
     Quiver,
+    ReducedComplex,
     RewriteError,
     Rule,
     build_complex,
@@ -21,6 +22,7 @@ from linrew import (
     tor_table,
     trace_bracket,
 )
+from linrew import linalg
 
 from conftest import make_poly
 
@@ -93,6 +95,24 @@ def test_tor_table_xy(xy_done):
     dims = tor_dims(table)
     assert dims[(3, 4)] == 1
     assert dims[(2, 2)] == 2
+
+
+def test_tor_table_ranks_each_matrix_once(pp_done, monkeypatch):
+    built, ranked = [], []
+    matrix, rank = ReducedComplex.matrix, linalg.rank
+
+    def counting_matrix(self, k, degree):
+        built.append((k, degree))
+        return matrix(self, k, degree)
+
+    def counting_rank(rows, field):
+        ranked.append(len(rows))
+        return rank(rows, field)
+
+    monkeypatch.setattr(ReducedComplex, "matrix", counting_matrix)
+    monkeypatch.setattr(linalg, "rank", counting_rank)
+    tor_table(pp_done, 4, 6)
+    assert built and len(ranked) == len(built) == len(set(built))
 
 
 def test_hard_zeros_flagged(pp_done):
