@@ -27,7 +27,7 @@ from .rewriting import (
     NotCertifiedError,
     RewriteError,
     StepBudgetExceeded,
-    normal_form,
+    nf,
     pbw_check,
     standard_basis,
 )
@@ -129,7 +129,7 @@ def _cmd_nf(args, P, meta, doc) -> int:
 
     m = quiver.monomial(word)
     try:
-        result, _ = normal_form(monomial_poly(P.field, m), P)
+        result = nf(monomial_poly(P.field, m), P)
     except StepBudgetExceeded:
         _emit({"error": "step budget exceeded (system may be non-terminating)"})
         return EXIT_UNCERTIFIED

@@ -17,7 +17,7 @@ from .rewriting import (
     Rule,
     all_words,
     find_redexes,
-    normal_form,
+    nf,
 )
 
 DEFAULT_CONTEXT_BOUND = 3
@@ -209,9 +209,9 @@ def check_confluence(P: Polygraph2) -> dict:
     for b in branchings:
         sp = s_polynomial(b)
         w = monomial_poly(P.field, b.word)
-        nf1, _ = normal_form(b.step1.apply(w), P)
-        nf2, _ = normal_form(b.step2.apply(w), P)
-        spnf, _ = normal_form(sp, P)
+        nf1 = nf(b.step1.apply(w), P)
+        nf2 = nf(b.step2.apply(w), P)
+        spnf = nf1 - nf2  # nf is linear and sp = step1(w) - step2(w)
         entries.append({
             "word": str(b.word),
             "rules": (b.step1.rule.name, b.step2.rule.name),
@@ -236,12 +236,16 @@ def check_confluence(P: Polygraph2) -> dict:
 
 
 def orient(f: Polynomial, order: MonomialOrder, name: str) -> Optional[Rule]:
-    """Orient a nonzero polynomial as lm => lm - f/lc under the order."""
+    """Orient a nonzero polynomial as lm => lm - f/lc under the order.  A
+    nonzero scalar, whose leading monomial is an identity, has no such rule:
+    it raises NotCertifiedError."""
     if f.is_zero():
         return None
     from .algebra import leading_data
 
     lm, lc, _ = leading_data(f, order)
+    if lm.is_identity():
+        raise NotCertifiedError(f"rule {name}: the ideal contains the nonzero scalar {f}")
     field = f.field
     monic = f.scale(field.generic_inv(lc))
     target = monomial_poly(field, lm) - monic
@@ -290,7 +294,7 @@ def complete(
         )
         added = False
         for _, b in pending:
-            spnf, _ = normal_form(s_polynomial(b), cur)
+            spnf = nf(s_polynomial(b), cur)
             if spnf.is_zero():
                 continue
             new_rule = orient(spnf, order, f"c{next(fresh)}")
@@ -348,7 +352,7 @@ def _interreduce_rules(P: Polygraph2, order: MonomialOrder) -> Polygraph2:
             others = rules[:i] + rules[i + 1 :]
             sub = Polygraph2(P.quiver, P.field, others, order)
             sub.termination_certificate = certify_termination(sub, order)
-            relnf, _ = normal_form(r.relation(), sub)
+            relnf = nf(r.relation(), sub)
             new = orient(relnf, order, r.name) if not relnf.is_zero() else None
             if new is None:
                 rules = others
@@ -364,7 +368,7 @@ def _interreduce_rules(P: Polygraph2, order: MonomialOrder) -> Polygraph2:
         full = Polygraph2(P.quiver, P.field, rules, order)
         full.termination_certificate = certify_termination(full, order)
         for i, r in enumerate(rules):
-            tnf, _ = normal_form(r.target, full)
+            tnf = nf(r.target, full)
             if tnf != r.target:
                 rules = rules[:i] + [Rule(r.name, r.source, tnf)] + rules[i + 1 :]
                 changed = True

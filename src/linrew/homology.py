@@ -50,6 +50,7 @@ class ReducedComplex:
         self.degrees: dict[tuple[int, object], int] = {}
         self.delta: dict[int, dict] = {}
         self.boundary_steps: dict[tuple[int, object], list] = {}
+        self._ranks: dict[tuple[int, int], int] = {}
 
     def add_cell(self, k: int, cell_id, degree: int):
         self.cells.setdefault(k, []).append(cell_id)
@@ -83,15 +84,18 @@ class ReducedComplex:
         return rows, rows_basis
 
     def rank(self, k: int, degree: int) -> int:
-        rows, _ = self.matrix(k, degree)
-        return linalg.rank(rows, self.field)
+        """rank of delta[k] in one internal degree, each matrix ranked once
+        until the next collapse."""
+        if (k, degree) not in self._ranks:
+            rows, _ = self.matrix(k, degree)
+            self._ranks[(k, degree)] = linalg.rank(rows, self.field)
+        return self._ranks[(k, degree)]
 
     def kernel_dim(self, k: int, degree: int) -> int:
         """dim ker of delta[k-1] restricted to C_k(degree)."""
         if k == 0:
             return len(self.basis(0, degree))
-        rows, _ = self.matrix(k - 1, degree)
-        return len(self.basis(k, degree)) - linalg.rank(rows, self.field)
+        return len(self.basis(k, degree)) - self.rank(k - 1, degree)
 
     def check_dd_zero(self) -> bool:
         f = self.field
@@ -118,6 +122,7 @@ class ReducedComplex:
                 f"cannot collapse: {gamma} does not appear invertibly in the boundary of {A}"
             )
         mu_inv = f.generic_inv(mu)
+        self._ranks.clear()
         for other, col in list(self.delta.get(k, {}).items()):
             if other == A:
                 continue
@@ -307,19 +312,6 @@ def tor_table(P: Polygraph2, kmax: int, dmax: int, cells=None, cx: Optional[Redu
         cx = build_complex(P, cells, kmax, dmax)
     table = TorTable(kmax, dmax)
     N = cx.N
-    ranks: dict[tuple[int, int], int] = {}
-
-    def rank(k: int, i: int) -> int:
-        """rank of delta[k] in internal degree i, each matrix ranked once."""
-        if k < 0:
-            return 0
-        if (k, i) not in ranks:
-            ranks[(k, i)] = linalg.rank(cx.matrix(k, i)[0], cx.field)
-        return ranks[(k, i)]
-
-    def kernel_dim(k: int, i: int) -> int:
-        return len(cx.basis(k, i)) - rank(k - 1, i)
-
     count5: dict[int, int] = {}
     for c in cells:
         if c.dim == 5:
@@ -330,10 +322,10 @@ def tor_table(P: Polygraph2, kmax: int, dmax: int, cells=None, cx: Optional[Redu
                 table.set(k, i, kind="hard-zero", dim=0)
                 continue
             if k <= 3:
-                dim = kernel_dim(k, i) - rank(k, i)
+                dim = cx.kernel_dim(k, i) - cx.rank(k, i)
                 table.set(k, i, kind="exact", dim=dim)
             elif k == 4:
-                hi = kernel_dim(4, i)
+                hi = cx.kernel_dim(4, i)
                 lo = max(0, hi - count5.get(i, 0))
                 if lo == hi:
                     table.set(k, i, kind="exact", dim=hi)

@@ -135,10 +135,6 @@ class RewriteStep:
     def apply(self, f: Polynomial) -> Polynomial:
         return f - self.delta()
 
-    def scaled(self, c) -> "RewriteStep":
-        field = self.rule.target.field
-        return RewriteStep(field.mul(c, self.coeff), self.left, self.rule, self.right)
-
 
 @dataclass(frozen=True)
 class Trace:
@@ -183,7 +179,10 @@ class Polygraph2:
         self.termination_certificate = None
         self.convergence_certificate = None
         self._automaton = _Automaton(self.rules)
-        self._nf_cache: dict[Monomial, tuple[Polynomial, tuple[RewriteStep, ...]]] = {}
+        # The rightmost rewriting DAG, one node per visited monomial:
+        # (normal form, rightmost step, (coefficient, node) per reducible
+        # term of the step's reduct), or (m, None, ()) when m is irreducible.
+        self._nf_cache: dict[Monomial, tuple] = {}
         self.left_reduced = self._compute_left_reduced()
         self.right_reduced = self._compute_right_reduced()
         self.homogeneous = all(r.homogeneous for r in self.rules)
@@ -300,64 +299,61 @@ class _Budget:
             raise StepBudgetExceeded("step budget exhausted; nontermination suspected")
 
 
-def _nf_monomial(
-    m: Monomial, P: Polygraph2, budget: _Budget
-) -> tuple[Polynomial, tuple[RewriteStep, ...]]:
-    cached = P._nf_cache.get(m)
-    if cached is not None:
-        return cached
-    field = P.field
-    if not P.is_reducible(m):
-        result = (monomial_poly(field, m), ())
-        P._nf_cache[m] = result
-        return result
-    budget.spend()
-    step = rightmost_step(m, P)
-    h = step.rule.target.whisker(step.left, step.right)
-    nf, tail = _nf_polynomial(h, P, budget)
-    result = (nf, (step,) + tail)
-    P._nf_cache[m] = result
-    return result
-
-
-def _nf_polynomial(
-    f: Polynomial, P: Polygraph2, budget: _Budget
-) -> tuple[Polynomial, tuple[RewriteStep, ...]]:
-    field = P.field
-    nf = P.quiver.zero(field, f.source, f.target)
-    steps: list[RewriteStep] = []
-    for coeff, m in f.items():
-        mnf, msteps = _nf_monomial(m, P, budget)
-        nf = nf + mnf.scale(coeff)
-        steps.extend(s.scaled(coeff) for s in msteps)
-    return nf, tuple(steps)
-
-
-def normal_form(
-    f: Polynomial,
-    P: Polygraph2,
-    step_budget: Optional[int] = None,
-) -> tuple[Polynomial, Trace]:
-    """Normalize f; the trace is the rightmost normalisation strategy
-    applied monomial by monomial (linear in f)."""
-    if step_budget is None:
-        if not P.certified_terminating:
-            step_budget = DEFAULT_STEP_BUDGET
+def _nf_node(m: Monomial, P: Polygraph2, budget: _Budget) -> tuple:
+    node = P._nf_cache.get(m)
+    if node is None:
+        if P.is_reducible(m):
+            budget.spend()
+            step = rightmost_step(m, P)
+            result, children = _nf_terms(step.rule.target.whisker(step.left, step.right), P, budget)
+            node = (result, step, children)
         else:
-            step_budget = DEFAULT_STEP_BUDGET * 10
-    budget = _Budget(step_budget)
+            node = (monomial_poly(P.field, m), None, ())
+        P._nf_cache[m] = node
+    return node
+
+
+def _nf_terms(f: Polynomial, P: Polygraph2, budget: _Budget) -> tuple[Polynomial, tuple]:
+    """The normal form of f and the (coefficient, node) pairs of its
+    reducible terms."""
+    out = P.quiver.zero(P.field, f.source, f.target)
+    children = []
+    for coeff, m in f.items():
+        node = _nf_node(m, P, budget)
+        out = out + node[0].scale(coeff)
+        if node[1] is not None:
+            children.append((coeff, node))
+    return out, tuple(children)
+
+
+def nf(f: Polynomial, P: Polygraph2) -> Polynomial:
+    """Normalize f by the rightmost strategy, monomial by monomial (linear
+    in f).  The step budget is 10x larger once termination is certified;
+    running out of it, or of stack, raises StepBudgetExceeded."""
+    limit = DEFAULT_STEP_BUDGET * (10 if P.certified_terminating else 1)
     try:
-        nf, steps = _nf_polynomial(f, P, budget)
-    except StepBudgetExceeded as e:
+        return _nf_terms(f, P, _Budget(limit))[0]
+    except (StepBudgetExceeded, RecursionError) as e:
         raise StepBudgetExceeded(
             f"step budget exhausted while normalizing {f}"
             + ("" if P.certified_terminating else " (no termination certificate)"),
         ) from e
-    return nf, Trace(f, steps, nf)
 
 
-def nf(f: Polynomial, P: Polygraph2) -> Polynomial:
-    return normal_form(f, P)[0]
+def normal_form(f: Polynomial, P: Polygraph2) -> tuple[Polynomial, Trace]:
+    """nf(f, P) and its trace: the rightmost step of each reducible monomial
+    met, depth first in the order of the normalisation, with the product of
+    the coefficients on its path from f as its coefficient."""
+    result = nf(f, P)
+    mul = P.field.mul
+    steps: list[RewriteStep] = []
+    todo = [(c, P._nf_cache[m]) for c, m in reversed(f.items())]  # a stack: no recursion
+    while todo:
+        c, (_, step, children) = todo.pop()
+        if step is not None:
+            steps.append(RewriteStep(c, step.left, step.rule, step.right))
+            todo.extend((mul(c, d), node) for d, node in reversed(children))
+    return result, Trace(f, tuple(steps), result)
 
 
 def ideal_member(f: Polynomial, P: Polygraph2) -> bool:

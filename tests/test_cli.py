@@ -52,6 +52,39 @@ def test_complete_writes_output(capsys, fixtures_dir, tmp_path):
     assert "certified convergent" in out_path.read_text()
 
 
+def test_nf_nonterminating_exits_3(capsys, tmp_path):
+    # Rule c is not compatible with the order: z y rewrites forever.
+    path = tmp_path / "h1.lp"
+    path.write_text(
+        "field Q\n"
+        "generators x y z\n"
+        "order deglex x < y < z\n"
+        "rule a : z y -> y z + x x\n"
+        "rule b : z x -> x z + 2 y y\n"
+        "rule c : y x -> x y + z z\n"
+    )
+    code, doc = run_json(capsys, "nf", str(path), "--term", "z z y")
+    assert code == 3
+    assert doc == {"error": "step budget exceeded (system may be non-terminating)"}
+
+
+def test_complete_scalar_in_ideal_exits_3(capsys, tmp_path):
+    # The ideal contains the scalar 2, which no rule can orient.
+    path = tmp_path / "scalar.lp"
+    path.write_text(
+        "field Q\n"
+        "generators x y\n"
+        "order deglex x < y\n"
+        "rule r1 : y -> 0\n"
+        "rule r2 : x y^2 -> 0\n"
+        "rule r3 : y x^2 -> -x + 2 x^2 y\n"
+        "rule r4 : y x y -> 2 + 2 y\n"
+    )
+    assert main(["complete", str(path)]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert "nonzero scalar" in err and err.startswith("rule ")
+
+
 def test_branchings(capsys, fixtures_dir):
     code, doc = run_json(capsys, "branchings", fx(fixtures_dir, "groebner2.lp"))
     assert code == 0

@@ -11,6 +11,7 @@ from linrew import (
     Quiver,
     Rule,
     RewriteError,
+    RewriteStep,
     certify_termination,
     check_confluence,
     find_redexes,
@@ -110,6 +111,28 @@ def test_normal_form_linear(pairs):
     for c, w in pairs:
         by_parts = by_parts + nf(monomial_poly(QQ, Q.monomial(w), QQ.coerce(c)), P)
     assert total == by_parts
+
+
+def test_nf_builds_no_trace(monkeypatch):
+    """nf builds one rightmost step per reducible monomial it visits and
+    no trace out of them."""
+    from linrew import rewriting
+
+    Q = Quiver.free("xyz")
+    P = Polygraph2(Q, QQ, [
+        Rule("a", Q.monomial(tuple("zy")), make_poly(Q, QQ, [(1, "yz"), (1, "xx")])),
+        Rule("b", Q.monomial(tuple("zx")), make_poly(Q, QQ, [(1, "xz"), (2, "yy")])),
+    ], MonomialOrder("deglex", "xyz"))
+    built = []
+
+    def counting_step(*args):
+        built.append(args)
+        return RewriteStep(*args)
+
+    monkeypatch.setattr(rewriting, "RewriteStep", counting_step)
+    nf(make_poly(Q, QQ, [(1, "zzzzzyyxx")]), P)
+    reducible = sum(1 for m in P._nf_cache if P.is_reducible(m))
+    assert 0 < len(built) <= reducible
 
 
 def test_trace_replay(sys_xyz):
