@@ -48,8 +48,6 @@ from .completion import (
     s_polynomial,
 )
 from .resolution import (
-    Boundary4Data,
-    CellInstance,
     ChainCell,
     Confluence3Cell,
     boundary4,
@@ -63,7 +61,6 @@ from .homology import (
     ReducedComplex,
     TorTable,
     build_complex,
-    collapse_pair,
     collapse_saturate,
     koszul_verdict,
     tor_table,

@@ -41,15 +41,12 @@ class ReducedComplex:
     """Truncated reduced complex: graded bases of cells and the boundary
     matrices delta[k] : C_{k+1} -> C_k, stored as sparse columns."""
 
-    def __init__(self, field, kmax: int, dmax: int, N: Optional[int]):
+    def __init__(self, field, N: Optional[int]):
         self.field = field
-        self.kmax = kmax
-        self.dmax = dmax
         self.N = N
         self.cells: dict[int, list] = {}
         self.degrees: dict[tuple[int, object], int] = {}
         self.delta: dict[int, dict] = {}
-        self.boundary_steps: dict[tuple[int, object], list] = {}
         self._ranks: dict[tuple[int, int], int] = {}
 
     def add_cell(self, k: int, cell_id, degree: int):
@@ -149,33 +146,11 @@ class ReducedComplex:
         self.degrees.pop((k + 1, A), None)
 
     def copy(self) -> "ReducedComplex":
-        other = ReducedComplex(self.field, self.kmax, self.dmax, self.N)
+        other = ReducedComplex(self.field, self.N)
         other.cells = {k: list(v) for k, v in self.cells.items()}
         other.degrees = dict(self.degrees)
         other.delta = {k: {c: dict(col) for c, col in cols.items()} for k, cols in self.delta.items()}
-        other.boundary_steps = dict(self.boundary_steps)
         return other
-
-
-def collapse_pair(complexdata: ReducedComplex, k: int, gamma, A) -> ReducedComplex:
-    """Paper-faithful collapse: gamma must appear exactly once in A's recorded
-    boundary, identity-whiskered, with invertible coefficient.  Returns a new
-    complex; homology per internal degree is unchanged."""
-    occurrences = complexdata.boundary_steps.get((k + 1, A))
-    if occurrences is not None:
-        hits = [o for o in occurrences if o[0] == gamma]
-        if len(hits) != 1:
-            raise RewriteError(
-                f"collapse hypothesis violated: {gamma} occurs {len(hits)} times "
-                f"in the boundary of {A}"
-            )
-        if not hits[0][1]:
-            raise RewriteError(
-                f"collapse hypothesis violated: the occurrence of {gamma} in {A} is whiskered"
-            )
-    out = complexdata.copy()
-    out.collapse(k, gamma, A)
-    return out
 
 
 def collapse_saturate(complexdata: ReducedComplex) -> ReducedComplex:
@@ -205,7 +180,7 @@ def build_complex(P: Polygraph2, cells: Iterable[ChainCell], kmax: int, dmax: in
     delta[3] from the 4-cell boundary recursion."""
     field = P.field
     N = P.homogeneity_degree if P.homogeneous else None
-    cx = ReducedComplex(field, kmax, dmax, N)
+    cx = ReducedComplex(field, N)
     for obj in P.quiver.objects:
         cx.add_cell(0, obj, 0)
     cells = list(cells)
@@ -245,29 +220,12 @@ def build_complex(P: Polygraph2, cells: Iterable[ChainCell], kmax: int, dmax: in
         for r, v in tgt_b.items():
             col[r] = field.sub(col.get(r, field.zero), v)
         cx.set_column(2, c.redexes, col)
-        steps = [
-            (s.rule.name, s.left.is_identity() and s.right.degree == 0)
-            for s in conf.source_trace.steps + conf.target_trace.steps
-        ]
-        cx.boundary_steps[(3, c.redexes)] = steps
 
     cx.delta[3] = {}
     memo: dict = {}
     for c in cells:
-        if c.dim != 4:
-            continue
-        data = boundary4(c, P, memo)
-        col: dict = {}
-        occurrences = []
-        for sign, instances in ((1, data.source_instances), (-1, data.target_instances)):
-            for inst in instances:
-                occurrences.append((inst.cell_key, inst.identity_whiskered()))
-                if not inst.identity_whiskered():
-                    continue
-                v = inst.coeff if sign == 1 else field.neg(inst.coeff)
-                col[inst.cell_key] = field.add(col.get(inst.cell_key, field.zero), v)
-        cx.set_column(3, c.redexes, col)
-        cx.boundary_steps[(4, c.redexes)] = occurrences
+        if c.dim == 4:
+            cx.set_column(3, c.redexes, boundary4(c, P, memo))
     return cx
 
 

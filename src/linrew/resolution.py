@@ -57,27 +57,6 @@ class Confluence3Cell:
     target_trace: Trace  # rho on the overlap word
 
 
-@dataclass(frozen=True)
-class CellInstance:
-    """A whiskered, signed occurrence of a 3-cell inside a 4-cell boundary."""
-
-    coeff: object
-    left: Monomial
-    cell_key: tuple  # redex tuple identifying the 3-cell
-    word: Monomial
-    right: Monomial
-
-    def identity_whiskered(self) -> bool:
-        return self.left.is_identity() and self.right.is_identity()
-
-
-@dataclass(frozen=True)
-class Boundary4Data:
-    cell: ChainCell
-    source_instances: tuple[CellInstance, ...]
-    target_instances: tuple[CellInstance, ...]
-
-
 def _require_usable(P: Polygraph2):
     if not P.left_reduced:
         raise RewriteError("chain enumeration needs a left-reduced system")
@@ -187,9 +166,20 @@ def _chain3_key(rule1: Rule, rule2: Rule, start2: int) -> tuple:
     return ((rule1.name, 0), (rule2.name, start2))
 
 
-def _rho_star_rule(P: Polygraph2, rule: Rule, mhat: Monomial, memo: dict) -> list[CellInstance]:
-    """The 3-cell from (rule . mhat) *1 rho to rho on source(rule).mhat, as a
-    signed list of whiskered generating-confluence instances."""
+def _add_scaled(col: dict, other: dict, c, field) -> None:
+    """col += c * other, dropping entries that cancel."""
+    for key, v in other.items():
+        nv = field.add(col.get(key, field.zero), field.mul(c, v))
+        if field.is_zero(nv):
+            col.pop(key, None)
+        else:
+            col[key] = nv
+
+
+def _rho_star_rule(P: Polygraph2, rule: Rule, mhat: Monomial, memo: dict) -> dict:
+    """The 3-cell from (rule . mhat) *1 rho to rho on source(rule).mhat, as
+    its column {3-chain key: coefficient} in the reduced complex: a
+    generating confluence whiskered by a nontrivial context vanishes there."""
     key = (rule.name, mhat)
     if key in memo:
         return memo[key]
@@ -197,21 +187,15 @@ def _rho_star_rule(P: Polygraph2, rule: Rule, mhat: Monomial, memo: dict) -> lis
     m = rule.source * mhat
     idx, start = rightmost_redex(m, P)
     psi = P.rules[idx]
-    if start == 0:
-        # The given step is already the rightmost one: identity 3-cell.
-        out: list[CellInstance] = []
-    elif start >= rule.source.weight:
+    col: dict = {}  # start == 0: the step is already the rightmost one, identity 3-cell
+    if start >= rule.source.weight:
         # Peiffer: exchange the two disjoint steps; no confluence cell needed.
         u = m.word[rule.source.weight : start]
         v = m.word[start + psi.source.weight :]
-        out = []
         for c, n in psi.target.items():
             nm = P.quiver.monomial(u + n.word + v)
-            for inst in _rho_star_rule(P, rule, nm, memo):
-                out.append(
-                    CellInstance(field.mul(c, inst.coeff), inst.left, inst.cell_key, inst.word, inst.right)
-                )
-    else:
+            _add_scaled(col, _rho_star_rule(P, rule, nm, memo), c, field)
+    elif start > 0:
         e = start + psi.source.weight
         assert e > rule.source.weight, "inclusion overlap on a left-reduced system"
         m2 = P.quiver.monomial(m.word[rule.source.weight : e])
@@ -221,40 +205,36 @@ def _rho_star_rule(P: Polygraph2, rule: Rule, mhat: Monomial, memo: dict) -> lis
             else P.quiver.identity(m.target)
         )
         w1 = P.quiver.monomial(m.word[:e], at=m.source)
-        out = [
-            CellInstance(field.one, P.quiver.identity(w1.source), _chain3_key(rule, psi, start), w1, m3)
-        ]
+        if m3.is_identity():
+            col[_chain3_key(rule, psi, start)] = field.one
         _, tr1 = normal_form(monomial_poly(field, w1), P)
-        out.extend(_rho_star_trace(P, tr1.steps, m3, memo))
-        x = rule.target * monomial_poly(field, m2)
-        _, trx = normal_form(x, P)
-        for inst in _rho_star_trace(P, trx.steps, m3, memo):
-            out.append(
-                CellInstance(field.neg(inst.coeff), inst.left, inst.cell_key, inst.word, inst.right)
-            )
-    memo[key] = out
-    return out
+        _add_scaled(col, _rho_star_trace(P, tr1.steps, m3, memo), field.one, field)
+        _, trx = normal_form(rule.target * monomial_poly(field, m2), P)
+        _add_scaled(col, _rho_star_trace(P, trx.steps, m3, memo), field.neg(field.one), field)
+    memo[key] = col
+    return col
 
 
 def _rho_star_trace(
     P: Polygraph2, steps: tuple[RewriteStep, ...], extra_right: Monomial, memo: dict
-) -> list[CellInstance]:
+) -> dict:
+    """The column of rho* along a trace, each step whiskered by extra_right.
+    A step with a nontrivial left context contributes nothing: whiskers
+    only grow, so every cell below it vanishes."""
     field = P.field
-    out: list[CellInstance] = []
+    col: dict = {}
     for step in steps:
+        if not step.left.is_identity():
+            continue
         mr = step.right * extra_right if not extra_right.is_identity() else step.right
-        for inst in _rho_star_rule(P, step.rule, mr, memo):
-            left = step.left * inst.left if not step.left.is_identity() else inst.left
-            out.append(
-                CellInstance(field.mul(step.coeff, inst.coeff), left, inst.cell_key, inst.word, inst.right)
-            )
-    return out
+        _add_scaled(col, _rho_star_rule(P, step.rule, mr, memo), step.coeff, field)
+    return col
 
 
-def boundary4(b: ChainCell, P: Polygraph2, memo: Optional[dict] = None) -> Boundary4Data:
-    """Signed whiskered 3-cell instances of the two composites filling a
-    triple-branching chain, by literal execution of the normalizing 3-trace
-    recursion."""
+def boundary4(b: ChainCell, P: Polygraph2, memo: Optional[dict] = None) -> dict:
+    """The delta3 column {3-chain key: coefficient} of a 4-chain: the
+    source composite minus the target composite filling the triple
+    branching, by the normalizing 3-trace recursion."""
     _require_usable(P)
     if b.dim != 4:
         raise RewriteError("boundary4 is defined for 4-chains")
@@ -267,19 +247,15 @@ def boundary4(b: ChainCell, P: Polygraph2, memo: Optional[dict] = None) -> Bound
     e2 = s2 + rule2.source.weight
     w2 = P.quiver.monomial(b.word.word[:e2], at=b.word.source)
     mhat = P.quiver.monomial(b.word.word[e2:])
-    c_key = _chain3_key(rule1, rule2, s2)
 
-    source: list[CellInstance] = [
-        CellInstance(field.one, P.quiver.identity(w2.source), c_key, w2, mhat)
-    ]
+    # Source: the 3-chain (rule1, rule2) whiskered by mhat, which the third
+    # redex makes nonempty, so it vanishes; then rho* along rho(w2) . mhat.
     _, tr_w2 = normal_form(monomial_poly(field, w2), P)
-    source.extend(_rho_star_trace(P, tr_w2.steps, mhat, memo))
+    col = _rho_star_trace(P, tr_w2.steps, mhat, memo)
 
     m2p = P.quiver.monomial(b.word.word[rule1.source.weight : e2] + mhat.word)
-    target: list[CellInstance] = list(_rho_star_rule(P, rule1, m2p, memo))
+    _add_scaled(col, _rho_star_rule(P, rule1, m2p, memo), field.neg(field.one), field)
     m2p_only = P.quiver.monomial(b.word.word[rule1.source.weight : e2])
-    x = rule1.target * monomial_poly(field, m2p_only)
-    _, tr_x = normal_form(x, P)
-    target.extend(_rho_star_trace(P, tr_x.steps, mhat, memo))
-
-    return Boundary4Data(b, tuple(source), tuple(target))
+    _, tr_x = normal_form(rule1.target * monomial_poly(field, m2p_only), P)
+    _add_scaled(col, _rho_star_trace(P, tr_x.steps, mhat, memo), field.neg(field.one), field)
+    return col

@@ -289,55 +289,55 @@ def leftmost_step(m: Monomial, P: Polygraph2) -> RewriteStep:
     return RewriteStep(P.field.one, left, P.rules[idx], right)
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.left = limit
-
-    def spend(self):
-        self.left -= 1
-        if self.left < 0:
-            raise StepBudgetExceeded("step budget exhausted; nontermination suspected")
-
-
-def _nf_node(m: Monomial, P: Polygraph2, budget: _Budget) -> tuple:
-    node = P._nf_cache.get(m)
-    if node is None:
-        if P.is_reducible(m):
-            budget.spend()
-            step = rightmost_step(m, P)
-            result, children = _nf_terms(step.rule.target.whisker(step.left, step.right), P, budget)
-            node = (result, step, children)
-        else:
-            node = (monomial_poly(P.field, m), None, ())
-        P._nf_cache[m] = node
-    return node
-
-
-def _nf_terms(f: Polynomial, P: Polygraph2, budget: _Budget) -> tuple[Polynomial, tuple]:
-    """The normal form of f and the (coefficient, node) pairs of its
-    reducible terms."""
-    out = P.quiver.zero(P.field, f.source, f.target)
-    children = []
-    for coeff, m in f.items():
-        node = _nf_node(m, P, budget)
-        out = out + node[0].scale(coeff)
-        if node[1] is not None:
-            children.append((coeff, node))
-    return out, tuple(children)
-
-
 def nf(f: Polynomial, P: Polygraph2) -> Polynomial:
     """Normalize f by the rightmost strategy, monomial by monomial (linear
-    in f).  The step budget is 10x larger once termination is certified;
-    running out of it, or of stack, raises StepBudgetExceeded."""
-    limit = DEFAULT_STEP_BUDGET * (10 if P.certified_terminating else 1)
-    try:
-        return _nf_terms(f, P, _Budget(limit))[0]
-    except (StepBudgetExceeded, RecursionError) as e:
-        raise StepBudgetExceeded(
-            f"step budget exhausted while normalizing {f}"
-            + ("" if P.certified_terminating else " (no termination certificate)"),
-        ) from e
+    in f), building the missing nodes of P._nf_cache depth first with an
+    explicit stack.  Each monomial rewritten costs its weight from a budget
+    of 10**6, 10x more once termination is certified.  Running out of it,
+    or meeting a monomial again while it is still being normalized (the
+    strategy loops), raises StepBudgetExceeded."""
+    cache = P._nf_cache
+    field = P.field
+    budget = DEFAULT_STEP_BUDGET * (10 if P.certified_terminating else 1)
+    opened: set[Monomial] = set()  # rewritten, waiting for their reducts' terms
+    stack: list = [m for _, m in reversed(f.items()) if m not in cache]
+    while stack:
+        m = stack.pop()
+        if type(m) is tuple:  # (m, step, reduct): every term of the reduct is done
+            m, step, reduct = m
+            opened.discard(m)
+            result = P.quiver.zero(field, m.source, m.target)
+            children = []
+            for coeff, n in reduct.items():
+                node = cache[n]
+                result = result + node[0].scale(coeff)
+                if node[1] is not None:
+                    children.append((coeff, node))
+            cache[m] = (result, step, tuple(children))
+        elif m in cache:
+            continue
+        elif not P.is_reducible(m):
+            cache[m] = (monomial_poly(field, m), None, ())
+        else:
+            budget -= m.weight
+            if budget < 0:
+                raise StepBudgetExceeded(
+                    f"step budget exhausted while normalizing {f}"
+                    + ("" if P.certified_terminating else " (no termination certificate)")
+                )
+            step = rightmost_step(m, P)
+            reduct = step.rule.target.whisker(step.left, step.right)
+            opened.add(m)
+            stack.append((m, step, reduct))
+            for _, n in reversed(reduct.items()):
+                if n not in cache:
+                    if n in opened:
+                        raise StepBudgetExceeded(f"rightmost rewriting of {n} loops while normalizing {f}")
+                    stack.append(n)
+    out = P.quiver.zero(field, f.source, f.target)
+    for coeff, m in f.items():
+        out = out + cache[m][0].scale(coeff)
+    return out
 
 
 def normal_form(f: Polynomial, P: Polygraph2) -> tuple[Polynomial, Trace]:

@@ -299,12 +299,36 @@ def to_gf(P, F):
     return R
 
 
+def euler_degrees(P, dmax=4):
+    """Check sum_k (-1)^k dim Tor_{k,i} = [t^i] 1/H_A(t) for i <= dmax (one
+    object, generators of degree >= 1, so Tor_{k,i} = 0 for k > i) at every
+    degree whose Tor_{k,i}, k <= i, are all exact; return those degrees.
+    tor_table enumerates its own chains, one dimension deeper than it
+    reports, so an interval at k = 4 is not taken for an exact entry."""
+    table = tor_table(P, dmax, dmax)
+    h = standard_basis(P, dmax).counts()
+    assert h[0] == 1
+    inverse = [1]  # coefficients of 1/H_A(t)
+    for n in range(1, dmax + 1):
+        inverse.append(-sum(h[j] * inverse[n - j] for j in range(1, n + 1)))
+    checked = []
+    for i in range(dmax + 1):
+        dims = [table.exact_dim(k, i) for k in range(i + 1)]
+        if None in dims:
+            continue
+        euler = sum((-1) ** k * d for k, d in enumerate(dims))
+        assert euler == inverse[i], f"degree {i}: Tor {dims}, 1/H_A {inverse}"
+        checked.append(i)
+    return checked
+
+
 def test_a6_property_corpus():
     rng = random.Random(corpus_seed())
     F = GF(32003)
     n_systems = 200
     n_convergent = 0
     n_complexes = 0
+    n_euler4 = 0  # degree-4 identities read delta3
     for trial in range(n_systems):
         P = random_system(rng)
 
@@ -356,6 +380,22 @@ def test_a6_property_corpus():
                 after = collapsed.kernel_dim(k, i) - collapsed.rank(k, i)
                 assert before == after, f"trial {trial}: Tor_{k},({i}) changed"
 
+        # Euler characteristic against the Hilbert series.
+        n_euler4 += 4 in euler_degrees(P)
+
     # The corpus must actually exercise the deep checks.
     assert n_convergent >= 20
     assert n_complexes >= 10
+    assert n_euler4 > 0
+
+
+def test_a6_euler_characteristic_fixtures(sys_pp, sys_xy):
+    Q = Quiver.free("xyz")
+    cubic = Polygraph2(Q, QQ, [
+        Rule("p", Q.monomial(tuple("zzz")), make_poly(Q, QQ, [(1, "xyz"), (1, "yyx")])),
+        Rule("q", Q.monomial(tuple("zzy")), make_poly(Q, QQ, [(1, "xxy")])),
+    ], MonomialOrder("deglex", "xyz"))
+    for P in (sys_pp, sys_xy):
+        assert euler_degrees(complete(P, P.order)) == [0, 1, 2, 3, 4]
+    # Degree 5 of the cubic system is the first that reads a nonzero delta3.
+    assert euler_degrees(complete(cubic, cubic.order), 6) == [0, 1, 2, 3, 4, 5]

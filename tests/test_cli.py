@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from linrew.cli import main
 
 
@@ -64,6 +66,26 @@ def test_nf_nonterminating_exits_3(capsys, tmp_path):
         "rule c : y x -> x y + z z\n"
     )
     code, doc = run_json(capsys, "nf", str(path), "--term", "z z y")
+    assert code == 3
+    assert doc == {"error": "step budget exceeded (system may be non-terminating)"}
+
+
+def test_nf_long_normalisation(capsys, tmp_path):
+    # A path of 1,600 rightmost steps: deeper than one recursion per step allows.
+    path = tmp_path / "ba.lp"
+    path.write_text("field Q\ngenerators a b\norder deglex a < b\nrule s : b a -> a b\n")
+    code, out = run(capsys, "nf", str(path), "--term", " ".join(["b"] * 40 + ["a"] * 40))
+    assert code == 0
+    assert out.strip() == "a^40 b^40"
+
+
+@pytest.mark.parametrize("rule, term", [("x -> x x", "x"), ("y -> x y x", "y")], ids=["x_xx", "y_xyx"])
+def test_nf_growing_words_exit_3(capsys, tmp_path, rule, term):
+    # Every step lengthens the word: the budget charges each rewritten
+    # monomial its weight, so this stops after about a thousand steps.
+    path = tmp_path / "grow.lp"
+    path.write_text(f"field Q\ngenerators x y\nrule r : {rule}\n")
+    code, doc = run_json(capsys, "nf", str(path), "--term", term)
     assert code == 3
     assert doc == {"error": "step budget exceeded (system may be non-terminating)"}
 

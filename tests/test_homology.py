@@ -12,7 +12,6 @@ from linrew import (
     RewriteError,
     Rule,
     build_complex,
-    collapse_pair,
     collapse_saturate,
     complete,
     enumerate_chains,
@@ -164,13 +163,14 @@ def test_collapse_pair_hypothesis(pp_done):
     cell4 = next(c for c in cells if c.dim == 4 and c.degree == 4)
     col = cx.delta[3][cell4.redexes]
     gamma = next(iter(col))
-    out = collapse_pair(cx, 3, gamma, cell4.redexes)
+    out = cx.copy()
+    out.collapse(3, gamma, cell4.redexes)
     assert gamma not in out.basis(3)
     assert cell4.redexes not in out.basis(4)
     # A 3-cell absent from the boundary cannot be collapsed against it.
     other = next(k for c in cells if c.dim == 3 and (k := c.redexes) not in col)
     with pytest.raises(RewriteError):
-        collapse_pair(cx, 3, other, cell4.redexes)
+        cx.copy().collapse(3, other, cell4.redexes)
 
 
 def test_koszul_verdicts(sys_xyz, pp_done, xy_done):

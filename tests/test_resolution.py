@@ -4,6 +4,7 @@ from linrew import (
     QQ,
     RewriteError,
     boundary4,
+    build_complex,
     cell_degrees,
     complete,
     ell,
@@ -100,11 +101,10 @@ def test_generating_confluence_legs_agree(pp_done):
 def test_boundary4_instances(pp_done):
     cells = enumerate_chains(pp_done, 4, 6)
     keys3 = {c.redexes for c in cells if c.dim == 3}
-    for c in cells:
-        if c.dim != 4:
-            continue
-        data = boundary4(c, pp_done)
-        assert data.source_instances
-        for inst in data.source_instances + data.target_instances:
-            assert inst.cell_key in keys3
-            assert not QQ.is_zero(inst.coeff)
+    cx = build_complex(pp_done, cells, 4, 6)
+    cols = {c.redexes: boundary4(c, pp_done) for c in cells if c.dim == 4}
+    assert any(cols.values())
+    for key, col in cols.items():
+        assert set(col) <= keys3
+        assert not any(QQ.is_zero(v) for v in col.values())
+        assert col == cx.delta[3][key]
