@@ -23,6 +23,9 @@ from .rewriting import (
 DEFAULT_CONTEXT_BOUND = 3
 DEFAULT_MAX_DEGREE = 12
 DEFAULT_MAX_RULES = 512
+# Terms nf may sum into normal forms over one completion: the work of
+# completion is coefficient arithmetic on large normal forms.
+DEFAULT_WORK_BUDGET = 250_000
 
 
 @dataclass(frozen=True)
@@ -268,7 +271,14 @@ def complete(
     polygraph presenting the same algebra, carrying order-compatible
     termination and convergence certificates.  Raises
     CompletionBoundExceeded (carrying the partial, non-certified system)
-    when a bound trips."""
+    when a bound trips, or when nf has summed more than DEFAULT_WORK_BUDGET
+    terms into normal forms.
+
+    Each round reduces the S-polynomials in degree order and appends the
+    first nonzero one as a rule.  A rule appended to the system changes no
+    rightmost step of a monomial it does not divide, so the next round keeps
+    every memo node that cannot reach such a monomial, and skips every
+    branching whose S-polynomial reduced to 0 on nodes that are all kept."""
     if order is None:
         order = P.order
     if order is None:
@@ -281,8 +291,14 @@ def complete(
             raise RewriteError(f"rule {r.name} is a zero relation; not orientable")
         rules.append(orient(rel, order, r.name))
 
+    memo: dict = {}  # the _nf_cache nodes still valid for `rules`
+    spolys: dict = {}  # branching key -> S-polynomial
+    joined: dict = {}  # branching key -> the (monomial, node) pairs it reduced to 0 on
+    work = 0
     while True:
         cur = Polygraph2(P.quiver, P.field, rules, order)
+        cur._nf_cache = memo
+        cur._nf_work = work
         cert = certify_termination(cur, order)
         if not cert.ok:
             raise RewriteError(f"orientation broke the termination order: {cert.notes}")
@@ -292,10 +308,20 @@ def complete(
             enumerate(enumerate_critical_branchings(cur)),
             key=lambda t: (t[1].word.degree, t[0]),
         )
-        added = False
+        new_rule = None
         for _, b in pending:
-            spnf = nf(s_polynomial(b), cur)
+            key = (b.step1.rule.name, b.step2.rule.name, b.positions[1], b.word.word)
+            used = joined.get(key)
+            if used is not None and all(memo.get(m) is node for m, node in used):
+                continue
+            sp = spolys.get(key)
+            if sp is None:
+                sp = spolys[key] = s_polynomial(b)
+            spnf = nf(sp, cur)
+            if cur._nf_work > DEFAULT_WORK_BUDGET:
+                raise _over_budget(cur, "reducing S-polynomials")
             if spnf.is_zero():
+                joined[key] = tuple((m, memo[m]) for m in sp.terms)
                 continue
             new_rule = orient(spnf, order, f"c{next(fresh)}")
             if new_rule.degree > max_degree:
@@ -306,19 +332,48 @@ def complete(
                 raise CompletionBoundExceeded(
                     f"completion exceeded max rule count {max_rules}", cur
                 )
-            rules.append(new_rule)
-            added = True
             break
-        if added:
-            continue
-        reduced = _interreduce_rules(cur, order)
-        if [r.relation() for r in reduced.rules] != [r.relation() for r in cur.rules]:
+        if new_rule is not None:
+            rules.append(new_rule)
+            memo = _unchanged_by(new_rule.source.word, memo)
+        else:
+            reduced = _interreduce_rules(cur, order)
+            if cur._nf_work > DEFAULT_WORK_BUDGET:
+                raise _over_budget(cur, "interreducing")
+            if [r.relation() for r in reduced.rules] == [r.relation() for r in cur.rules]:
+                # Every S-polynomial reduced to 0 and interreduction changed
+                # nothing: attach the convergence certificate (the nf cache
+                # is warm).
+                check_confluence(cur)
+                return cur
             rules = list(reduced.rules)
+            memo, spolys, joined = {}, {}, {}
+        work = cur._nf_work
+
+
+def _over_budget(partial: Polygraph2, stage: str) -> CompletionBoundExceeded:
+    return CompletionBoundExceeded(
+        f"completion exceeded its work budget of {DEFAULT_WORK_BUDGET} terms summed "
+        f"into normal forms while {stage}, at {len(partial.rules)} rules of degree "
+        f"up to {max(r.degree for r in partial.rules)}",
+        partial,
+    )
+
+
+def _unchanged_by(source: tuple, memo: dict) -> dict:
+    """The nodes of memo that appending a rule with this source word leaves
+    as they are: the source divides neither the node's monomial nor, through
+    its children, any monomial its rewriting reaches.  memo is filled
+    children first, so one forward pass decides."""
+    kept: dict = {}
+    valid: set[int] = set()  # ids of the kept nodes
+    for m, node in memo.items():
+        if m.factor_positions(source):
             continue
-        # Every S-polynomial reduced to 0 and interreduction changed nothing:
-        # attach the convergence certificate (the nf cache is warm).
-        check_confluence(cur)
-        return cur
+        if all(id(child) in valid for _, child in node[2]):
+            kept[m] = node
+            valid.add(id(node))
+    return kept
 
 
 def interreduce(P: Polygraph2) -> Polygraph2:
@@ -350,6 +405,7 @@ def _interreduce_rules(P: Polygraph2, order: MonomialOrder) -> Polygraph2:
             sub = Polygraph2(P.quiver, P.field, others, order)
             sub.termination_certificate = certify_termination(sub, order)
             relnf = nf(r.relation(), sub)
+            P._nf_work += sub._nf_work
             new = orient(relnf, order, r.name) if not relnf.is_zero() else None
             if new is None:
                 rules = others

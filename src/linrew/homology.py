@@ -190,7 +190,7 @@ def build_complex(P: Polygraph2, cells: Iterable[ChainCell], kmax: int, dmax: in
             cx.add_cell(1, c.word.word[0], c.degree)
         elif c.dim == 2:
             cx.add_cell(2, c.redexes[0][0], c.degree)
-        elif c.dim in (3, 4, 5):
+        elif c.dim >= 3:
             cx.add_cell(c.dim, c.redexes, c.degree)
 
     cx.delta[0] = {g: {} for g in cx.cells.get(1, [])}
@@ -257,8 +257,9 @@ class TorTable:
 
 
 def _chains_for_table(P: Polygraph2, kmax: int, dmax: int):
-    depth = min(kmax + 1, 5)
-    return enumerate_chains(P, depth, dmax)
+    """Chains one dimension deeper than kmax up to the 5-chains that bound
+    Tor_4, and to kmax beyond, where the counts bound Tor_k."""
+    return enumerate_chains(P, max(min(kmax + 1, 5), kmax), dmax)
 
 
 def tor_table(P: Polygraph2, kmax: int, dmax: int, cells=None, cx: Optional[ReducedComplex] = None) -> TorTable:

@@ -180,9 +180,11 @@ class Polygraph2:
         self.convergence_certificate = None
         self._automaton = _Automaton(self.rules)
         # The rightmost rewriting DAG, one node per visited monomial:
-        # (normal form, rightmost step, (coefficient, node) per reducible
-        # term of the step's reduct), or (m, None, ()) when m is irreducible.
+        # (normal form, rightmost step, (coefficient, node) per term of the
+        # step's reduct), or (m, None, ()) when m is irreducible.  Every node
+        # is inserted after its children.
         self._nf_cache: dict[Monomial, tuple] = {}
+        self._nf_work = 0  # terms nf has summed into normal forms
         self.left_reduced = self._compute_left_reduced()
         self.right_reduced = self._compute_right_reduced()
         self.homogeneous = all(r.homogeneous for r in self.rules)
@@ -295,10 +297,12 @@ def nf(f: Polynomial, P: Polygraph2) -> Polynomial:
     explicit stack.  Each monomial rewritten costs its weight from a budget
     of 10**6, 10x more once termination is certified.  Running out of it,
     or meeting a monomial again while it is still being normalized (the
-    strategy loops), raises StepBudgetExceeded."""
+    strategy loops), raises StepBudgetExceeded.  The terms summed into
+    normal forms are added to P._nf_work."""
     cache = P._nf_cache
     field = P.field
     budget = DEFAULT_STEP_BUDGET * (10 if P.certified_terminating else 1)
+    work = 0
     opened: set[Monomial] = set()  # rewritten, waiting for their reducts' terms
     stack: list = [m for _, m in reversed(f.items()) if m not in cache]
     while stack:
@@ -306,14 +310,10 @@ def nf(f: Polynomial, P: Polygraph2) -> Polynomial:
         if type(m) is tuple:  # (m, step, reduct): every term of the reduct is done
             m, step, reduct = m
             opened.discard(m)
-            result = P.quiver.zero(field, m.source, m.target)
-            children = []
-            for coeff, n in reduct.items():
-                node = cache[n]
-                result = result + node[0].scale(coeff)
-                if node[1] is not None:
-                    children.append((coeff, node))
-            cache[m] = (result, step, tuple(children))
+            children = tuple((coeff, cache[n]) for coeff, n in reduct.items())
+            terms, summed = _combine(children, field)
+            work += summed
+            cache[m] = (Polynomial(field, terms, m.source, m.target), step, children)
         elif m in cache:
             continue
         elif not P.is_reducible(m):
@@ -334,10 +334,32 @@ def nf(f: Polynomial, P: Polygraph2) -> Polynomial:
                     if n in opened:
                         raise StepBudgetExceeded(f"rightmost rewriting of {n} loops while normalizing {f}")
                     stack.append(n)
-    out = P.quiver.zero(field, f.source, f.target)
-    for coeff, m in f.items():
-        out = out + cache[m][0].scale(coeff)
-    return out
+    terms, summed = _combine([(coeff, cache[m]) for coeff, m in f.items()], field)
+    P._nf_work += work + summed
+    return Polynomial(field, terms, f.source, f.target)
+
+
+def _combine(pairs, field: Field) -> tuple[dict, int]:
+    """The terms of sum(coeff * normal form of node) over (coeff, node)
+    pairs, summed into one dict in the order Polynomial.__add__ would sum
+    them, and the number of terms summed."""
+    add, mul, is_zero = field.add, field.mul, field.is_zero
+    acc: dict = {}
+    summed = 0
+    for coeff, node in pairs:
+        items = node[0].terms.items()
+        summed += len(items)
+        for t, c in items:
+            s = acc.get(t)
+            if s is None:
+                acc[t] = mul(coeff, c)
+                continue
+            s = add(s, mul(coeff, c))
+            if is_zero(s):
+                del acc[t]
+            else:
+                acc[t] = s
+    return acc, summed
 
 
 def normal_form(f: Polynomial, P: Polygraph2) -> tuple[Polynomial, Trace]:
@@ -352,7 +374,7 @@ def normal_form(f: Polynomial, P: Polygraph2) -> tuple[Polynomial, Trace]:
         c, (_, step, children) = todo.pop()
         if step is not None:
             steps.append(RewriteStep(c, step.left, step.rule, step.right))
-            todo.extend((mul(c, d), node) for d, node in reversed(children))
+            todo.extend((mul(c, d), node) for d, node in reversed(children) if node[1] is not None)
     return result, Trace(f, tuple(steps), result)
 
 

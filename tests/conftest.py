@@ -72,3 +72,30 @@ def sys_pp(request):
         Rule("beta", Q.monomial(tuple("zy")), make_poly(Q, QQ, [(-1 / a, "xx")])),
     ]
     return Polygraph2(Q, QQ, rules, order)
+
+
+def deglex_system(gens, rules):
+    """Polygraph over Q, ordered deglex by the order of gens, from
+    (name, source word, [(coefficient, word), ...]) triples."""
+    Q = Quiver.free(gens)
+    return Polygraph2(
+        Q, QQ,
+        [Rule(name, Q.monomial(tuple(src)), make_poly(Q, QQ, tgt)) for name, src, tgt in rules],
+        MonomialOrder("deglex", gens),
+    )
+
+
+def h1_system():
+    """Three quadratic relations whose completion never stops."""
+    return deglex_system("xyz", [
+        ("a", "zy", [(1, "yz"), (1, "xx")]),
+        ("b", "zx", [(1, "xz"), (2, "yy")]),
+        ("c", "yx", [(1, "xy"), (1, "zz")]),
+    ])
+
+
+def cubic_system():
+    return deglex_system("xyz", [
+        ("p", "zzz", [(1, "xyz"), (1, "yyx")]),
+        ("q", "zzy", [(1, "xxy")]),
+    ])

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from linrew.cli import main
+from linrew.completion import DEFAULT_WORK_BUDGET
 
 
 def run(capsys, *argv):
@@ -105,6 +106,27 @@ def test_complete_scalar_in_ideal_exits_3(capsys, tmp_path):
     assert main(["complete", str(path)]) == 3
     err = json.loads(capsys.readouterr().err)["error"]
     assert "nonzero scalar" in err and err.startswith("rule ")
+
+
+def test_complete_work_budget_exits_3(capsys, tmp_path):
+    # Neither the degree nor the rule bound trips for a long time here; the
+    # cost is coefficient arithmetic on ever larger normal forms.
+    path = tmp_path / "grow.lp"
+    path.write_text(
+        "field Q\n"
+        "generators x y z\n"
+        "order deglex x < y < z\n"
+        "rule r0 : y y z -> 2 - 2 z y\n"
+        "rule r1 : y y y -> -2 z + 2 x z y\n"
+        "rule r2 : z z -> 2 y + 2 z x\n"
+    )
+    code, doc = run_json(capsys, "complete", str(path), "--max-degree", "6")
+    assert code == 3
+    assert doc["error"].startswith(
+        f"completion exceeded its work budget of {DEFAULT_WORK_BUDGET} terms summed "
+        "into normal forms while reducing S-polynomials, at "
+    )
+    assert len(doc["partial_rules"]) > 3
 
 
 def test_branchings(capsys, fixtures_dir):

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,18 @@ def test_tor_table_xy(xy_done):
     dims = tor_dims(table)
     assert dims[(3, 4)] == 1
     assert dims[(2, 2)] == 2
+
+
+def test_tor_table_bounds_high_dimensions(xy_done):
+    """Beyond k = 5 the table enumerates chains to kmax: an entry with
+    k-chains is bounded by their count, never reported as an exact 0."""
+    table = tor_table(xy_done, 7, 10)
+    chains = Counter((c.dim, c.degree) for c in enumerate_chains(xy_done, 7, 10))
+    assert table.get(6, 9) == {"kind": "bound", "lo": 0, "hi": 1}
+    assert table.get(7, 10) == {"kind": "bound", "lo": 0, "hi": 5}
+    for (k, i), e in table.entries.items():
+        if k >= 6 and chains[(k, i)]:
+            assert e == {"kind": "bound", "lo": 0, "hi": chains[(k, i)]}, (k, i)
 
 
 def test_tor_table_ranks_each_matrix_once(pp_done, monkeypatch):

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from linrew import (
@@ -10,7 +13,11 @@ from linrew import (
     ell,
     enumerate_chains,
     generating_confluence,
+    lpformat,
 )
+
+from conftest import FIXTURES, cubic_system
+from test_acceptance import random_system
 
 
 @pytest.fixture
@@ -108,3 +115,48 @@ def test_boundary4_instances(pp_done):
         assert set(col) <= keys3
         assert not any(QQ.is_zero(v) for v in col.values())
         assert col == cx.delta[3][key]
+
+
+def _completed(systems, **bounds):
+    for P in systems:
+        try:
+            yield complete(P, P.order, **bounds)
+        except RewriteError:
+            pass
+
+
+def _fixture_systems():
+    return _completed(lpformat.parse_file(p)[0] for p in sorted(FIXTURES.glob("*.lp")))
+
+
+def _a6_systems():
+    rng = random.Random(0)
+    systems = [random_system(rng) for _ in range(200)]
+    return [P for P in _completed(systems, max_degree=5, max_rules=64) if P.left_reduced]
+
+
+# (systems, dmax, columns, sha256 of the delta2/delta3 columns).  The
+# fixtures and the cubic system never apply a rule at the front of the
+# target composite's trace in boundary4; the A6 systems do.
+DELTA_CASES = {
+    "fixtures": (_fixture_systems, 6, 41,
+                 "987efb7fcb7240819f0c21ca3282f21da3aed73557a2e57c9a8abf0be23ea619"),
+    "cubic": (lambda: _completed([cubic_system()]), 12, 73,
+              "49a02e033b0b7b0cd4c759112dd19ae0f47f9b26e7fd30f02d2caeab55abafdc"),
+    "a6": (_a6_systems, 6, 289,
+           "6be423734b35ba8d1773cd0776a80d97b19f69b263bb1ee4c33eccc79627e9d8"),
+}
+
+
+@pytest.mark.parametrize("group", sorted(DELTA_CASES))
+def test_delta_columns_unchanged(group):
+    systems, dmax, n_columns, digest = DELTA_CASES[group]
+    cols = []
+    for P in systems():
+        cx = build_complex(P, enumerate_chains(P, 4, dmax), 3, dmax)
+        cols.append(sorted(
+            (k, repr(cell), sorted((repr(r), str(c)) for r, c in col.items()))
+            for k in (2, 3) for cell, col in cx.delta[k].items()
+        ))
+    assert sum(map(len, cols)) == n_columns
+    assert hashlib.sha256(repr(cols).encode()).hexdigest() == digest
