@@ -145,16 +145,18 @@ class Monomial:
         return [i for i in range(n - k + 1) if self.word[i : i + k] == factor]
 
     def __str__(self):
-        if not self.word:
+        word = self.word
+        if not word:
             return f"1_{self.source}"
         out = []
-        i = 0
-        while i < len(self.word):
-            j = i
-            while j < len(self.word) and self.word[j] == self.word[i]:
-                j += 1
-            out.append(self.word[i] if j - i == 1 else f"{self.word[i]}^{j - i}")
-            i = j
+        prev, run = word[0], 0
+        for letter in word:
+            if letter == prev:
+                run += 1
+            else:
+                out.append(prev if run == 1 else f"{prev}^{run}")
+                prev, run = letter, 1
+        out.append(prev if run == 1 else f"{prev}^{run}")
         return " ".join(out)
 
     def __lt__(self, other):

@@ -235,9 +235,7 @@ def _cmd_hilbert(args, P, meta, doc) -> int:
     basis = standard_basis(_prepare(P, meta, doc), args.dmax)
     doc["dmax"] = args.dmax
     doc["counts"] = {str(d): n for d, n in basis.counts().items()}
-    doc["basis"] = {
-        str(d): [str(m) for m in ms] for d, ms in sorted(basis.by_degree.items())
-    }
+    doc["basis"] = {str(d): texts for d, texts in sorted(basis.text.items())}
     _emit(doc)
     return EXIT_OK
 
@@ -258,6 +256,17 @@ def _cmd_pbw(args, P, meta, doc) -> int:
     doc["pbw"] = report
     _emit(doc)
     return EXIT_OK if report["passed"] else EXIT_UNCERTIFIED
+
+
+def _bound(text: str) -> int:
+    """argparse type of --kmax and --dmax: a non-negative int."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,46 +295,48 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("branchings", help="critical (n-fold) branchings")
     p.add_argument("file")
     p.add_argument("--fold", type=int, default=2)
-    p.add_argument("--dmax", type=int, default=8)
+    p.add_argument("--dmax", type=_bound, default=8)
     p.set_defaults(func=_cmd_branchings)
 
     p = sub.add_parser("chains", help="overlap chain cells")
     p.add_argument("file")
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--dmax", type=int, required=True)
+    p.add_argument("--kmax", type=_bound, required=True)
+    p.add_argument("--dmax", type=_bound, required=True)
     p.set_defaults(func=_cmd_chains)
 
     p = sub.add_parser("tor", help="Tor dimension table")
     p.add_argument("file")
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--dmax", type=int, required=True)
+    p.add_argument("--kmax", type=_bound, required=True)
+    p.add_argument("--dmax", type=_bound, required=True)
     p.add_argument("--json", default=None, help="also write the report to PATH")
     p.set_defaults(func=_cmd_tor)
 
     p = sub.add_parser("koszul", help="Koszulity verdict")
     p.add_argument("file")
-    p.add_argument("--kmax", type=int, default=4)
-    p.add_argument("--dmax", type=int, default=6)
+    p.add_argument("--kmax", type=_bound, default=4)
+    p.add_argument("--dmax", type=_bound, default=6)
     p.set_defaults(func=_cmd_koszul)
 
     p = sub.add_parser("hilbert", help="standard-basis counts per degree")
     p.add_argument("file")
-    p.add_argument("--dmax", type=int, required=True)
+    p.add_argument("--dmax", type=_bound, required=True)
     p.set_defaults(func=_cmd_hilbert)
 
     p = sub.add_parser("pbw", help="PBW basis conditions")
     p.add_argument("file")
     p.add_argument("--basis-file", required=True)
-    p.add_argument("--dmax", type=int, required=True)
+    p.add_argument("--dmax", type=_bound, required=True)
     p.add_argument("--xi", action="store_true", help="build the induced quadratic polygraph")
     p.set_defaults(func=_cmd_pbw)
     return ap
 
 
+_PARSER = build_parser()  # parse_args does not change it: build it once
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return EXIT_INPUT if e.code not in (0, None) else 0
     try:

@@ -9,7 +9,8 @@ source inside one term: f' = f - lam * m1 (m - h) m2.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .algebra import (
@@ -386,38 +387,89 @@ def ideal_member(f: Polynomial, P: Polygraph2) -> bool:
 
 @dataclass
 class StandardBasis:
-    """Irreducible monomials per internal degree; counts give the Hilbert
-    function of the presented algebra when the system is convergent."""
+    """Irreducible words per internal degree, in canonical order, with their
+    text (the ``str`` of their Monomial); counts give the Hilbert function
+    of the presented algebra when the system is convergent.  Degree 0 holds
+    one empty word per object, in object order."""
 
-    by_degree: dict[int, list[Monomial]] = dc_field(default_factory=dict)
+    quiver: Quiver
+    words: dict[int, list[tuple[str, ...]]]
+    text: dict[int, list[str]]
 
     def counts(self) -> dict[int, int]:
-        return {d: len(ms) for d, ms in sorted(self.by_degree.items())}
+        return {d: len(ws) for d, ws in sorted(self.words.items())}
+
+    @cached_property
+    def by_degree(self) -> dict[int, list[Monomial]]:
+        """The words as Monomials, built on first access."""
+        gens = self.quiver.generators
+        return {
+            d: [Monomial(w, gens[w[0]].source, gens[w[-1]].target, d) for w in ws]
+            if d
+            else [self.quiver.identity(obj) for obj in sorted(self.quiver.objects)]
+            for d, ws in self.words.items()
+        }
 
 
 def standard_basis(P: Polygraph2, dmax: int) -> StandardBasis:
-    basis = StandardBasis({d: [] for d in range(dmax + 1)})
-    frontier: list[tuple[Monomial, int]] = []
-    for obj in P.quiver.objects:
-        ident = P.quiver.identity(obj)
-        basis.by_degree[0].append(ident)
-        frontier.append((ident, 0))
-    while frontier:
-        new_frontier = []
-        for m, state in frontier:
-            for g in P.quiver.generators.values():
-                if g.source != m.target or m.degree + g.degree > dmax:
+    """The irreducible words of degree <= dmax, by one depth-first walk of
+    the rule-source automaton from each object.  Generators are tried in
+    name order, so the words from one object come out in lexicographic
+    order; quivers with several objects then sort by target.  A word's text
+    is its parent's text before the last run of letters, the last letter
+    and the length of that run, so each child's text costs O(1) steps."""
+    if dmax < 0:
+        raise ValueError(f"dmax must be non-negative, got {dmax}")
+    quiver, auto = P.quiver, P._automaton
+    gens = sorted(quiver.generators.values(), key=lambda g: g.name, reverse=True)
+    lightest = min((g.degree for g in gens), default=dmax + 1)
+    objects = sorted(quiver.objects)
+    words: dict[int, list] = {d: [] for d in range(dmax + 1)}
+    text: dict[int, list] = {d: [] for d in range(dmax + 1)}
+    words[0] = [()] * len(objects)
+    text[0] = [f"1_{obj}" for obj in objects]
+    # (automaton state, object) -> the moves from there that complete no
+    # rule source, in reverse name order so that the stack pops the first.
+    moves: dict[tuple[int, str], list] = {}
+    for src in objects:
+        # word, text, text before the last run, last letter, run, degree,
+        # automaton state, object the word ends at
+        stack = [((), "", "", "", 0, 0, 0, src)]
+        while stack:
+            word, txt, pre, last, run, degree, state, obj = stack.pop()
+            if word:
+                words[degree].append(word)
+                text[degree].append(txt)
+            if degree + lightest > dmax:
+                continue
+            key = (state, obj)
+            out = moves.get(key)
+            if out is None:
+                out = moves[key] = [
+                    (g.name, g.degree, g.target, nstate)
+                    for g in gens
+                    if g.source == obj
+                    and not auto.matches_ending_at(nstate := auto.step(state, g.name))
+                ]
+            for name, gdeg, target, nstate in out:
+                d = degree + gdeg
+                if d > dmax:
                     continue
-                nstate = P._automaton.step(state, g.name)
-                if P._automaton.matches_ending_at(nstate):
-                    continue
-                nm = Monomial(m.word + (g.name,), m.source, g.target, m.degree + g.degree)
-                basis.by_degree[nm.degree].append(nm)
-                new_frontier.append((nm, nstate))
-        frontier = new_frontier
-    for d in basis.by_degree:
-        basis.by_degree[d].sort()
-    return basis
+                if name == last:
+                    stack.append((word + (name,), f"{pre}{name}^{run + 1}", pre, name, run + 1, d, nstate, target))
+                else:
+                    head = f"{txt} " if word else ""
+                    stack.append((word + (name,), head + name, head, name, 1, d, nstate, target))
+    if len(objects) > 1:
+        by_name = quiver.generators
+        for d in range(1, dmax + 1):
+            pairs = sorted(
+                zip(words[d], text[d]),
+                key=lambda p: (by_name[p[0][0]].source, by_name[p[0][-1]].target),
+            )
+            words[d] = [w for w, _ in pairs]
+            text[d] = [t for _, t in pairs]
+    return StandardBasis(quiver, words, text)
 
 
 def all_words(quiver: Quiver, degree: int) -> list[Monomial]:

@@ -1,9 +1,13 @@
+import hashlib
 import json
 
 import pytest
 
+from linrew import lpformat
 from linrew.cli import main
 from linrew.completion import DEFAULT_WORK_BUDGET
+
+from conftest import cubic_system
 
 
 def run(capsys, *argv):
@@ -182,6 +186,34 @@ def test_hilbert(capsys, fixtures_dir):
     )
     assert code == 0
     assert doc["counts"] == {"0": 1, "1": 3, "2": 9, "3": 26, "4": 75}
+
+
+def test_hilbert_cubic_digest(capsys, tmp_path):
+    # Degree 11 reaches runs such as x^10 that the fixtures at --dmax 6 do
+    # not; the digest was recorded with the Monomial-by-Monomial listing.
+    path = tmp_path / "cubic.lp"
+    lpformat.write_file(str(path), cubic_system())
+    code, out = run(capsys, "hilbert", str(path), "--dmax", "11")
+    assert code == 0
+    digest = hashlib.sha256(out.replace(str(path), "<cubic>").encode("utf-8")).hexdigest()
+    assert digest == "2ead984ee24f0a05678cd05213af2a5c20e6499e347defb93d5d4cb29b1a8022"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hilbert", "{F}", "--dmax", "-1"],
+        ["koszul", "{F}", "--dmax", "-1"],
+        ["tor", "{F}", "--kmax", "-1", "--dmax", "3"],
+    ],
+    ids=["hilbert", "koszul", "tor"],
+)
+def test_negative_bound_exit_2(capsys, fixtures_dir, argv):
+    code = main([a.format(F=fx(fixtures_dir, "xyz.lp")) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "must be non-negative, got -1" in captured.err
 
 
 def test_pbw(capsys, fixtures_dir, tmp_path):

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linrew import (
+    Generator,
+    Monomial,
     MonomialOrder,
     NoStepError,
     Polygraph2,
@@ -14,6 +16,7 @@ from linrew import (
     RewriteStep,
     certify_termination,
     check_confluence,
+    complete,
     find_redexes,
     ideal_member,
     leftmost_step,
@@ -27,7 +30,9 @@ from linrew import (
     standard_basis,
 )
 
-from conftest import make_poly
+from linrew.rewriting import all_words
+
+from conftest import cubic_system, make_poly
 
 
 def certified(P):
@@ -147,6 +152,59 @@ def test_standard_basis_counts(sys_ab):
     counts = standard_basis(sys_ab, 5).counts()
     # Commutative in two variables: d+1 monomials per degree.
     assert counts == {d: d + 1 for d in range(6)}
+
+
+@st.composite
+def monomial_systems(draw):
+    """Polygraphs with monomial rules on quivers of one to three objects
+    and generators of degree 1 or 2; names are not in creation order."""
+    objects = draw(st.permutations("qpr"))[: draw(st.integers(1, 3))]
+    names = draw(st.permutations(["y", "x1", "x", "z"]))[: draw(st.integers(1, 4))]
+    Q = Quiver(objects, [
+        Generator(n, draw(st.sampled_from(objects)), draw(st.sampled_from(objects)), draw(st.integers(1, 2)))
+        for n in names
+    ])
+    rules = []
+    for k in range(draw(st.integers(0, 4))):
+        word = [draw(st.sampled_from(names))]
+        for _ in range(draw(st.integers(0, 2))):
+            nexts = [n for n in names if Q.generators[n].source == Q.generators[word[-1]].target]
+            if nexts:
+                word.append(draw(st.sampled_from(nexts)))
+        m = Q.monomial(word)
+        rules.append(Rule(f"r{k}", m, Q.zero(QQ, m.source, m.target)))
+    return Polygraph2(Q, QQ, rules)
+
+
+@given(monomial_systems())
+@settings(max_examples=60, deadline=None)
+def test_standard_basis_matches_brute_force(P):
+    basis = standard_basis(P, 6)
+    for d in range(7):
+        brute = [m for m in all_words(P.quiver, d) if not P.is_reducible(m)]
+        assert basis.by_degree[d] == brute
+        assert basis.words[d] == [m.word for m in brute]
+        assert basis.text[d] == [str(m) for m in brute]
+    assert basis.counts() == {d: len(basis.by_degree[d]) for d in range(7)}
+
+
+def test_standard_basis_builds_no_monomials(monkeypatch):
+    """The words and their text come out of the automaton walk; no
+    Monomial is built per basis word."""
+    P = cubic_system()
+    done = complete(P, P.order)
+    calls = []
+    original = Monomial.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(None)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Monomial, "__init__", counting_init)
+    basis = standard_basis(done, 11)
+    assert len(calls) < 100
+    assert sum(map(len, basis.text.values())) == sum(basis.counts().values()) > 100_000
+    assert len(calls) < 100
 
 
 def test_quotient_dimension_matches_standard_basis(sys_ab):
