@@ -49,7 +49,6 @@ from .completion import (
 )
 from .resolution import (
     ChainCell,
-    Confluence3Cell,
     boundary4,
     cell_degrees,
     ell,
@@ -64,7 +63,6 @@ from .homology import (
     collapse_saturate,
     koszul_verdict,
     tor_table,
-    trace_bracket,
 )
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Optional
 
 from . import linalg
-from .rewriting import Polygraph2, RewriteError, Trace
+from .rewriting import NotCertifiedError, Polygraph2, RewriteError
 from .resolution import (
     ChainCell,
     boundary4,
@@ -21,20 +21,6 @@ from .resolution import (
     generating_confluence,
 )
 from .completion import enumerate_critical_branchings
-
-
-def trace_bracket(t: Trace) -> dict[str, object]:
-    """The K-reduced bracket of a positive 2-cell: only whole-word steps
-    (identity left context and augmentation-surviving right context)
-    contribute their coefficient on the rule basis."""
-    out: dict[str, object] = {}
-    for step in t.steps:
-        if not step.left.is_identity() or step.right.degree != 0:
-            continue
-        field = step.rule.target.field
-        name = step.rule.name
-        out[name] = field.add(out.get(name, field.zero), step.coeff)
-    return out
 
 
 class ReducedComplex:
@@ -176,8 +162,8 @@ def collapse_saturate(complexdata: ReducedComplex) -> ReducedComplex:
 
 
 def build_complex(P: Polygraph2, cells: Iterable[ChainCell], kmax: int, dmax: int) -> ReducedComplex:
-    """Assemble the reduced complex: delta[2] from generating confluences,
-    delta[3] from the 4-cell boundary recursion."""
+    """Assemble the reduced complex: delta[2] and delta[3] from one walk of
+    the rightmost rewriting DAG, sharing one memo."""
     field = P.field
     N = P.homogeneity_degree if P.homogeneous else None
     cx = ReducedComplex(field, N)
@@ -209,22 +195,13 @@ def build_complex(P: Polygraph2, cells: Iterable[ChainCell], kmax: int, dmax: in
                 col[g] = field.sub(col.get(g, field.zero), coeff)
         cx.set_column(1, name, col)
 
-    cx.delta[2] = {}
-    for c in cells:
-        if c.dim != 3:
-            continue
-        conf = generating_confluence(c, P)
-        src_b = trace_bracket(conf.source_trace)
-        tgt_b = trace_bracket(conf.target_trace)
-        col = dict(src_b)
-        for r, v in tgt_b.items():
-            col[r] = field.sub(col.get(r, field.zero), v)
-        cx.set_column(2, c.redexes, col)
-
-    cx.delta[3] = {}
     memo: dict = {}
+    cx.delta[2] = {}
+    cx.delta[3] = {}
     for c in cells:
-        if c.dim == 4:
+        if c.dim == 3:
+            cx.set_column(2, c.redexes, generating_confluence(c, P, memo))
+        elif c.dim == 4:
             cx.set_column(3, c.redexes, boundary4(c, P, memo))
     return cx
 
@@ -264,7 +241,14 @@ def _chains_for_table(P: Polygraph2, kmax: int, dmax: int):
 
 def tor_table(P: Polygraph2, kmax: int, dmax: int, cells=None, cx: Optional[ReducedComplex] = None) -> TorTable:
     """Exact Tor dimensions for homological degree <= 3, intervals at 4,
-    counts-only bounds beyond; hard zeros below the Koszul degree pattern."""
+    counts-only bounds beyond; hard zeros below the Koszul degree pattern.
+    Refuses a system whose algebra has no augmentation, where K is no
+    module: a rule target with a constant term."""
+    for r in P.rules:
+        if any(m.is_identity() for m in r.target.terms):
+            raise NotCertifiedError(
+                f"Tor needs an augmented algebra, but the target of rule {r.name} has a constant term"
+            )
     if cells is None:
         cells = _chains_for_table(P, kmax, dmax)
     if cx is None:
@@ -371,7 +355,9 @@ def koszul_verdict(P: Polygraph2, kmax: int = 4, dmax: int = 6) -> KoszulVerdict
                 survivors=survivors,
                 tor=table,
             )
-    if concentrated:
+    # A window below (3, l_N(3)) holds no relation among the relations.
+    sees_relations = kmax >= 3 and dmax >= ell(N, 3)
+    if concentrated and sees_relations:
         return KoszulVerdict(
             "Koszul-certified", "concentrated-after-collapse", kmax=kmax, dmax=dmax,
             notes=(
@@ -383,7 +369,12 @@ def koszul_verdict(P: Polygraph2, kmax: int = 4, dmax: int = 6) -> KoszulVerdict
         )
     return KoszulVerdict(
         "Koszul-up-to-bound", None, kmax=kmax, dmax=dmax,
-        notes="no off-diagonal Tor detected within the truncation",
+        notes=(
+            "no off-diagonal Tor detected within the truncation"
+            if sees_relations
+            else f"window (kmax={kmax}, dmax={dmax}) is too small to certify: "
+            f"that needs kmax >= 3 and dmax >= l_{N}(3) = {ell(N, 3)}"
+        ),
         survivors=survivors,
         tor=table,
     )

@@ -12,15 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .algebra import Monomial, monomial_poly
+from .algebra import Monomial, Polynomial, monomial_poly
 from .rewriting import (
     NotCertifiedError,
     Polygraph2,
     RewriteError,
-    RewriteStep,
     Rule,
-    Trace,
-    normal_form,
+    nf,
     rightmost_redex,
 )
 
@@ -45,16 +43,6 @@ class ChainCell:
     def __str__(self):
         marks = ",".join(f"{r}@{s}" for r, s in self.redexes)
         return f"[{self.word}; {marks}]" if marks else f"[{self.word}]"
-
-
-@dataclass(frozen=True)
-class Confluence3Cell:
-    """The generating confluence filling a critical branching: the two
-    rightmost-normalizing traces out of the overlap word."""
-
-    cell: ChainCell
-    source_trace: Trace  # leg beginning with the leftmost redex, then rho
-    target_trace: Trace  # rho on the overlap word
 
 
 def _require_usable(P: Polygraph2):
@@ -133,39 +121,6 @@ def ell(N: int, k: int) -> int:
     return l * N + r
 
 
-def generating_confluence(b: ChainCell, P: Polygraph2) -> Confluence3Cell:
-    """The two rightmost-normalizing traces out of a critical branching; the
-    source is the leg beginning with the leftmost redex."""
-    _require_usable(P)
-    if b.dim != 3:
-        raise RewriteError("generating confluences are indexed by 3-chains")
-    field = P.field
-    (r1_name, s1), (r2_name, s2) = b.redexes
-    rule1 = _rule_by_name(P, r1_name)
-    left1 = P.quiver.identity(b.word.source)
-    right1 = (
-        P.quiver.monomial(b.word.word[rule1.source.weight :])
-        if b.word.weight > rule1.source.weight
-        else P.quiver.identity(b.word.target)
-    )
-    step1 = RewriteStep(field.one, left1, rule1, right1)
-    wpoly = monomial_poly(field, b.word)
-    mid = step1.apply(wpoly)
-    nf1, tail = normal_form(mid, P)
-    source_trace = Trace(wpoly, (step1,) + tail.steps, nf1)
-    nf2, target_trace = normal_form(wpoly, P)
-    if nf1 != nf2:
-        raise RewriteError(f"generating confluence legs disagree on {b.word}")
-    return Confluence3Cell(b, source_trace, target_trace)
-
-
-# -- normalizing 3-trace recursion -------------------------------------------
-
-
-def _chain3_key(rule1: Rule, rule2: Rule, start2: int) -> tuple:
-    return ((rule1.name, 0), (rule2.name, start2))
-
-
 def _add_scaled(col: dict, other: dict, c, field) -> None:
     """col += c * other, dropping entries that cancel."""
     for key, v in other.items():
@@ -176,10 +131,77 @@ def _add_scaled(col: dict, other: dict, c, field) -> None:
             col[key] = nv
 
 
+# -- the walk of the rightmost rewriting DAG ---------------------------------
+
+
+def _walk(P: Polygraph2, k: int, f: Polynomial, right: Monomial, memo: dict) -> dict:
+    """The column of rho*_k along the rightmost normalisation of f, each
+    step whiskered on the right by `right`: every node of P._nf_cache met
+    whose step has an identity left context adds rho*_k(step.rule,
+    step.right . right), scaled by the coefficients on its path from f.  A
+    step with a nontrivial left context adds nothing itself (whiskers only
+    grow, so every cell below it vanishes), but its reducts are walked."""
+    cache = P._nf_cache
+    if any(m not in cache for _, m in f.items()):
+        nf(f, P)  # builds the missing nodes
+    col: dict = {}
+    for c, m in f.items():
+        _add_scaled(col, _walk_node(P, k, cache[m], right, memo), c, P.field)
+    return col
+
+
+def _walk_node(P: Polygraph2, k: int, node: tuple, right: Monomial, memo: dict) -> dict:
+    """_walk from one node, memoised per (k, node, right); nf never evicts
+    a node, so its identity names it for the life of P."""
+    _, step, children = node
+    if step is None:
+        return {}
+    key = (k, id(node), right)
+    if key in memo:
+        return memo[key]
+    col: dict = {}
+    if step.left.is_identity():
+        m = step.right if right.is_identity() else step.right * right
+        if k == 3:
+            col.update(_rho_star_rule(P, step.rule, m, memo))
+        elif m.is_identity():  # rho*_2: a whole-word step is its rule
+            col[step.rule.name] = P.field.one
+    for d, child in children:
+        _add_scaled(col, _walk_node(P, k, child, right, memo), d, P.field)
+    memo[key] = col
+    return col
+
+
+def generating_confluence(b: ChainCell, P: Polygraph2, memo: Optional[dict] = None) -> dict:
+    """The delta2 column {rule name: coefficient} of a 3-chain: rho*_2 along
+    the leg beginning with the leftmost redex minus rho*_2 along rho on the
+    overlap word.  The first step's right context is the rest of the word,
+    never empty, so that step adds nothing."""
+    _require_usable(P)
+    if b.dim != 3:
+        raise RewriteError("generating confluences are indexed by 3-chains")
+    if memo is None:
+        memo = {}
+    field = P.field
+    rule1 = _rule_by_name(P, b.redexes[0][0])
+    w = monomial_poly(field, b.word)
+    mid = rule1.target * monomial_poly(field, P.quiver.monomial(b.word.word[rule1.source.weight :]))
+    if nf(mid, P) != nf(w, P):
+        raise RewriteError(f"generating confluence legs disagree on {b.word}")
+    one = P.quiver.identity(b.word.target)
+    col = _walk(P, 2, mid, one, memo)
+    _add_scaled(col, _walk(P, 2, w, one, memo), field.neg(field.one), field)
+    return col
+
+
+# -- rho*_3, the normalizing 3-trace recursion --------------------------------
+
+
 def _rho_star_rule(P: Polygraph2, rule: Rule, mhat: Monomial, memo: dict) -> dict:
-    """The 3-cell from (rule . mhat) *1 rho to rho on source(rule).mhat, as
-    its column {3-chain key: coefficient} in the reduced complex: a
-    generating confluence whiskered by a nontrivial context vanishes there."""
+    """rho*_3: the 3-cell from (rule . mhat) *1 rho to rho on
+    source(rule).mhat, as its column {3-chain key: coefficient} in the
+    reduced complex: a generating confluence whiskered by a nontrivial
+    context vanishes there."""
     key = (rule.name, mhat)
     if key in memo:
         return memo[key]
@@ -206,28 +228,11 @@ def _rho_star_rule(P: Polygraph2, rule: Rule, mhat: Monomial, memo: dict) -> dic
         )
         w1 = P.quiver.monomial(m.word[:e], at=m.source)
         if m3.is_identity():
-            col[_chain3_key(rule, psi, start)] = field.one
-        _, tr1 = normal_form(monomial_poly(field, w1), P)
-        _add_scaled(col, _rho_star_trace(P, tr1.steps, m3, memo), field.one, field)
-        _, trx = normal_form(rule.target * monomial_poly(field, m2), P)
-        _add_scaled(col, _rho_star_trace(P, trx.steps, m3, memo), field.neg(field.one), field)
+            col[((rule.name, 0), (psi.name, start))] = field.one
+        _add_scaled(col, _walk(P, 3, monomial_poly(field, w1), m3, memo), field.one, field)
+        _add_scaled(col, _walk(P, 3, rule.target * monomial_poly(field, m2), m3, memo),
+                    field.neg(field.one), field)
     memo[key] = col
-    return col
-
-
-def _rho_star_trace(
-    P: Polygraph2, steps: tuple[RewriteStep, ...], extra_right: Monomial, memo: dict
-) -> dict:
-    """The column of rho* along a trace, each step whiskered by extra_right.
-    A step with a nontrivial left context contributes nothing: whiskers
-    only grow, so every cell below it vanishes."""
-    field = P.field
-    col: dict = {}
-    for step in steps:
-        if not step.left.is_identity():
-            continue
-        mr = step.right * extra_right if not extra_right.is_identity() else step.right
-        _add_scaled(col, _rho_star_rule(P, step.rule, mr, memo), step.coeff, field)
     return col
 
 
@@ -250,12 +255,11 @@ def boundary4(b: ChainCell, P: Polygraph2, memo: Optional[dict] = None) -> dict:
 
     # Source: the 3-chain (rule1, rule2) whiskered by mhat, which the third
     # redex makes nonempty, so it vanishes; then rho* along rho(w2) . mhat.
-    _, tr_w2 = normal_form(monomial_poly(field, w2), P)
-    col = _rho_star_trace(P, tr_w2.steps, mhat, memo)
+    col = _walk(P, 3, monomial_poly(field, w2), mhat, memo)
 
     m2p = P.quiver.monomial(b.word.word[rule1.source.weight : e2] + mhat.word)
     _add_scaled(col, _rho_star_rule(P, rule1, m2p, memo), field.neg(field.one), field)
     m2p_only = P.quiver.monomial(b.word.word[rule1.source.weight : e2])
-    _, tr_x = normal_form(rule1.target * monomial_poly(field, m2p_only), P)
-    _add_scaled(col, _rho_star_trace(P, tr_x.steps, mhat, memo), field.neg(field.one), field)
+    _add_scaled(col, _walk(P, 3, rule1.target * monomial_poly(field, m2p_only), mhat, memo),
+                field.neg(field.one), field)
     return col

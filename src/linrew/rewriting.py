@@ -366,7 +366,8 @@ def _combine(pairs, field: Field) -> tuple[dict, int]:
 def normal_form(f: Polynomial, P: Polygraph2) -> tuple[Polynomial, Trace]:
     """nf(f, P) and its trace: the rightmost step of each reducible monomial
     met, depth first in the order of the normalisation, with the product of
-    the coefficients on its path from f as its coefficient."""
+    the coefficients on its path from f as its coefficient.  The library
+    needs no trace: delta2 and delta3 walk P._nf_cache directly."""
     result = nf(f, P)
     mul = P.field.mul
     steps: list[RewriteStep] = []

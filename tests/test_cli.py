@@ -171,6 +171,30 @@ def test_tor_writes_json(capsys, fixtures_dir, tmp_path):
     assert on_disk["tor"] == doc["tor"]
 
 
+def test_tor_non_augmented_exits_3(capsys, tmp_path):
+    # The Weyl algebra: y x = x y + 1 leaves K no module structure.
+    path = tmp_path / "weyl.lp"
+    path.write_text("field Q\ngenerators x y\norder deglex x < y\nrule w : y x -> x y + 1\n")
+    assert main(["tor", str(path), "--kmax", "3", "--dmax", "4"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "Tor needs an augmented algebra, but the target of rule w has a constant term"
+    }
+
+
+@pytest.mark.parametrize("kmax, dmax", [(0, 0), (1, 1), (4, 2)])
+def test_koszul_small_window_not_certified(capsys, fixtures_dir, kmax, dmax):
+    # pp05's relations meet in degree l_2(3) = 3, outside these windows.
+    code, doc = run_json(
+        capsys, "koszul", fx(fixtures_dir, "pp05.lp"), "--kmax", str(kmax), "--dmax", str(dmax)
+    )
+    assert code == 0
+    verdict = doc["verdict"]
+    assert verdict["status"] == "Koszul-up-to-bound" and verdict["reason"] is None
+    assert verdict["notes"].startswith(f"window (kmax={kmax}, dmax={dmax}) is too small")
+
+
 def test_koszul_seed_echoed(capsys, fixtures_dir):
     code, doc = run_json(
         capsys, "--seed", "7", "koszul", fx(fixtures_dir, "pp05.lp")

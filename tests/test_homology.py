@@ -17,12 +17,11 @@ from linrew import (
     complete,
     enumerate_chains,
     koszul_verdict,
-    normal_form,
     monomial_poly,
     tor_table,
-    trace_bracket,
 )
 from linrew import linalg
+from linrew.resolution import _walk
 
 from conftest import make_poly
 
@@ -45,15 +44,15 @@ def tor_dims(table):
     }
 
 
-def test_trace_bracket_whole_word_only(pp_done):
+def test_rho2_walk_whole_word_only(pp_done):
     Q = pp_done.quiver
+    one = Q.identity("*")
     f = monomial_poly(QQ, Q.monomial(tuple("yz")))
-    _, trace = normal_form(f, pp_done)
-    assert trace_bracket(trace) == {"alpha": Fraction(1)}
+    assert _walk(pp_done, 2, f, one, {}) == {"alpha": Fraction(1)}
     # Whiskered steps vanish under the augmentation.
     g = monomial_poly(QQ, Q.monomial(tuple("xyz")))
-    _, trace2 = normal_form(g, pp_done)
-    assert trace_bracket(trace2) == {}
+    assert _walk(pp_done, 2, g, one, {}) == {}
+    assert _walk(pp_done, 2, f, Q.monomial(("x",)), {}) == {}
 
 
 def test_complex_shape(pp_done):
