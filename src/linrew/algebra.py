@@ -229,6 +229,8 @@ class Polynomial:
 
     def scale(self, coeff) -> "Polynomial":
         f = self.field
+        if coeff == f.one:
+            return self
         if f.is_zero(coeff):
             return Polynomial(f, {}, self.source, self.target)
         return Polynomial(
@@ -252,12 +254,27 @@ class Polynomial:
         return Polynomial(f, acc, self.source, other.target)
 
     def whisker(self, left: Monomial | None, right: Monomial | None) -> "Polynomial":
-        out = self
-        if left is not None and not left.is_identity():
-            out = monomial_poly(self.field, left) * out
-        if right is not None and not right.is_identity():
-            out = out * monomial_poly(self.field, right)
-        return out
+        """left * self * right, by relabelling each term m as left m right:
+        concatenation is injective on words, so coefficients stay as they
+        are and no two terms merge.  None stands for an identity."""
+        source, target = self.source, self.target
+        lw = rw = ()
+        ld = rd = 0
+        if left is not None:
+            if left.target != source:
+                raise CompositionError("boundary mismatch in polynomial product")
+            lw, ld, source = left.word, left.degree, left.source
+        if right is not None:
+            if right.source != target:
+                raise CompositionError("boundary mismatch in polynomial product")
+            rw, rd, target = right.word, right.degree, right.target
+        if not lw and not rw:
+            return self
+        terms = {
+            Monomial(lw + m.word + rw, source, target, ld + m.degree + rd): c
+            for m, c in self.terms.items()
+        }
+        return Polynomial(self.field, terms, source, target)
 
     def __eq__(self, other):
         return (

@@ -166,7 +166,7 @@ def _cmd_complete(args, P, meta, doc) -> int:
 
 
 def _cmd_branchings(args, P, meta, doc) -> int:
-    if args.fold <= 2:
+    if args.fold == 2:
         doc["fold"] = 2
         doc["critical_branchings"] = [
             {
@@ -258,14 +258,27 @@ def _cmd_pbw(args, P, meta, doc) -> int:
     return EXIT_OK if report["passed"] else EXIT_UNCERTIFIED
 
 
-def _bound(text: str) -> int:
-    """argparse type of --kmax and --dmax: a non-negative int."""
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+def _bound(text: str) -> int:
+    """argparse type of --kmax, --dmax, --max-degree and --max-rules: a
+    non-negative int."""
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+def _fold(text: str) -> int:
+    """argparse type of --fold: a branching has at least two legs."""
+    value = _int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
     return value
 
 
@@ -287,14 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("complete", help="Knuth-Bendix/Buchberger completion")
     p.add_argument("file")
-    p.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
-    p.add_argument("--max-rules", type=int, default=DEFAULT_MAX_RULES)
+    p.add_argument("--max-degree", type=_bound, default=DEFAULT_MAX_DEGREE)
+    p.add_argument("--max-rules", type=_bound, default=DEFAULT_MAX_RULES)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_complete)
 
     p = sub.add_parser("branchings", help="critical (n-fold) branchings")
     p.add_argument("file")
-    p.add_argument("--fold", type=int, default=2)
+    p.add_argument("--fold", type=_fold, default=2)
     p.add_argument("--dmax", type=_bound, default=8)
     p.set_defaults(func=_cmd_branchings)
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .algebra import Monomial, MonomialOrder, Polynomial, monomial_poly
@@ -77,6 +78,15 @@ class Branching:
     @property
     def rules(self) -> tuple[Rule, Rule]:
         return (self.step1.rule, self.step2.rule)
+
+    @cached_property
+    def legs(self) -> tuple[Polynomial, Polynomial]:
+        """The reducts of word by step1 and by step2: each rule's target
+        whiskered by its step's contexts, times the step's coefficient.
+        This is step.apply(word), whose source terms cancel, without them."""
+        return tuple(
+            s.rule.target.whisker(s.left, s.right).scale(s.coeff) for s in (self.step1, self.step2)
+        )
 
 
 def certify_termination(P: Polygraph2, hint=None) -> TerminationCertificate:
@@ -195,11 +205,8 @@ def s_polynomial(b: Branching) -> Polynomial:
     """t1(leftmost leg) - t1(rightmost leg) of a critical branching."""
     if b.classification != "critical":
         raise RewriteError("S-polynomial is only defined for critical branchings")
-    field = b.step1.rule.target.field
-    w = monomial_poly(field, b.word)
-    t1 = b.step1.apply(w)
-    t2 = b.step2.apply(w)
-    return t1 - t2
+    leg1, leg2 = b.legs
+    return leg1 - leg2
 
 
 def check_confluence(P: Polygraph2) -> dict:
@@ -211,10 +218,10 @@ def check_confluence(P: Polygraph2) -> dict:
     entries = []
     for b in branchings:
         sp = s_polynomial(b)
-        w = monomial_poly(P.field, b.word)
-        nf1 = nf(b.step1.apply(w), P)
-        nf2 = nf(b.step2.apply(w), P)
-        spnf = nf1 - nf2  # nf is linear and sp = step1(w) - step2(w)
+        leg1, leg2 = b.legs
+        nf1 = nf(leg1, P)
+        nf2 = nf(leg2, P)
+        spnf = nf1 - nf2  # nf is linear and sp = leg1 - leg2
         entries.append({
             "word": str(b.word),
             "rules": (b.step1.rule.name, b.step2.rule.name),

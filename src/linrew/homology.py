@@ -310,9 +310,20 @@ class KoszulVerdict:
         return out
 
 
+def _listed(degrees) -> str:
+    return ", ".join(map(str, degrees[:-1])) + f" and {degrees[-1]}"
+
+
+def _not_n_homogeneous(why: str) -> RewriteError:
+    return RewriteError(f"Koszulity verdict needs an N-homogeneous algebra, but {why}")
+
+
 def koszul_verdict(P: Polygraph2, kmax: int = 4, dmax: int = 6) -> KoszulVerdict:
     """Decision cascade: no criticals; quadratic convergent; concentrated
-    after collapse; nonzero off-diagonal Tor; otherwise up-to-bound."""
+    after collapse; nonzero off-diagonal Tor; otherwise up-to-bound.
+    Refuses with RewriteError an algebra that is not N-homogeneous: rules of
+    several degrees and no critical branching, or exact Tor_2 (the minimal
+    relations) nonzero in several internal degrees."""
     if not P.homogeneous or P.homogeneity_degree is None:
         raise RewriteError("Koszulity verdict needs an N-homogeneous system")
     if not P.certified_convergent:
@@ -320,6 +331,9 @@ def koszul_verdict(P: Polygraph2, kmax: int = 4, dmax: int = 6) -> KoszulVerdict
     N = P.homogeneity_degree
     criticals = enumerate_critical_branchings(P)
     if not criticals:
+        degrees = sorted({r.degree for r in P.rules})
+        if len(degrees) > 1:
+            raise _not_n_homogeneous(f"its rules have degrees {_listed(degrees)}")
         return KoszulVerdict(
             "Koszul-certified", "no-critical-branchings", kmax=kmax, dmax=dmax,
             notes=f"convergent with empty critical branching set; N={N}",
@@ -341,6 +355,16 @@ def koszul_verdict(P: Polygraph2, kmax: int = 4, dmax: int = 6) -> KoszulVerdict
         for c in cs
     )
     table = tor_table(P, kmax, dmax, cells=cells, cx=cx)
+    # Tor_2 counts the minimal relations by degree: rules of several degrees
+    # present an N-homogeneous algebra when all but those of one degree are
+    # redundant.
+    relation_degrees = [i for (k, i), e in sorted(table.entries.items())
+                        if k == 2 and e["kind"] == "exact" and e["dim"] > 0]
+    if len(relation_degrees) > 1:
+        raise _not_n_homogeneous(
+            f"its minimal relations lie in degrees {_listed(relation_degrees)} "
+            f"(Tor_2 is nonzero in each)"
+        )
     for (k, i), e in sorted(table.entries.items()):
         if i == ell(N, k):
             continue

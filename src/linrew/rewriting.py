@@ -342,25 +342,10 @@ def nf(f: Polynomial, P: Polygraph2) -> Polynomial:
 
 def _combine(pairs, field: Field) -> tuple[dict, int]:
     """The terms of sum(coeff * normal form of node) over (coeff, node)
-    pairs, summed into one dict in the order Polynomial.__add__ would sum
-    them, and the number of terms summed."""
-    add, mul, is_zero = field.add, field.mul, field.is_zero
-    acc: dict = {}
-    summed = 0
-    for coeff, node in pairs:
-        items = node[0].terms.items()
-        summed += len(items)
-        for t, c in items:
-            s = acc.get(t)
-            if s is None:
-                acc[t] = mul(coeff, c)
-                continue
-            s = add(s, mul(coeff, c))
-            if is_zero(s):
-                del acc[t]
-            else:
-                acc[t] = s
-    return acc, summed
+    pairs, by field.linear_combination, and the number of terms summed.
+    The terms come in no promised order."""
+    forms = [(coeff, node[0].terms) for coeff, node in pairs]
+    return field.linear_combination(forms), sum(len(terms) for _, terms in forms)
 
 
 def normal_form(f: Polynomial, P: Polygraph2) -> tuple[Polynomial, Trace]:

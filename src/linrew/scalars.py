@@ -8,6 +8,7 @@ Canonical representation means ``==`` and ``hash`` decide equality.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Any
 
 
@@ -48,6 +49,25 @@ class Field:
     def is_zero(self, a) -> bool:
         return a == self.zero
 
+    def linear_combination(self, pairs) -> dict:
+        """sum(coeff * terms) over (coeff, terms) pairs, where terms maps
+        keys to coefficients and every coefficient is nonzero: the keys
+        whose sum is nonzero, with that sum."""
+        add, mul, is_zero = self.add, self.mul, self.is_zero
+        acc: dict = {}
+        for coeff, terms in pairs:
+            for t, c in terms.items():
+                s = acc.get(t)
+                if s is None:
+                    acc[t] = mul(coeff, c)
+                    continue
+                s = add(s, mul(coeff, c))
+                if is_zero(s):
+                    del acc[t]
+                else:
+                    acc[t] = s
+        return acc
+
     def coerce(self, x):
         """Build an element from an int, Fraction, or string like '-1/2'."""
         raise NotImplementedError
@@ -76,6 +96,26 @@ class RationalField(Field):
         if a == 0:
             raise FieldError("division by zero")
         return 1 / a
+
+    def linear_combination(self, pairs) -> dict:
+        """Field.linear_combination summed in ints: each key keeps one
+        (numerator, denominator) pair, over a common denominator of the
+        products met, and becomes one normalised Fraction at the end."""
+        acc: dict = {}
+        for coeff, terms in pairs:
+            a, b = coeff.numerator, coeff.denominator
+            for t, c in terms.items():
+                n, d = a * c.numerator, b * c.denominator
+                old = acc.get(t)
+                if old is None:
+                    acc[t] = (n, d)
+                elif old[1] == d:
+                    acc[t] = (old[0] + n, d)
+                else:
+                    on, od = old
+                    g = gcd(od, d)
+                    acc[t] = (on * (d // g) + n * (od // g), od // g * d)
+        return {t: Fraction(n, d) for t, (n, d) in acc.items() if n}
 
     def coerce(self, x):
         if isinstance(x, Fraction):

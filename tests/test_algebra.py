@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linrew import (
+    GF,
     CompositionError,
     Generator,
     MonomialOrder,
+    ParameterField,
     QQ,
     Quiver,
     leading_data,
@@ -123,3 +125,49 @@ def test_whisker():
     u = Q3.monomial(("z",))
     g = f.whisker(u, None)
     assert set(str(m) for m in g.terms) == {"z x y", "z^2"}
+
+
+QA = ParameterField(("a",))
+WHISKER_FIELDS = {
+    "Q": (QQ, coeffs),
+    "GF7": (GF(7), st.integers(min_value=-9, max_value=9)),
+    "Qa": (QA, st.tuples(coeffs, coeffs).map(lambda t: f"({t[0]})*a + ({t[1]})")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WHISKER_FIELDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_whisker_is_product_with_contexts(name, data):
+    field, scalars = WHISKER_FIELDS[name]
+    f = data.draw(st.lists(st.tuples(scalars, words), max_size=4).map(
+        lambda pairs: Q3.poly(field, [(c, Q3.monomial(w)) for c, w in pairs])
+    ))
+    u, v = Q3.monomial(data.draw(words)), Q3.monomial(data.draw(words))
+    expected = monomial_poly(field, u) * f * monomial_poly(field, v)
+    assert f.whisker(u, v) == expected
+    assert f.whisker(u, None) == monomial_poly(field, u) * f
+    assert f.whisker(None, v) == f * monomial_poly(field, v)
+    one = Q3.identity("*")
+    assert f.whisker(one, one) == f.whisker(None, None) == f
+
+
+def test_whisker_zero_polynomial():
+    u = Q3.monomial(("x", "y"))
+    assert Q3.zero(QQ).whisker(u, u) == Q3.zero(QQ)
+
+
+def test_whisker_boundary_mismatch():
+    quiver = Quiver(["o1", "o2"], [Generator("f", "o1", "o2"), Generator("g", "o2", "o1")])
+    f, g = quiver.monomial(("f",)), quiver.monomial(("g",))
+    p = monomial_poly(QQ, f)  # o1 -> o2
+    assert p.whisker(g, g) == monomial_poly(QQ, quiver.monomial(("g", "f", "g")))
+    zero = quiver.zero(QQ, "o1", "o2")
+    for poly in (p, zero):
+        for left, right in ((f, None), (None, f), (quiver.identity("o2"), None),
+                            (None, quiver.identity("o1"))):
+            with pytest.raises(CompositionError):
+                poly.whisker(left, right)
+            with pytest.raises(CompositionError):
+                monomial_poly(QQ, left or quiver.identity("o1")) * poly * monomial_poly(
+                    QQ, right or quiver.identity("o2"))

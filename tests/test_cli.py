@@ -240,6 +240,59 @@ def test_negative_bound_exit_2(capsys, fixtures_dir, argv):
     assert "must be non-negative, got -1" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["complete", "{F}", "--max-degree", "-1"], "must be non-negative, got -1"),
+        (["complete", "{F}", "--max-rules", "-1"], "must be non-negative, got -1"),
+        (["branchings", "{F}", "--fold", "1"], "must be at least 2, got 1"),
+        (["branchings", "{F}", "--fold", "0"], "must be at least 2, got 0"),
+        (["branchings", "{F}", "--fold", "-3"], "must be at least 2, got -3"),
+    ],
+    ids=["max-degree", "max-rules", "fold1", "fold0", "fold-3"],
+)
+def test_invalid_completion_and_fold_bounds_exit_2(capsys, fixtures_dir, argv, message):
+    code = main([a.format(F=fx(fixtures_dir, "xy.lp")) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "rules, error",
+    [
+        # Critical branchings on y y x y: Tor_{2,2} = Tor_{2,3} = 1.
+        (["y y -> x x", "y x y -> x x x"],
+         "its minimal relations lie in degrees 2 and 3 (Tor_2 is nonzero in each)"),
+        # No critical branchings at all.
+        (["x y -> 0", "z z y -> x x x"], "its rules have degrees 2 and 3"),
+    ],
+    ids=["tor2", "no-criticals"],
+)
+def test_koszul_mixed_degree_relations_exit_3(capsys, tmp_path, rules, error):
+    path = tmp_path / "mixed.lp"
+    path.write_text(
+        "field Q\ngenerators x y z\norder deglex x < y < z\n"
+        + "".join(f"rule r{i} : {r}\n" for i, r in enumerate(rules))
+    )
+    code, doc = run_json(capsys, "koszul", str(path))
+    assert code == 3
+    assert "verdict" not in doc
+    assert doc["error"] == f"Koszulity verdict needs an N-homogeneous algebra, but {error}"
+
+
+def test_koszul_groebner2_relations_in_one_degree(capsys, fixtures_dir):
+    # Its rules have degrees 3 and 4, but r2 is no minimal relation: Tor_2
+    # lives in degree 3 alone, so the verdict stands.
+    code, doc = run_json(capsys, "koszul", fx(fixtures_dir, "groebner2.lp"))
+    assert code == 0
+    verdict = doc["verdict"]
+    assert (verdict["status"], verdict["reason"]) == ("Koszul-certified", "concentrated-after-collapse")
+    tor2 = {k: e["dim"] for k, e in verdict["tor"].items() if k.startswith("2,") and e["dim"]}
+    assert tor2 == {"2,3": 1}
+
+
 def test_pbw(capsys, fixtures_dir, tmp_path):
     basis = tmp_path / "basis.txt"
     basis.write_text(

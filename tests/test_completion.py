@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linrew import (
+    CompletionBoundExceeded,
     MonomialOrder,
     PatternMeasure,
     Polygraph2,
@@ -15,12 +18,15 @@ from linrew import (
     groebner_view,
     interreduce,
     local_branchings,
+    lpformat,
     monomial_poly,
     orient,
     s_polynomial,
 )
+from linrew.rewriting import RewriteStep
 
-from conftest import make_poly
+from conftest import FIXTURES, deglex_system, make_poly
+from test_acceptance import random_system
 
 
 def test_order_certificate(sys_xy):
@@ -129,3 +135,56 @@ def test_confluence_requires_certificate(sys_xy):
 def test_sys_xyz_no_criticals(sys_xyz):
     assert enumerate_critical_branchings(sys_xyz) == []
     assert check_confluence(sys_xyz)["convergent"]
+
+
+def assert_legs_are_step_replays(P):
+    """Each branching's legs, and its S-polynomial, equal replaying its two
+    rewriting steps on the overlap word."""
+    for b in enumerate_critical_branchings(P):
+        w = monomial_poly(P.field, b.word)
+        t1, t2 = b.step1.apply(w), b.step2.apply(w)
+        assert b.legs == (t1, t2)
+        assert s_polynomial(b) == t1 - t2
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=60, deadline=None)
+def test_legs_equal_step_replay_a6(seed):
+    assert_legs_are_step_replays(random_system(random.Random(seed)))
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.lp")), ids=lambda p: p.stem)
+def test_legs_equal_step_replay_fixtures(path):
+    P, _ = lpformat.parse_file(path)
+    assert_legs_are_step_replays(P)
+    if P.order is not None:
+        try:
+            done = complete(P, P.order, max_degree=5)
+        except CompletionBoundExceeded as e:
+            done = e.partial
+        assert_legs_are_step_replays(done)
+
+
+def test_legs_equal_step_replay_inclusion_overlap():
+    # y z is a factor of z y z: the system is not left-reduced, so z y z
+    # also branches into its own rule and r2 inside it.
+    P = deglex_system("xyz", [
+        ("r1", "zyz", [(1, "xxy"), (-2, "y")]),
+        ("r2", "yz", [(Fraction(1, 2), "xx")]),
+    ])
+    assert not P.left_reduced
+    inclusions = [b for b in enumerate_critical_branchings(P) if b.word == b.step1.rule.source]
+    assert [(str(b.word), b.positions) for b in inclusions] == [("z y z", (0, 1))]
+    assert_legs_are_step_replays(P)
+
+
+def test_check_confluence_replays_no_step(monkeypatch):
+    P, _ = lpformat.parse_file(FIXTURES / "pp05.lp")
+    done = complete(P, P.order)
+
+    def no_replay(self, f):
+        raise AssertionError("RewriteStep.apply called")
+
+    monkeypatch.setattr(RewriteStep, "apply", no_replay)
+    report = check_confluence(done)
+    assert report["convergent"] and report["critical_branchings"] == 4

@@ -1,8 +1,11 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linrew import FieldError, GF, ParameterField, QQ
+from linrew.scalars import Field
 
 
 def test_rational_basics():
@@ -45,3 +48,31 @@ def test_parameter_field_canonical_equality():
     a = F.symbols["a"]
     left = F.mul(F.inv(a), F.mul(a, a))
     assert F.is_zero(F.sub(left, a))
+
+
+nonzero = st.builds(Fraction, st.integers(-20, 20).filter(bool), st.integers(1, 12))
+term_maps = st.dictionaries(st.sampled_from("abcde"), nonzero, max_size=4)
+
+
+@given(st.lists(st.tuples(nonzero, term_maps), max_size=6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_rational_linear_combination_is_the_generic_fold(pairs, data):
+    # Cancellations: some pairs come back negated, some split in two halves.
+    negated = data.draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+    halved = data.draw(st.lists(st.sampled_from(pairs), max_size=2)) if pairs else []
+    pairs = pairs + [(-c, t) for c, t in negated]
+    pairs += [(-c / 2, t) for c, t in halved] * 2 + [(c, t) for c, t in halved]
+    pairs = data.draw(st.permutations(pairs))
+    got = QQ.linear_combination(pairs)
+    assert got == Field.linear_combination(QQ, pairs)
+    for c in got.values():
+        assert type(c) is Fraction and c != 0
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+
+
+def test_rational_linear_combination_cancels():
+    x = {"x": Fraction(1, 3), "y": Fraction(2)}
+    y = {"x": Fraction(-1, 6), "z": Fraction(1, 4)}
+    got = QQ.linear_combination([(Fraction(1), x), (Fraction(2), y), (Fraction(-1, 2), {"y": Fraction(4)})])
+    assert got == {"z": Fraction(1, 2)}
+    assert QQ.linear_combination([(Fraction(3, 4), x), (Fraction(-3, 4), x)]) == {}
