@@ -4,6 +4,11 @@ collapses, and Koszulity verdicts.
 Cells of dimension k sit in homological degree k (objects at 0, generators
 at 1, rules at 2, overlap chains above).  delta[k] maps (k+1)-cells to
 k-cells; Tor_k per internal degree is dim ker delta[k-1] - rank delta[k].
+
+For homogeneous rules the complex is graded: every delta entry joins two
+cells of one internal degree, so a chain whose degree has no cells one
+dimension down gets its empty column without a walk.  Inhomogeneous systems
+have every column computed in full, degree-lowering entries included.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from .resolution import (
     ell,
     enumerate_chains,
     generating_confluence,
+    leftmost_reduct,
 )
 from .completion import enumerate_critical_branchings
 
@@ -163,7 +169,11 @@ def collapse_saturate(complexdata: ReducedComplex) -> ReducedComplex:
 
 def build_complex(P: Polygraph2, cells: Iterable[ChainCell], kmax: int, dmax: int) -> ReducedComplex:
     """Assemble the reduced complex: delta[2] and delta[3] from one walk of
-    the rightmost rewriting DAG, sharing one memo."""
+    the rightmost rewriting DAG, sharing one memo.  On a homogeneous system
+    the column of a (k+1)-chain is walked only when C_k has cells of the
+    chain's degree, and is empty otherwise; an inhomogeneous system has
+    every column walked.  The legs of every 3-chain's generating confluence
+    are checked to meet, walked or not."""
     field = P.field
     N = P.homogeneity_degree if P.homogeneous else None
     cx = ReducedComplex(field, N)
@@ -195,13 +205,22 @@ def build_complex(P: Polygraph2, cells: Iterable[ChainCell], kmax: int, dmax: in
                 col[g] = field.sub(col.get(g, field.zero), coeff)
         cx.set_column(1, name, col)
 
+    # Homogeneous rules keep every word of a chain's rewriting DAG in the
+    # chain's degree, and so every cell its walk adds.
+    graded = {(k, d) for (k, _), d in cx.degrees.items()} if P.homogeneous else None
     memo: dict = {}
     cx.delta[2] = {}
     cx.delta[3] = {}
     for c in cells:
-        if c.dim == 3:
+        if c.dim not in (3, 4):
+            continue
+        if graded is not None and (c.dim - 1, c.degree) not in graded:
+            if c.dim == 3:
+                leftmost_reduct(c, P)  # the legs check, on every 3-chain
+            cx.set_column(c.dim - 1, c.redexes, {})
+        elif c.dim == 3:
             cx.set_column(2, c.redexes, generating_confluence(c, P, memo))
-        elif c.dim == 4:
+        else:
             cx.set_column(3, c.redexes, boundary4(c, P, memo))
     return cx
 

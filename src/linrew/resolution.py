@@ -142,10 +142,10 @@ def _walk(P: Polygraph2, k: int, f: Polynomial, right: Monomial, memo: dict) -> 
     step with a nontrivial left context adds nothing itself (whiskers only
     grow, so every cell below it vanishes), but its reducts are walked."""
     cache = P._nf_cache
-    if any(m not in cache for _, m in f.items()):
+    if any(m not in cache for m in f.terms):
         nf(f, P)  # builds the missing nodes
     col: dict = {}
-    for c, m in f.items():
+    for m, c in f.terms.items():
         _add_scaled(col, _walk_node(P, k, cache[m], right, memo), c, P.field)
     return col
 
@@ -172,25 +172,33 @@ def _walk_node(P: Polygraph2, k: int, node: tuple, right: Monomial, memo: dict) 
     return col
 
 
+def leftmost_reduct(b: ChainCell, P: Polygraph2) -> Polynomial:
+    """The reduct of a 3-chain's word by its leftmost redex, checked to have
+    the word's normal form: the two legs of the generating confluence meet.
+    Raises RewriteError when they do not, as on a system falsely certified
+    convergent."""
+    _require_usable(P)
+    if b.dim != 3:
+        raise RewriteError("generating confluences are indexed by 3-chains")
+    rule1 = _rule_by_name(P, b.redexes[0][0])
+    mid = rule1.target.whisker(None, P.quiver.monomial(b.word.word[rule1.source.weight :]))
+    if nf(mid, P) != nf(monomial_poly(P.field, b.word), P):
+        raise RewriteError(f"generating confluence legs disagree on {b.word}")
+    return mid
+
+
 def generating_confluence(b: ChainCell, P: Polygraph2, memo: Optional[dict] = None) -> dict:
     """The delta2 column {rule name: coefficient} of a 3-chain: rho*_2 along
     the leg beginning with the leftmost redex minus rho*_2 along rho on the
     overlap word.  The first step's right context is the rest of the word,
     never empty, so that step adds nothing."""
-    _require_usable(P)
-    if b.dim != 3:
-        raise RewriteError("generating confluences are indexed by 3-chains")
+    mid = leftmost_reduct(b, P)
     if memo is None:
         memo = {}
     field = P.field
-    rule1 = _rule_by_name(P, b.redexes[0][0])
-    w = monomial_poly(field, b.word)
-    mid = rule1.target * monomial_poly(field, P.quiver.monomial(b.word.word[rule1.source.weight :]))
-    if nf(mid, P) != nf(w, P):
-        raise RewriteError(f"generating confluence legs disagree on {b.word}")
     one = P.quiver.identity(b.word.target)
     col = _walk(P, 2, mid, one, memo)
-    _add_scaled(col, _walk(P, 2, w, one, memo), field.neg(field.one), field)
+    _add_scaled(col, _walk(P, 2, monomial_poly(field, b.word), one, memo), field.neg(field.one), field)
     return col
 
 
@@ -201,37 +209,37 @@ def _rho_star_rule(P: Polygraph2, rule: Rule, mhat: Monomial, memo: dict) -> dic
     """rho*_3: the 3-cell from (rule . mhat) *1 rho to rho on
     source(rule).mhat, as its column {3-chain key: coefficient} in the
     reduced complex: a generating confluence whiskered by a nontrivial
-    context vanishes there."""
+    context vanishes there.  While mhat is reducible, the rightmost redex of
+    source(rule).mhat is that of mhat, disjoint from source(rule): the
+    Peiffer exchange of the two steps adds no cell, so rho*_3 is linear
+    along the rewriting of mhat and sums rho*_3(rule, n) over the terms n
+    of nf(mhat).  On an irreducible mhat the rightmost redex overlaps
+    source(rule), or is source(rule) itself (the identity 3-cell)."""
     key = (rule.name, mhat)
     if key in memo:
         return memo[key]
     field = P.field
-    m = rule.source * mhat
-    idx, start = rightmost_redex(m, P)
-    psi = P.rules[idx]
-    col: dict = {}  # start == 0: the step is already the rightmost one, identity 3-cell
-    if start >= rule.source.weight:
-        # Peiffer: exchange the two disjoint steps; no confluence cell needed.
-        u = m.word[rule.source.weight : start]
-        v = m.word[start + psi.source.weight :]
-        for c, n in psi.target.items():
-            nm = P.quiver.monomial(u + n.word + v)
-            _add_scaled(col, _rho_star_rule(P, rule, nm, memo), c, field)
-    elif start > 0:
-        e = start + psi.source.weight
-        assert e > rule.source.weight, "inclusion overlap on a left-reduced system"
-        m2 = P.quiver.monomial(m.word[rule.source.weight : e])
-        m3 = (
-            P.quiver.monomial(m.word[e:])
-            if e < m.weight
-            else P.quiver.identity(m.target)
-        )
-        w1 = P.quiver.monomial(m.word[:e], at=m.source)
-        if m3.is_identity():
-            col[((rule.name, 0), (psi.name, start))] = field.one
-        _add_scaled(col, _walk(P, 3, monomial_poly(field, w1), m3, memo), field.one, field)
-        _add_scaled(col, _walk(P, 3, rule.target * monomial_poly(field, m2), m3, memo),
-                    field.neg(field.one), field)
+    cache = P._nf_cache
+    if mhat not in cache:
+        nf(monomial_poly(field, mhat), P)
+    normal, step, _ = cache[mhat]
+    col: dict = {}
+    if step is not None:
+        for n, c in normal.terms.items():
+            _add_scaled(col, _rho_star_rule(P, rule, n, memo), c, field)
+    else:
+        idx, start = rightmost_redex(rule.source * mhat, P)
+        if start > 0:
+            psi = P.rules[idx]
+            e = start + psi.source.weight - rule.source.weight  # the overlap ends in mhat
+            assert e > 0, "inclusion overlap on a left-reduced system"
+            m2 = P.quiver.monomial(mhat.word[:e])
+            m3 = P.quiver.monomial(mhat.word[e:], at=m2.target)
+            if m3.is_identity():
+                col[((rule.name, 0), (psi.name, start))] = field.one
+            _add_scaled(col, _walk(P, 3, monomial_poly(field, rule.source * m2), m3, memo), field.one, field)
+            _add_scaled(col, _walk(P, 3, rule.target.whisker(None, m2), m3, memo),
+                        field.neg(field.one), field)
     memo[key] = col
     return col
 
@@ -260,6 +268,6 @@ def boundary4(b: ChainCell, P: Polygraph2, memo: Optional[dict] = None) -> dict:
     m2p = P.quiver.monomial(b.word.word[rule1.source.weight : e2] + mhat.word)
     _add_scaled(col, _rho_star_rule(P, rule1, m2p, memo), field.neg(field.one), field)
     m2p_only = P.quiver.monomial(b.word.word[rule1.source.weight : e2])
-    _add_scaled(col, _walk(P, 3, rule1.target * monomial_poly(field, m2p_only), mhat, memo),
+    _add_scaled(col, _walk(P, 3, rule1.target.whisker(None, m2p_only), mhat, memo),
                 field.neg(field.one), field)
     return col

@@ -99,3 +99,18 @@ def cubic_system():
         ("p", "zzz", [(1, "xyz"), (1, "yyx")]),
         ("q", "zzy", [(1, "xxy")]),
     ])
+
+
+SKEW_COEFFS = (2, 3, -1, -2, Fraction(1, 2), Fraction(-1, 3))
+
+
+def skew_system(n):
+    """The skew-polynomial algebra on the first n of a..l, ordered deglex
+    alphabetically: y x -> c x y for x < y, the c cycling through
+    SKEW_COEFFS.  Convergent and Koszul for any nonzero c."""
+    gens = "abcdefghijkl"[:n]
+    pairs = [(x, y) for j, y in enumerate(gens) for x in gens[:j]]
+    return deglex_system(gens, [
+        (f"s{x}{y}", y + x, [(SKEW_COEFFS[i % len(SKEW_COEFFS)], x + y)])
+        for i, (x, y) in enumerate(pairs)
+    ])

@@ -13,10 +13,11 @@ from linrew import (
     ell,
     enumerate_chains,
     generating_confluence,
+    homology,
     lpformat,
 )
 
-from conftest import FIXTURES, cubic_system
+from conftest import FIXTURES, cubic_system, deglex_system, skew_system
 from test_acceptance import random_system
 
 
@@ -93,6 +94,14 @@ def test_cell_degrees_concentration(pp_done):
     assert not stats["l_N_concentrated"][3]
 
 
+def _falsely_certified(sys_pp, pp_done):
+    """The uncompleted pp system with the completed one's certificates: yzy
+    splits into -x x y and -1/2 y x x, two distinct normal forms."""
+    sys_pp.termination_certificate = pp_done.termination_certificate
+    sys_pp.convergence_certificate = pp_done.convergence_certificate
+    return sys_pp
+
+
 def test_generating_confluence_legs_agree(pp_done, sys_pp):
     cells = enumerate_chains(pp_done, 3, 6)
     cx = build_complex(pp_done, cells, 3, 6)
@@ -102,13 +111,19 @@ def test_generating_confluence_legs_agree(pp_done, sys_pp):
             col = generating_confluence(c, pp_done)
             assert col == cx.delta[2][c.redexes]
             assert set(col) <= names
-    # The uncompleted system, falsely certified: yzy splits into -x x y and
-    # -1/2 y x x, two distinct normal forms.
-    sys_pp.termination_certificate = pp_done.termination_certificate
-    sys_pp.convergence_certificate = pp_done.convergence_certificate
-    yzy = next(c for c in enumerate_chains(sys_pp, 3, 3) if c.dim == 3 and c.word.word == tuple("yzy"))
+    P = _falsely_certified(sys_pp, pp_done)
+    yzy = next(c for c in enumerate_chains(P, 3, 3) if c.dim == 3 and c.word.word == tuple("yzy"))
     with pytest.raises(RewriteError, match="legs disagree"):
-        generating_confluence(yzy, sys_pp)
+        generating_confluence(yzy, P)
+
+
+def test_build_complex_checks_legs_of_pruned_chains(pp_done, sys_pp):
+    # Both rules have degree 2, so the degree-3 column of yzy is not walked;
+    # its legs are still compared.
+    P = _falsely_certified(sys_pp, pp_done)
+    assert {r.degree for r in P.rules} == {2}
+    with pytest.raises(RewriteError, match="legs disagree on y z y"):
+        build_complex(P, enumerate_chains(P, 3, 3), 3, 3)
 
 
 def test_boundary4_instances(pp_done):
@@ -166,3 +181,90 @@ def test_delta_columns_unchanged(group):
         ))
     assert sum(map(len, cols)) == n_columns
     assert hashlib.sha256(repr(cols).encode()).hexdigest() == digest
+
+
+def _counting(monkeypatch, name):
+    """Replace homology.<name> by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(homology, name)
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(homology, name, counted)
+    return calls
+
+
+def _direct_columns(P, cells):
+    """Every delta2/delta3 column by its own generating_confluence or
+    boundary4 call, with a fresh memo."""
+    direct = {2: {}, 3: {}}
+    for c in cells:
+        if c.dim == 3:
+            direct[2][c.redexes] = generating_confluence(c, P)
+        elif c.dim == 4:
+            direct[3][c.redexes] = boundary4(c, P)
+    return direct
+
+
+def _prunable(cells) -> list:
+    """The 3- and 4-chains whose degree has no cells one dimension down."""
+    graded = {(c.dim, c.degree) for c in cells}
+    return [c for c in cells if c.dim in (3, 4) and (c.dim - 1, c.degree) not in graded]
+
+
+# (homogeneous systems, dmax) on which build_complex prunes columns.
+PRUNE_CASES = {
+    "fixtures": (_fixture_systems, 6),
+    "cubic": (lambda: _completed([cubic_system()]), 12),
+    "skew": (lambda: _completed(skew_system(n) for n in (4, 5, 6)), 5),
+    "a6": (lambda: [P for P in _a6_systems() if P.homogeneous], 6),
+}
+
+
+@pytest.mark.parametrize("group", sorted(PRUNE_CASES))
+def test_pruned_columns_equal_direct_calls(group):
+    systems, dmax = PRUNE_CASES[group]
+    pruned = 0
+    for P in systems():
+        assert P.homogeneous
+        cells = enumerate_chains(P, 4, dmax)
+        cx = build_complex(P, cells, 4, dmax)
+        assert {k: cx.delta[k] for k in (2, 3)} == _direct_columns(P, cells)
+        pruned += len(_prunable(cells))
+    assert pruned
+
+
+def test_build_complex_walks_no_empty_degree_on_skew(monkeypatch):
+    P = next(_completed([skew_system(6)]))
+    cells = enumerate_chains(P, 5, 5)
+    confluences = _counting(monkeypatch, "generating_confluence")
+    boundaries = _counting(monkeypatch, "boundary4")
+    cx = build_complex(P, cells, 4, 5)
+    assert len(cx.delta[2]) == 20 and len(cx.delta[3]) == 15
+    assert confluences == boundaries == []
+
+
+def test_build_complex_walks_every_column_when_inhomogeneous(monkeypatch):
+    # The enveloping algebra of the Lie algebra with [y, x] = x and z, w
+    # central: y x -> x y + x lowers degrees, so a degree-3 chain's column
+    # has degree-2 entries though no rule has degree 3.
+    P = next(_completed([deglex_system("xyzw", [
+        ("a", "yx", [(1, "xy"), (1, "x")]),
+        ("b", "zx", [(1, "xz")]),
+        ("c", "zy", [(1, "yz")]),
+        ("d", "wx", [(1, "xw")]),
+        ("e", "wy", [(1, "yw")]),
+        ("f", "wz", [(1, "zw")]),
+    ])]))
+    assert not P.homogeneous
+    cells = enumerate_chains(P, 4, 6)
+    confluences = _counting(monkeypatch, "generating_confluence")
+    boundaries = _counting(monkeypatch, "boundary4")
+    cx = build_complex(P, cells, 4, 6)
+    assert confluences == [c for c in cells if c.dim == 3]
+    assert boundaries == [c for c in cells if c.dim == 4]
+    assert {k: cx.delta[k] for k in (2, 3)} == _direct_columns(P, cells)
+    assert any(cx.delta[c.dim - 1][c.redexes] for c in _prunable(cells))
+    assert cx.check_dd_zero()
