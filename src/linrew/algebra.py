@@ -204,28 +204,22 @@ class Polynomial:
     def coefficient(self, m: Monomial):
         return self.terms.get(m, self.field.zero)
 
-    def _require_parallel(self, other: "Polynomial"):
+    def _plus(self, other: "Polynomial", coeff) -> "Polynomial":
+        """self + coeff * other, for a nonzero coeff."""
         if (self.source, self.target) != (other.source, other.target):
             raise CompositionError("boundary mismatch in polynomial addition")
+        f = self.field
+        terms = f.linear_combination(((f.one, self.terms), (coeff, other.terms)))
+        return Polynomial(f, terms, self.source, self.target)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._require_parallel(other)
-        f = self.field
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            s = f.add(acc.get(m, f.zero), c)
-            if f.is_zero(s):
-                acc.pop(m, None)
-            else:
-                acc[m] = s
-        return Polynomial(f, acc, self.source, self.target)
+        return self._plus(other, self.field.one)
 
     def __neg__(self) -> "Polynomial":
-        f = self.field
-        return Polynomial(f, {m: f.neg(c) for m, c in self.terms.items()}, self.source, self.target)
+        return self.scale(self.field.neg(self.field.one))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return self._plus(other, self.field.neg(self.field.one))
 
     def scale(self, coeff) -> "Polynomial":
         f = self.field
@@ -242,16 +236,10 @@ class Polynomial:
         if self.target != other.source:
             raise CompositionError("boundary mismatch in polynomial product")
         f = self.field
-        acc: dict[Monomial, object] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 * m2
-                s = f.add(acc.get(m, f.zero), f.mul(c1, c2))
-                if f.is_zero(s):
-                    acc.pop(m, None)
-                else:
-                    acc[m] = s
-        return Polynomial(f, acc, self.source, other.target)
+        terms = f.linear_combination(
+            [(c1, other.whisker(m1, None).terms) for m1, c1 in self.terms.items()]
+        )
+        return Polynomial(f, terms, self.source, other.target)
 
     def whisker(self, left: Monomial | None, right: Monomial | None) -> "Polynomial":
         """left * self * right, by relabelling each term m as left m right:
@@ -330,9 +318,9 @@ def monomial_poly(field: Field, m: Monomial, coeff=None) -> Polynomial:
 class MonomialOrder:
     """Degree-first well-founded orders on parallel monomials.
 
-    kinds: 'deglex', 'weighted-deglex' (letter weights compared before
-    degree), 'elimination-block-deglex' (degree, then block-degree vector,
-    then lex).  All compare degree first, so every kind is well-founded and
+    kinds: 'deglex', 'weighted-deglex' (non-negative letter weights
+    compared before degree), 'elimination-block-deglex' (degree, then
+    block-degree vector, then lex).  Every kind is well-founded and
     compatible with composition.
     """
 
@@ -354,6 +342,9 @@ class MonomialOrder:
         self.blocks = tuple(tuple(b) for b in (blocks or ()))
         if kind == "weighted-deglex" and not self.weights:
             raise ValueError("weighted-deglex needs letter weights")
+        if any(w < 0 for w in self.weights.values()):
+            # A negative weight makes x^n descend forever: y -> x y decreases.
+            raise ValueError("letter weights must be non-negative")
         if kind == "elimination-block-deglex" and not self.blocks:
             raise ValueError("elimination-block-deglex needs blocks")
         self._block_of = {}

@@ -30,32 +30,27 @@ from .completion import enumerate_critical_branchings
 
 
 class ReducedComplex:
-    """Truncated reduced complex: graded bases of cells and the boundary
-    matrices delta[k] : C_{k+1} -> C_k, stored as sparse columns."""
+    """Truncated reduced complex: the cells of each dimension k with their
+    internal degrees, cells[k] = {cell: degree} in insertion order, and the
+    boundary matrices delta[k] : C_{k+1} -> C_k, stored as sparse columns.
+    Columns are built fresh from Field.linear_combination results: none
+    holds a zero or is shared with the walk memo, as collapse edits them."""
 
     def __init__(self, field, N: Optional[int]):
         self.field = field
         self.N = N
-        self.cells: dict[int, list] = {}
-        self.degrees: dict[tuple[int, object], int] = {}
+        self.cells: dict[int, dict] = {}
         self.delta: dict[int, dict] = {}
         self._ranks: dict[tuple[int, int], int] = {}
 
     def add_cell(self, k: int, cell_id, degree: int):
-        self.cells.setdefault(k, []).append(cell_id)
-        self.degrees[(k, cell_id)] = degree
-
-    def set_column(self, k: int, cell_id, column: dict):
-        f = self.field
-        self.delta.setdefault(k, {})[cell_id] = {
-            r: c for r, c in column.items() if not f.is_zero(c)
-        }
+        self.cells.setdefault(k, {})[cell_id] = degree
 
     def basis(self, k: int, degree: Optional[int] = None) -> list:
-        cells = self.cells.get(k, [])
+        cells = self.cells.get(k, {})
         if degree is None:
             return list(cells)
-        return [c for c in cells if self.degrees[(k, c)] == degree]
+        return [c for c, d in cells.items() if d == degree]
 
     def matrix(self, k: int, degree: int):
         """Rows over C_k(degree), one row per C_{k+1}(degree) column cell."""
@@ -87,16 +82,13 @@ class ReducedComplex:
         return len(self.basis(k, degree)) - self.rank(k - 1, degree)
 
     def check_dd_zero(self) -> bool:
-        f = self.field
-        for k in (2, 3):
-            for col_cell, col in self.delta.get(k, {}).items():
-                acc: dict = {}
-                for mid, c in col.items():
-                    for r, c2 in self.delta.get(k - 1, {}).get(mid, {}).items():
-                        acc[r] = f.add(acc.get(r, f.zero), f.mul(c, c2))
-                if any(not f.is_zero(v) for v in acc.values()):
-                    return False
-        return True
+        """delta[k-1] . delta[k] = 0 for k = 2, 3."""
+        combine = self.field.linear_combination
+        return not any(
+            combine([(c, self.delta.get(k - 1, {}).get(mid, {})) for mid, c in col.items()])
+            for k in (2, 3)
+            for col in self.delta.get(k, {}).values()
+        )
 
     # -- homotopical reduction ------------------------------------------------
 
@@ -106,41 +98,29 @@ class ReducedComplex:
         f = self.field
         colA = self.delta.get(k, {}).get(A, {})
         mu = colA.get(gamma)
-        if mu is None or f.is_zero(mu):
+        if mu is None:
             raise RewriteError(
                 f"cannot collapse: {gamma} does not appear invertibly in the boundary of {A}"
             )
         mu_inv = f.generic_inv(mu)
         self._ranks.clear()
-        for other, col in list(self.delta.get(k, {}).items()):
-            if other == A:
-                continue
+        cols = self.delta[k]
+        del cols[A]
+        for other, col in cols.items():
             c = col.get(gamma)
-            if c is None or f.is_zero(c):
-                continue
-            factor = f.mul(c, mu_inv)
-            new = dict(col)
-            for r, v in colA.items():
-                nv = f.sub(new.get(r, f.zero), f.mul(factor, v))
-                if f.is_zero(nv):
-                    new.pop(r, None)
-                else:
-                    new[r] = nv
-            new.pop(gamma, None)
-            self.delta[k][other] = new
-        self.delta[k].pop(A, None)
+            if c is not None:  # col - (c / mu) colA, which drops gamma
+                cols[other] = f.linear_combination(
+                    [(f.one, col), (f.neg(f.mul(c, mu_inv)), colA)]
+                )
         for col in self.delta.get(k + 1, {}).values():
             col.pop(A, None)
         self.delta.get(k - 1, {}).pop(gamma, None)
-        self.cells[k].remove(gamma)
-        self.cells[k + 1].remove(A)
-        self.degrees.pop((k, gamma), None)
-        self.degrees.pop((k + 1, A), None)
+        del self.cells[k][gamma]
+        del self.cells[k + 1][A]
 
     def copy(self) -> "ReducedComplex":
         other = ReducedComplex(self.field, self.N)
-        other.cells = {k: list(v) for k, v in self.cells.items()}
-        other.degrees = dict(self.degrees)
+        other.cells = {k: dict(v) for k, v in self.cells.items()}
         other.delta = {k: {c: dict(col) for c, col in cols.items()} for k, cols in self.delta.items()}
         return other
 
@@ -156,10 +136,7 @@ def collapse_saturate(complexdata: ReducedComplex) -> ReducedComplex:
                 col = cx.delta[k].get(A)
                 if not col:
                     continue
-                gamma = sorted(col, key=str)[0]
-                if cx.field.is_zero(col[gamma]):
-                    continue
-                cx.collapse(k, gamma, A)
+                cx.collapse(k, min(col, key=str), A)
                 changed = True
                 break
             if changed:
@@ -167,7 +144,7 @@ def collapse_saturate(complexdata: ReducedComplex) -> ReducedComplex:
     return cx
 
 
-def build_complex(P: Polygraph2, cells: Iterable[ChainCell], kmax: int, dmax: int) -> ReducedComplex:
+def build_complex(P: Polygraph2, cells: Iterable[ChainCell]) -> ReducedComplex:
     """Assemble the reduced complex: delta[2] and delta[3] from one walk of
     the rightmost rewriting DAG, sharing one memo.  On a homogeneous system
     the column of a (k+1)-chain is walked only when C_k has cells of the
@@ -189,25 +166,16 @@ def build_complex(P: Polygraph2, cells: Iterable[ChainCell], kmax: int, dmax: in
         elif c.dim >= 3:
             cx.add_cell(c.dim, c.redexes, c.degree)
 
-    cx.delta[0] = {g: {} for g in cx.cells.get(1, [])}
-
-    # delta[1]: bracket of source minus target; only weight-1 monomials survive.
-    cx.delta[1] = {}
-    for name in cx.cells.get(2, []):
-        rule = rules_by_name[name]
-        col: dict = {}
-        if rule.source.weight == 1:
-            g = rule.source.word[0]
-            col[g] = field.add(col.get(g, field.zero), field.one)
-        for m, coeff in rule.target.terms.items():
-            if m.weight == 1:
-                g = m.word[0]
-                col[g] = field.sub(col.get(g, field.zero), coeff)
-        cx.set_column(1, name, col)
+    cx.delta[0] = {g: {} for g in cx.cells.get(1, {})}
+    # delta[1]: the weight-1 terms of each rule's relation source - target.
+    cx.delta[1] = {
+        name: {m.word[0]: c for m, c in rules_by_name[name].relation().terms.items() if m.weight == 1}
+        for name in cx.cells.get(2, {})
+    }
 
     # Homogeneous rules keep every word of a chain's rewriting DAG in the
     # chain's degree, and so every cell its walk adds.
-    graded = {(k, d) for (k, _), d in cx.degrees.items()} if P.homogeneous else None
+    graded = {(k, d) for k, cs in cx.cells.items() for d in cs.values()} if P.homogeneous else None
     memo: dict = {}
     cx.delta[2] = {}
     cx.delta[3] = {}
@@ -217,11 +185,12 @@ def build_complex(P: Polygraph2, cells: Iterable[ChainCell], kmax: int, dmax: in
         if graded is not None and (c.dim - 1, c.degree) not in graded:
             if c.dim == 3:
                 leftmost_reduct(c, P)  # the legs check, on every 3-chain
-            cx.set_column(c.dim - 1, c.redexes, {})
+            col = {}
         elif c.dim == 3:
-            cx.set_column(2, c.redexes, generating_confluence(c, P, memo))
+            col = generating_confluence(c, P, memo)
         else:
-            cx.set_column(3, c.redexes, boundary4(c, P, memo))
+            col = boundary4(c, P, memo)
+        cx.delta[c.dim - 1][c.redexes] = col
     return cx
 
 
@@ -271,7 +240,7 @@ def tor_table(P: Polygraph2, kmax: int, dmax: int, cells=None, cx: Optional[Redu
     if cells is None:
         cells = _chains_for_table(P, kmax, dmax)
     if cx is None:
-        cx = build_complex(P, cells, kmax, dmax)
+        cx = build_complex(P, cells)
     table = TorTable(kmax, dmax)
     N = cx.N
     count5: dict[int, int] = {}
@@ -363,15 +332,13 @@ def koszul_verdict(P: Polygraph2, kmax: int = 4, dmax: int = 6) -> KoszulVerdict
             notes="quadratic convergent presentation",
         )
     cells = _chains_for_table(P, kmax, dmax)
-    cx = build_complex(P, cells, kmax, dmax)
+    cx = build_complex(P, cells)
     collapsed = collapse_saturate(cx)
     # Boundary maps are exact only through delta[3], so collapse evidence is
     # conclusive for dimensions 2 and 3; higher cells are outside the window.
     survivors = {k: collapsed.basis(k) for k in (2, 3) if k in collapsed.cells}
     concentrated = all(
-        collapsed.degrees[(k, c)] == ell(N, k)
-        for k, cs in survivors.items()
-        for c in cs
+        collapsed.cells[k][c] == ell(N, k) for k, cs in survivors.items() for c in cs
     )
     table = tor_table(P, kmax, dmax, cells=cells, cx=cx)
     # Tor_2 counts the minimal relations by degree: rules of several degrees

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .scalars import GF, QQ, ParameterField
+from .scalars import GF, QQ, FieldError, ParameterField
 from .algebra import Generator, MonomialOrder, Polynomial, Quiver
 from .completion import PatternMeasure, certify_termination, check_confluence
 from .rewriting import Polygraph2, Rule
@@ -134,10 +134,16 @@ def _term_tokens(chunk: str, line: int, offset: int):
     return out
 
 
+def _int(tok: str, what: str, line: int) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise LpError(f"bad {what} {tok!r}", line, 1)
+
+
 class _FieldContext:
     def __init__(self):
-        self.kind = "Q"
-        self.prime: Optional[int] = None
+        self.gf = None  # the prime field declared, or None for Q
         self.symbolic: list[str] = []
         self.nonvanishing: list[str] = []
         self.bound: dict[str, Fraction] = {}
@@ -147,13 +153,11 @@ class _FieldContext:
         if self.field is not None:
             return self.field
         if self.symbolic:
-            if self.kind != "Q":
+            if self.gf is not None:
                 raise LpError("parameters require field Q")
             self.field = ParameterField(tuple(self.symbolic), tuple(self.nonvanishing))
-        elif self.kind == "GF":
-            self.field = GF(self.prime)
         else:
-            self.field = QQ
+            self.field = QQ if self.gf is None else self.gf
         return self.field
 
     def coefficient(self, tok: str, line: int, col: int):
@@ -206,6 +210,15 @@ def parse(text: str):
     has_measure = False
     rule_specs = []
     want_certified = False
+    order_line = 0
+
+    def add_generator(name, src, tgt, degree, lineno):
+        if any(g.name == name for g in generators):
+            raise LpError(f"duplicate generator {name!r}", lineno, 1)
+        try:
+            generators.append(Generator(name, src, tgt, degree))
+        except ValueError as e:
+            raise LpError(str(e), lineno, 1)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         lstr = raw.split("#", 1)[0].rstrip()
@@ -216,14 +229,15 @@ def parse(text: str):
         if head == "field":
             spec = "".join(parts[1:])
             if spec == "Q":
-                ctx.kind = "Q"
+                ctx.gf = None
             elif spec.startswith("GF"):
-                ctx.kind = "GF"
                 digits = spec[2:].strip("()")
+                if not digits.isdigit():
+                    raise LpError(f"field {spec!r} needs a prime, as in GF(32003)", lineno, 7)
                 try:
-                    ctx.prime = int(digits) if digits else None
-                except ValueError:
-                    raise LpError(f"bad field {spec!r}", lineno, 7)
+                    ctx.gf = GF(int(digits))
+                except FieldError as e:
+                    raise LpError(f"bad field {spec!r}: {e}", lineno, 7)
             else:
                 raise LpError(f"unknown field {spec!r}", lineno, 7)
         elif head == "param":
@@ -244,21 +258,20 @@ def parse(text: str):
             objects = parts[1:]
             if not objects:
                 raise LpError("objects needs at least one name", lineno, 1)
+            if len(set(objects)) != len(objects):
+                raise LpError("duplicate object names", lineno, 1)
         elif head == "generators":
             for name in parts[1:]:
                 if "^" in name:
                     raise LpError(f"bad generator name {name!r}", lineno, 1)
-                generators.append(Generator(name, "*", "*", 1))
+                add_generator(name, "*", "*", 1, lineno)
         elif head == "generator":
             # generator f : src -> tgt [degree D]
             body = lstr[len("generator") :].strip()
             degree = 1
             if " degree " in body:
                 body, _, d = body.rpartition(" degree ")
-                try:
-                    degree = int(d)
-                except ValueError:
-                    raise LpError(f"bad degree {d!r}", lineno, 1)
+                degree = _int(d, "degree", lineno)
             name, colon, rest = body.partition(":")
             name = name.strip()
             src, tgt = "*", "*"
@@ -269,11 +282,12 @@ def parse(text: str):
                 src, tgt = s.strip(), t.strip()
             if not name:
                 raise LpError("generator needs a name", lineno, 1)
-            generators.append(Generator(name, src, tgt, degree))
+            add_generator(name, src, tgt, degree, lineno)
         elif head == "order":
             kind = parts[1] if len(parts) > 1 else ""
             body = lstr.split(None, 2)[2] if len(parts) > 2 else ""
             groups = [g.strip() for g in body.split("<")]
+            order_line = lineno
             if kind == "deglex":
                 order = MonomialOrder("deglex", [g for grp in groups for g in grp.split()])
             elif kind == "weighted-deglex":
@@ -282,8 +296,11 @@ def parse(text: str):
                     for item in grp.split():
                         name, _, w = item.partition(":")
                         prec.append(name)
-                        weights[name] = int(w) if w else 1
-                order = MonomialOrder("weighted-deglex", prec, weights=weights)
+                        weights[name] = _int(w, "weight", lineno) if w else 1
+                try:
+                    order = MonomialOrder("weighted-deglex", prec, weights=weights)
+                except ValueError as e:  # no weights, or a negative one
+                    raise LpError(str(e), lineno, 7)
             elif kind == "elimination":
                 blocks = [grp.split() for grp in groups]
                 order = MonomialOrder(
@@ -296,11 +313,11 @@ def parse(text: str):
         elif head == "measure":
             has_measure = True
             if len(parts) >= 4 and parts[1] == "letter":
-                measure_letters.append((parts[2], int(parts[3])))
+                measure_letters.append((parts[2], _int(parts[3], "weight", lineno)))
             elif len(parts) >= 4 and parts[1] == "pattern":
-                measure_patterns.append((tuple(parts[2:-1]), int(parts[-1])))
+                measure_patterns.append((tuple(parts[2:-1]), _int(parts[-1], "weight", lineno)))
             elif len(parts) == 3 and parts[1] == "bound":
-                measure_bound = int(parts[2])
+                measure_bound = _int(parts[2], "bound", lineno)
             else:
                 raise LpError("measure needs 'letter', 'pattern', or 'bound'", lineno, 9)
         elif head == "rule":
@@ -319,6 +336,14 @@ def parse(text: str):
         else:
             raise LpError(f"unknown directive {head!r}", lineno, 1)
 
+    declared = [g.name for g in generators]
+    if order is not None and sorted(order.precedence) != sorted(declared):
+        raise LpError(
+            f"order must name each generator once: it names {' '.join(order.precedence)}, "
+            f"the generators are {' '.join(declared)}",
+            order_line,
+            1,
+        )
     field = ctx.build()
     if objects is None:
         objects = ["*"]

@@ -121,16 +121,6 @@ def ell(N: int, k: int) -> int:
     return l * N + r
 
 
-def _add_scaled(col: dict, other: dict, c, field) -> None:
-    """col += c * other, dropping entries that cancel."""
-    for key, v in other.items():
-        nv = field.add(col.get(key, field.zero), field.mul(c, v))
-        if field.is_zero(nv):
-            col.pop(key, None)
-        else:
-            col[key] = nv
-
-
 # -- the walk of the rightmost rewriting DAG ---------------------------------
 
 
@@ -144,10 +134,9 @@ def _walk(P: Polygraph2, k: int, f: Polynomial, right: Monomial, memo: dict) -> 
     cache = P._nf_cache
     if any(m not in cache for m in f.terms):
         nf(f, P)  # builds the missing nodes
-    col: dict = {}
-    for m, c in f.terms.items():
-        _add_scaled(col, _walk_node(P, k, cache[m], right, memo), c, P.field)
-    return col
+    return P.field.linear_combination(
+        [(c, _walk_node(P, k, cache[m], right, memo)) for m, c in f.terms.items()]
+    )
 
 
 def _walk_node(P: Polygraph2, k: int, node: tuple, right: Monomial, memo: dict) -> dict:
@@ -159,16 +148,16 @@ def _walk_node(P: Polygraph2, k: int, node: tuple, right: Monomial, memo: dict) 
     key = (k, id(node), right)
     if key in memo:
         return memo[key]
-    col: dict = {}
+    one = P.field.one
+    pairs = []
     if step.left.is_identity():
         m = step.right if right.is_identity() else step.right * right
         if k == 3:
-            col.update(_rho_star_rule(P, step.rule, m, memo))
+            pairs.append((one, _rho_star_rule(P, step.rule, m, memo)))
         elif m.is_identity():  # rho*_2: a whole-word step is its rule
-            col[step.rule.name] = P.field.one
-    for d, child in children:
-        _add_scaled(col, _walk_node(P, k, child, right, memo), d, P.field)
-    memo[key] = col
+            pairs.append((one, {step.rule.name: one}))
+    pairs += [(d, _walk_node(P, k, child, right, memo)) for d, child in children]
+    col = memo[key] = P.field.linear_combination(pairs)
     return col
 
 
@@ -197,9 +186,10 @@ def generating_confluence(b: ChainCell, P: Polygraph2, memo: Optional[dict] = No
         memo = {}
     field = P.field
     one = P.quiver.identity(b.word.target)
-    col = _walk(P, 2, mid, one, memo)
-    _add_scaled(col, _walk(P, 2, monomial_poly(field, b.word), one, memo), field.neg(field.one), field)
-    return col
+    return field.linear_combination([
+        (field.one, _walk(P, 2, mid, one, memo)),
+        (field.neg(field.one), _walk(P, 2, monomial_poly(field, b.word), one, memo)),
+    ])
 
 
 # -- rho*_3, the normalizing 3-trace recursion --------------------------------
@@ -223,10 +213,9 @@ def _rho_star_rule(P: Polygraph2, rule: Rule, mhat: Monomial, memo: dict) -> dic
     if mhat not in cache:
         nf(monomial_poly(field, mhat), P)
     normal, step, _ = cache[mhat]
-    col: dict = {}
+    pairs = []
     if step is not None:
-        for n, c in normal.terms.items():
-            _add_scaled(col, _rho_star_rule(P, rule, n, memo), c, field)
+        pairs = [(c, _rho_star_rule(P, rule, n, memo)) for n, c in normal.terms.items()]
     else:
         idx, start = rightmost_redex(rule.source * mhat, P)
         if start > 0:
@@ -235,12 +224,13 @@ def _rho_star_rule(P: Polygraph2, rule: Rule, mhat: Monomial, memo: dict) -> dic
             assert e > 0, "inclusion overlap on a left-reduced system"
             m2 = P.quiver.monomial(mhat.word[:e])
             m3 = P.quiver.monomial(mhat.word[e:], at=m2.target)
+            pairs = [
+                (field.one, _walk(P, 3, monomial_poly(field, rule.source * m2), m3, memo)),
+                (field.neg(field.one), _walk(P, 3, rule.target.whisker(None, m2), m3, memo)),
+            ]
             if m3.is_identity():
-                col[((rule.name, 0), (psi.name, start))] = field.one
-            _add_scaled(col, _walk(P, 3, monomial_poly(field, rule.source * m2), m3, memo), field.one, field)
-            _add_scaled(col, _walk(P, 3, rule.target.whisker(None, m2), m3, memo),
-                        field.neg(field.one), field)
-    memo[key] = col
+                pairs.append((field.one, {((rule.name, 0), (psi.name, start)): field.one}))
+    col = memo[key] = field.linear_combination(pairs)
     return col
 
 
@@ -261,13 +251,13 @@ def boundary4(b: ChainCell, P: Polygraph2, memo: Optional[dict] = None) -> dict:
     w2 = P.quiver.monomial(b.word.word[:e2], at=b.word.source)
     mhat = P.quiver.monomial(b.word.word[e2:])
 
-    # Source: the 3-chain (rule1, rule2) whiskered by mhat, which the third
-    # redex makes nonempty, so it vanishes; then rho* along rho(w2) . mhat.
-    col = _walk(P, 3, monomial_poly(field, w2), mhat, memo)
-
-    m2p = P.quiver.monomial(b.word.word[rule1.source.weight : e2] + mhat.word)
-    _add_scaled(col, _rho_star_rule(P, rule1, m2p, memo), field.neg(field.one), field)
     m2p_only = P.quiver.monomial(b.word.word[rule1.source.weight : e2])
-    _add_scaled(col, _walk(P, 3, rule1.target.whisker(None, m2p_only), mhat, memo),
-                field.neg(field.one), field)
-    return col
+    m2p = P.quiver.monomial(m2p_only.word + mhat.word)
+    minus = field.neg(field.one)
+    return field.linear_combination([
+        # Source: the 3-chain (rule1, rule2) whiskered by mhat, which the third
+        # redex makes nonempty, so it vanishes; then rho* along rho(w2) . mhat.
+        (field.one, _walk(P, 3, monomial_poly(field, w2), mhat, memo)),
+        (minus, _rho_star_rule(P, rule1, m2p, memo)),
+        (minus, _walk(P, 3, rule1.target.whisker(None, m2p_only), mhat, memo)),
+    ])

@@ -186,27 +186,12 @@ class Polygraph2:
         # is inserted after its children.
         self._nf_cache: dict[Monomial, tuple] = {}
         self._nf_work = 0  # terms nf has summed into normal forms
-        self.left_reduced = self._compute_left_reduced()
-        self.right_reduced = self._compute_right_reduced()
+        # Left-reduced: no rule source is a factor of another's.  An equal
+        # or nested source adds a second occurrence to a rule's own source.
+        self.left_reduced = all(len(self.occurrences(r.source)) == 1 for r in self.rules)
         self.homogeneous = all(r.homogeneous for r in self.rules)
         self.homogeneity_degree = (
             min((r.degree for r in self.rules), default=None) if self.homogeneous else None
-        )
-
-    # -- flags ---------------------------------------------------------------
-
-    def _compute_left_reduced(self) -> bool:
-        for i, r in enumerate(self.rules):
-            for j, other in enumerate(self.rules):
-                if i == j:
-                    continue
-                if r.source.factor_positions(other.source.word):
-                    return False
-        return True
-
-    def _compute_right_reduced(self) -> bool:
-        return all(
-            not self.occurrences(m) for r in self.rules for m in r.target.terms
         )
 
     @property

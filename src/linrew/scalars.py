@@ -50,18 +50,28 @@ class Field:
         return a == self.zero
 
     def linear_combination(self, pairs) -> dict:
-        """sum(coeff * terms) over (coeff, terms) pairs, where terms maps
-        keys to coefficients and every coefficient is nonzero: the keys
-        whose sum is nonzero, with that sum."""
-        add, mul, is_zero = self.add, self.mul, self.is_zero
+        """sum(coeff * terms) over (coeff, terms) pairs, where terms is a
+        sparse vector {key: coefficient}; the one loop in linrew that sums
+        such vectors.  Contract:
+        - every pair coefficient and every term coefficient is nonzero;
+        - the result is a fresh dict holding the keys whose sum is
+          nonzero, with that sum, and no zero value;
+        - the order of its keys is not promised."""
+        add, mul, is_zero, one = self.add, self.mul, self.is_zero, self.one
         acc: dict = {}
         for coeff, terms in pairs:
+            unit = coeff == one
+            if unit and not acc:
+                acc.update(terms)
+                continue
             for t, c in terms.items():
+                if not unit:
+                    c = mul(coeff, c)
                 s = acc.get(t)
                 if s is None:
-                    acc[t] = mul(coeff, c)
+                    acc[t] = c
                     continue
-                s = add(s, mul(coeff, c))
+                s = add(s, c)
                 if is_zero(s):
                     del acc[t]
                 else:

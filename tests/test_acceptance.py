@@ -360,7 +360,7 @@ def test_a6_property_corpus():
         if not P.left_reduced or not P.homogeneous:
             continue
         cells = enumerate_chains(P, 4, 4)
-        cx = build_complex(P, cells, 3, 4)
+        cx = build_complex(P, cells)
         n_complexes += 1
         assert cx.check_dd_zero(), f"trial {trial}: d^2 != 0"
 

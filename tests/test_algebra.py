@@ -28,6 +28,28 @@ def poly_from(pairs):
 
 polys = st.lists(st.tuples(coeffs, words), min_size=0, max_size=5).map(poly_from)
 
+QA = ParameterField(("a",))
+FIELDS = {
+    "Q": (QQ, coeffs),
+    "GF7": (GF(7), st.integers(min_value=-9, max_value=9)),
+    "Qa": (QA, st.tuples(coeffs, coeffs).map(lambda t: f"({t[0]})*a + ({t[1]})")),
+}
+
+
+def polys_over(name, max_size):
+    """Polynomials over FIELDS[name]; sympy arithmetic costs milliseconds
+    an operation, so those over Q(a) have at most two terms."""
+    field, scalars = FIELDS[name]
+    max_size = min(max_size, 2) if field is QA else max_size
+    return st.lists(st.tuples(scalars, words), max_size=max_size).map(
+        lambda pairs: Q3.poly(field, [(c, Q3.monomial(w)) for c, w in pairs])
+    )
+
+
+def assert_no_zero_term(*fs):
+    for f in fs:
+        assert not any(f.field.is_zero(c) for c in f.terms.values()), f
+
 
 def test_free_quiver_shape():
     assert Q3.objects == ("*",)
@@ -52,20 +74,28 @@ def test_composition_boundaries():
         quiver.monomial(("f", "f"))
 
 
-@given(polys, polys, polys)
+@pytest.mark.parametrize("name", sorted(FIELDS))
 @settings(max_examples=50, deadline=None)
-def test_polynomial_module_laws(f, g, h):
+@given(data=st.data())
+def test_polynomial_module_laws(name, data):
+    field = FIELDS[name][0]
+    f, g, h = (data.draw(polys_over(name, 5)) for _ in range(3))
     assert (f + g) + h == f + (g + h)
     assert f + g == g + f
-    assert f - f == Q3.zero(QQ)
-    assert f.scale(Fraction(2)) == f + f
+    assert f - f == Q3.zero(field)
+    assert f - g == f + (-g)
+    assert f.scale(field.coerce(2)) == f + f
+    assert_no_zero_term(f + g, f - g, -f, (f + g) + h, f.scale(field.coerce(2)))
 
 
-@given(polys, polys, polys)
+@pytest.mark.parametrize("name", sorted(FIELDS))
 @settings(max_examples=50, deadline=None)
-def test_multiplication_distributes(f, g, h):
+@given(data=st.data())
+def test_multiplication_distributes(name, data):
+    f, g, h = (data.draw(polys_over(name, 4)) for _ in range(3))
     assert (f + g) * h == f * h + g * h
     assert f * (g + h) == f * g + f * h
+    assert_no_zero_term(f * h, (f + g) * h, f * (g + h))
 
 
 @given(polys, polys, polys)
@@ -127,19 +157,11 @@ def test_whisker():
     assert set(str(m) for m in g.terms) == {"z x y", "z^2"}
 
 
-QA = ParameterField(("a",))
-WHISKER_FIELDS = {
-    "Q": (QQ, coeffs),
-    "GF7": (GF(7), st.integers(min_value=-9, max_value=9)),
-    "Qa": (QA, st.tuples(coeffs, coeffs).map(lambda t: f"({t[0]})*a + ({t[1]})")),
-}
-
-
-@pytest.mark.parametrize("name", sorted(WHISKER_FIELDS))
+@pytest.mark.parametrize("name", sorted(FIELDS))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_whisker_is_product_with_contexts(name, data):
-    field, scalars = WHISKER_FIELDS[name]
+    field, scalars = FIELDS[name]
     f = data.draw(st.lists(st.tuples(scalars, words), max_size=4).map(
         lambda pairs: Q3.poly(field, [(c, Q3.monomial(w)) for c, w in pairs])
     ))
@@ -171,3 +193,14 @@ def test_whisker_boundary_mismatch():
             with pytest.raises(CompositionError):
                 monomial_poly(QQ, left or quiver.identity("o1")) * poly * monomial_poly(
                     QQ, right or quiver.identity("o2"))
+
+
+def test_sum_boundary_mismatch():
+    quiver = Quiver(["o1", "o2"], [Generator("f", "o1", "o2"), Generator("g", "o2", "o1")])
+    p = monomial_poly(QQ, quiver.monomial(("f",)))  # o1 -> o2
+    for q in (monomial_poly(QQ, quiver.monomial(("g",))), quiver.zero(QQ, "o2", "o1")):
+        for a, b in ((p, q), (q, p)):
+            with pytest.raises(CompositionError):
+                a + b
+            with pytest.raises(CompositionError):
+                a - b

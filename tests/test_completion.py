@@ -81,7 +81,9 @@ def test_completion_xy(sys_xy):
     assert len(added) == 1
     assert str(added[0].source) == "y x^2"
     assert added[0].target == make_poly(sys_xy.quiver, QQ, [(1, "xxx")])
-    assert done.certified_convergent and done.left_reduced and done.right_reduced
+    assert done.certified_convergent and done.left_reduced
+    # Right-reduced: every rule target is irreducible.
+    assert not any(done.is_reducible(m) for r in done.rules for m in r.target.terms)
 
 
 def test_completion_pp(sys_pp):

@@ -57,14 +57,14 @@ def test_rho2_walk_whole_word_only(pp_done):
 
 def test_complex_shape(pp_done):
     cells = enumerate_chains(pp_done, 5, 6)
-    cx = build_complex(pp_done, cells, 4, 6)
+    cx = build_complex(pp_done, cells)
     assert [len(cx.basis(k)) for k in range(5)] == [1, 3, 4, 4, 4]
     assert cx.check_dd_zero()
 
 
 def test_delta2_values(pp_done):
     cells = enumerate_chains(pp_done, 4, 6)
-    cx = build_complex(pp_done, cells, 4, 6)
+    cx = build_complex(pp_done, cells)
     by_word = {
         "".join(c.word.word): cx.delta[2][c.redexes]
         for c in cells
@@ -132,9 +132,9 @@ def test_hard_zeros_flagged(pp_done):
     assert table.get(3, 2)["kind"] == "hard-zero"
 
 
-def test_tor_agrees_mod_p(sys_pp):
-    F = GF(32003)
-    Q = sys_pp.quiver
+def over(P, F):
+    """P with its rule targets' coefficients carried into the field F."""
+    Q = P.quiver
     rules = [
         Rule(
             r.name,
@@ -146,9 +146,13 @@ def test_tor_agrees_mod_p(sys_pp):
                 target=r.target.target,
             ),
         )
-        for r in sys_pp.rules
+        for r in P.rules
     ]
-    Pm = Polygraph2(Q, F, rules, sys_pp.order)
+    return Polygraph2(Q, F, rules, P.order)
+
+
+def test_tor_agrees_mod_p(sys_pp):
+    Pm = over(sys_pp, GF(32003))
     done_q = complete(sys_pp, sys_pp.order)
     done_p = complete(Pm, Pm.order)
     tq = tor_table(done_q, 3, 5)
@@ -158,10 +162,13 @@ def test_tor_agrees_mod_p(sys_pp):
             assert tq.exact_dim(k, i) == tp.exact_dim(k, i)
 
 
-def test_collapse_preserves_tor(pp_done):
-    cells = enumerate_chains(pp_done, 5, 6)
-    cx = build_complex(pp_done, cells, 4, 6)
+@pytest.mark.parametrize("F", [QQ, GF(32003)], ids=["Q", "GF32003"])
+def test_collapse_preserves_tor(sys_pp, F):
+    P = over(sys_pp, F)
+    done = complete(P, P.order)
+    cx = build_complex(done, enumerate_chains(done, 5, 6))
     collapsed = collapse_saturate(cx)
+    assert collapsed.check_dd_zero()
     for k in range(3):
         for i in range(7):
             before = cx.kernel_dim(k, i) - cx.rank(k, i)
@@ -171,7 +178,7 @@ def test_collapse_preserves_tor(pp_done):
 
 def test_collapse_pair_hypothesis(pp_done):
     cells = enumerate_chains(pp_done, 4, 6)
-    cx = build_complex(pp_done, cells, 4, 6)
+    cx = build_complex(pp_done, cells)
     cell4 = next(c for c in cells if c.dim == 4 and c.degree == 4)
     col = cx.delta[3][cell4.redexes]
     gamma = next(iter(col))

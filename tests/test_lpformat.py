@@ -1,8 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
 
-from linrew import complete
+from linrew import cli, complete
 from linrew import lpformat
 from linrew.lpformat import LpError, parse, parse_file, print_polygraph
 
@@ -127,3 +128,42 @@ def test_comments_and_blanks():
         "rule r : x y -> y x\n"
     )
     assert len(P.rules) == 1
+
+
+GEN_XY = "field Q\ngenerators x y\n"
+RULE = "rule r : y x -> x y\n"
+MALFORMED = {
+    # name: (text, line of the bad directive)
+    "gf-no-prime": ("field GF\ngenerators x y\n" + RULE, 1),
+    "gf-not-prime": ("field GF(8)\ngenerators x y\n" + RULE, 1),
+    "duplicate-generator": ("field Q\ngenerators x x\n", 2),
+    "duplicate-generator-line": (GEN_XY + "generator y : * -> *\n", 3),
+    "duplicate-object": ("field Q\nobjects a a\n", 2),
+    "degree-0": ("field Q\ngenerator z : * -> * degree 0\n", 2),
+    "measure-weight": (GEN_XY + "measure letter y z\n" + RULE, 3),
+    "order-weight": (GEN_XY + "order weighted-deglex x:a < y\n" + RULE, 3),
+    "order-no-weights": (GEN_XY + "order weighted-deglex\n" + RULE, 3),
+    "order-negative-weight": (GEN_XY + "order weighted-deglex x:-1 < y:1\n" + RULE, 3),
+    "order-missing": (GEN_XY + "order deglex x\n" + RULE, 3),
+    "order-undeclared": (GEN_XY + "order elimination x < z\n" + RULE, 3),
+    "order-twice": (GEN_XY + "order deglex x < y < x\n" + RULE, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_line_is_an_lp_error(name):
+    text, line = MALFORMED[name]
+    with pytest.raises(LpError) as e:
+        parse(text)
+    assert e.value.line == line
+    assert str(e.value).startswith(f"line {line}, ")
+
+
+@pytest.mark.parametrize("command", [
+    ["check"], ["tor", "--kmax", "3", "--dmax", "4"], ["koszul"], ["hilbert", "--dmax", "3"],
+], ids=lambda argv: argv[0])
+def test_cli_malformed_order_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "bad.lp"
+    path.write_text(MALFORMED["order-missing"][0])
+    assert cli.main([command[0], str(path), *command[1:]]) == 2
+    assert json.loads(capsys.readouterr().err)["error"].startswith("line 3, ")

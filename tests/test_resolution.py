@@ -104,7 +104,7 @@ def _falsely_certified(sys_pp, pp_done):
 
 def test_generating_confluence_legs_agree(pp_done, sys_pp):
     cells = enumerate_chains(pp_done, 3, 6)
-    cx = build_complex(pp_done, cells, 3, 6)
+    cx = build_complex(pp_done, cells)
     names = {r.name for r in pp_done.rules}
     for c in cells:
         if c.dim == 3:
@@ -123,13 +123,13 @@ def test_build_complex_checks_legs_of_pruned_chains(pp_done, sys_pp):
     P = _falsely_certified(sys_pp, pp_done)
     assert {r.degree for r in P.rules} == {2}
     with pytest.raises(RewriteError, match="legs disagree on y z y"):
-        build_complex(P, enumerate_chains(P, 3, 3), 3, 3)
+        build_complex(P, enumerate_chains(P, 3, 3))
 
 
 def test_boundary4_instances(pp_done):
     cells = enumerate_chains(pp_done, 4, 6)
     keys3 = {c.redexes for c in cells if c.dim == 3}
-    cx = build_complex(pp_done, cells, 4, 6)
+    cx = build_complex(pp_done, cells)
     cols = {c.redexes: boundary4(c, pp_done) for c in cells if c.dim == 4}
     assert any(cols.values())
     for key, col in cols.items():
@@ -174,7 +174,7 @@ def test_delta_columns_unchanged(group):
     systems, dmax, n_columns, digest = DELTA_CASES[group]
     cols = []
     for P in systems():
-        cx = build_complex(P, enumerate_chains(P, 4, dmax), 3, dmax)
+        cx = build_complex(P, enumerate_chains(P, 4, dmax))
         cols.append(sorted(
             (k, repr(cell), sorted((repr(r), str(c)) for r, c in col.items()))
             for k in (2, 3) for cell, col in cx.delta[k].items()
@@ -230,7 +230,7 @@ def test_pruned_columns_equal_direct_calls(group):
     for P in systems():
         assert P.homogeneous
         cells = enumerate_chains(P, 4, dmax)
-        cx = build_complex(P, cells, 4, dmax)
+        cx = build_complex(P, cells)
         assert {k: cx.delta[k] for k in (2, 3)} == _direct_columns(P, cells)
         pruned += len(_prunable(cells))
     assert pruned
@@ -241,7 +241,7 @@ def test_build_complex_walks_no_empty_degree_on_skew(monkeypatch):
     cells = enumerate_chains(P, 5, 5)
     confluences = _counting(monkeypatch, "generating_confluence")
     boundaries = _counting(monkeypatch, "boundary4")
-    cx = build_complex(P, cells, 4, 5)
+    cx = build_complex(P, cells)
     assert len(cx.delta[2]) == 20 and len(cx.delta[3]) == 15
     assert confluences == boundaries == []
 
@@ -262,7 +262,7 @@ def test_build_complex_walks_every_column_when_inhomogeneous(monkeypatch):
     cells = enumerate_chains(P, 4, 6)
     confluences = _counting(monkeypatch, "generating_confluence")
     boundaries = _counting(monkeypatch, "boundary4")
-    cx = build_complex(P, cells, 4, 6)
+    cx = build_complex(P, cells)
     assert confluences == [c for c in cells if c.dim == 3]
     assert boundaries == [c for c in cells if c.dim == 4]
     assert {k: cx.delta[k] for k in (2, 3)} == _direct_columns(P, cells)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from linrew import (
     Generator,
@@ -186,6 +186,26 @@ def test_standard_basis_matches_brute_force(P):
         assert basis.words[d] == [m.word for m in brute]
         assert basis.text[d] == [str(m) for m in brute]
     assert basis.counts() == {d: len(basis.by_degree[d]) for d in range(7)}
+
+
+def _free_system(*sources):
+    Q = Quiver.free("xy")
+    return Polygraph2(Q, QQ, [Rule(f"r{k}", Q.monomial(w), Q.zero(QQ)) for k, w in enumerate(sources)])
+
+
+@given(monomial_systems())
+@example(_free_system("xy", "xy"))  # equal sources
+@example(_free_system("xyx", "y"))  # a nested source
+@example(_free_system("xy", "yx"))  # overlapping sources only
+@settings(max_examples=100, deadline=None)
+def test_left_reduced_is_the_pairwise_definition(P):
+    pairwise = not any(
+        r.source.factor_positions(other.source.word)
+        for i, r in enumerate(P.rules)
+        for j, other in enumerate(P.rules)
+        if i != j
+    )
+    assert P.left_reduced == pairwise
 
 
 def test_standard_basis_builds_no_monomials(monkeypatch):

@@ -76,3 +76,13 @@ def test_rational_linear_combination_cancels():
     got = QQ.linear_combination([(Fraction(1), x), (Fraction(2), y), (Fraction(-1, 2), {"y": Fraction(4)})])
     assert got == {"z": Fraction(1, 2)}
     assert QQ.linear_combination([(Fraction(3, 4), x), (Fraction(-3, 4), x)]) == {}
+
+
+@pytest.mark.parametrize("F", [QQ, GF(7)], ids=str)
+def test_linear_combination_returns_a_fresh_dict(F):
+    # ReducedComplex.collapse edits columns in place, so no result may be
+    # a dict that a caller (such as the walk memo) still holds.
+    terms = {"x": F.one, "y": F.coerce(3)}
+    for pairs in ([(F.one, terms)], [(F.one, {}), (F.one, terms)]):
+        got = F.linear_combination(pairs)
+        assert got == terms and got is not terms
