@@ -232,7 +232,7 @@ def parse(text: str):
                 ctx.gf = None
             elif spec.startswith("GF"):
                 digits = spec[2:].strip("()")
-                if not digits.isdigit():
+                if not digits.isdecimal():
                     raise LpError(f"field {spec!r} needs a prime, as in GF(32003)", lineno, 7)
                 try:
                     ctx.gf = GF(int(digits))

@@ -92,7 +92,7 @@ def test_polynomial_module_laws(name, data):
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_multiplication_distributes(name, data):
-    f, g, h = (data.draw(polys_over(name, 4)) for _ in range(3))
+    f, g, h = (data.draw(polys_over(name, 5)) for _ in range(3))
     assert (f + g) * h == f * h + g * h
     assert f * (g + h) == f * g + f * h
     assert_no_zero_term(f * h, (f + g) * h, f * (g + h))

@@ -136,6 +136,7 @@ MALFORMED = {
     # name: (text, line of the bad directive)
     "gf-no-prime": ("field GF\ngenerators x y\n" + RULE, 1),
     "gf-not-prime": ("field GF(8)\ngenerators x y\n" + RULE, 1),
+    "gf-superscript": ("field GF(\u00b2)\ngenerators x y\n" + RULE, 1),
     "duplicate-generator": ("field Q\ngenerators x x\n", 2),
     "duplicate-generator-line": (GEN_XY + "generator y : * -> *\n", 3),
     "duplicate-object": ("field Q\nobjects a a\n", 2),
