@@ -8,7 +8,7 @@ immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .scalars import Field
@@ -111,15 +111,33 @@ def _boundary_or_default(quiver: Quiver, source, target):
     return source, target
 
 
-@total_ordering
-@dataclass(frozen=True)
-class Monomial:
-    """A path in the quiver: a composable word of generator names."""
+class Monomial(tuple):
+    """A path in the quiver: a composable word of generator names.
 
-    word: tuple[str, ...]
-    source: str
-    target: str
-    degree: int
+    A Monomial is the tuple (degree, source, target, word), so equality,
+    hashing and the canonical (order-independent) sort used for
+    deterministic storage are plain tuple operations.  Semantic
+    comparisons go through MonomialOrder.  Its length as a tuple is
+    always 4; the weight is len(m.word)."""
+
+    __slots__ = ()
+
+    def __new__(cls, word: tuple[str, ...], source: str, target: str, degree: int):
+        return tuple.__new__(cls, (degree, source, target, word))
+
+    degree = property(itemgetter(0))
+    source = property(itemgetter(1))
+    target = property(itemgetter(2))
+    word = property(itemgetter(3))
+
+    def __getnewargs__(self):
+        return self.word, self.source, self.target, self.degree
+
+    def __repr__(self):
+        return (
+            f"Monomial(word={self.word!r}, source={self.source!r}, "
+            f"target={self.target!r}, degree={self.degree!r})"
+        )
 
     @property
     def weight(self) -> int:
@@ -158,16 +176,6 @@ class Monomial:
                 prev, run = letter, 1
         out.append(prev if run == 1 else f"{prev}^{run}")
         return " ".join(out)
-
-    def __lt__(self, other):
-        # Canonical (order-independent) word order, used for deterministic
-        # storage; semantic comparisons go through MonomialOrder.
-        return (self.degree, self.source, self.target, self.word) < (
-            other.degree,
-            other.source,
-            other.target,
-            other.word,
-        )
 
 
 class Polynomial:

@@ -17,7 +17,10 @@ Line-oriented format; ``#`` starts a comment.  Directives:
     rule g : x y z -> x x x + y y y + z z z
     certified convergent   # revalidated on load
 
-Words are space-separated generator names; ``x^3`` expands to ``x x x``.
+A generator written without a boundary runs from ``*`` to ``*``, and ``*``
+stands for the first object; any other boundary must name a declared
+object.  Words are space-separated generator names; ``x^3`` expands to
+``x x x``.
 Coefficients are integers, fractions, or parenthesized expressions in the
 declared parameters.
 """
@@ -203,6 +206,7 @@ def parse(text: str):
     ctx = _FieldContext()
     objects: Optional[list[str]] = None
     generators: list[Generator] = []
+    generator_lines: list[int] = []
     order: Optional[MonomialOrder] = None
     measure_letters: list[tuple[str, int]] = []
     measure_patterns: list[tuple[tuple[str, ...], int]] = []
@@ -219,6 +223,7 @@ def parse(text: str):
             generators.append(Generator(name, src, tgt, degree))
         except ValueError as e:
             raise LpError(str(e), lineno, 1)
+        generator_lines.append(lineno)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         lstr = raw.split("#", 1)[0].rstrip()
@@ -347,14 +352,17 @@ def parse(text: str):
     field = ctx.build()
     if objects is None:
         objects = ["*"]
-    if objects != ["*"]:
-        fixed = []
-        for g in generators:
-            src = g.source if g.source in objects else objects[0]
-            tgt = g.target if g.target in objects else objects[0]
-            fixed.append(Generator(g.name, src, tgt, g.degree))
-        generators = fixed
-    quiver = Quiver(objects, generators)
+    fixed = []
+    for g, lineno in zip(generators, generator_lines):
+        bounds = []
+        for obj in (g.source, g.target):
+            if obj not in objects:
+                if obj != "*":
+                    raise LpError(f"generator {g.name!r} names undeclared object {obj!r}", lineno, 1)
+                obj = objects[0]  # no boundary written: the first object
+            bounds.append(obj)
+        fixed.append(Generator(g.name, *bounds, g.degree))
+    quiver = Quiver(objects, fixed)
 
     rules = []
     seen_names = set()

@@ -76,44 +76,35 @@ class Rule:
 
 
 class _Automaton:
-    """Aho-Corasick factor matcher over the rule sources."""
+    """Aho-Corasick factor matcher over the rule sources.  The failure links
+    are folded into a full transition table, so each letter read costs one
+    dict lookup; out[state] lists the rules whose sources end there."""
 
     def __init__(self, rules: list[Rule]):
-        self.goto: list[dict[str, int]] = [{}]
-        self.fail: list[int] = [0]
+        goto: list[dict[str, int]] = [{}]
         self.out: list[list[int]] = [[]]
         for idx, rule in enumerate(rules):
             state = 0
             for letter in rule.source.word:
-                nxt = self.goto[state].get(letter)
+                nxt = goto[state].get(letter)
                 if nxt is None:
-                    nxt = len(self.goto)
-                    self.goto[state][letter] = nxt
-                    self.goto.append({})
-                    self.fail.append(0)
+                    nxt = goto[state][letter] = len(goto)
+                    goto.append({})
                     self.out.append([])
                 state = nxt
             self.out[state].append(idx)
-        queue = deque()
-        for s in self.goto[0].values():
-            queue.append(s)
+        # Breadth first: a state's failure state is shallower, so its row
+        # and its matches are complete when the state is reached.
+        self.delta: list[dict[str, int]] = [goto[0]] * len(goto)
+        queue = deque((t, 0) for t in goto[0].values())  # (state, failure state)
         while queue:
-            s = queue.popleft()
-            for letter, t in self.goto[s].items():
-                queue.append(t)
-                f = self.fail[s]
-                while f and letter not in self.goto[f]:
-                    f = self.fail[f]
-                self.fail[t] = self.goto[f].get(letter, 0) if self.goto[f].get(letter, 0) != t else 0
-                self.out[t] = self.out[t] + self.out[self.fail[t]]
+            s, f = queue.popleft()
+            self.delta[s] = {**self.delta[f], **goto[s]}
+            self.out[s] = self.out[s] + self.out[f]
+            queue.extend((t, self.delta[f].get(letter, 0)) for letter, t in goto[s].items())
 
     def step(self, state: int, letter: str) -> int:
-        while state and letter not in self.goto[state]:
-            state = self.fail[state]
-        return self.goto[state].get(letter, 0)
-
-    def matches_ending_at(self, state: int) -> list[int]:
-        return self.out[state]
+        return self.delta[state].get(letter, 0)
 
 
 @dataclass(frozen=True)
@@ -180,6 +171,7 @@ class Polygraph2:
         self.termination_certificate = None
         self.convergence_certificate = None
         self._automaton = _Automaton(self.rules)
+        self._source_weights = [r.source.weight for r in self.rules]
         # The rightmost rewriting DAG, one node per visited monomial:
         # (normal form, rightmost step, (coefficient, node) per term of the
         # step's reduct), or (m, None, ()) when m is irreducible.  Every node
@@ -212,29 +204,51 @@ class Polygraph2:
         state = 0
         for i, letter in enumerate(m.word):
             state = self._automaton.step(state, letter)
-            for idx in self._automaton.matches_ending_at(state):
-                start = i + 1 - len(self.rules[idx].source.word)
-                found.append((idx, start))
+            for idx in self._automaton.out[state]:
+                found.append((idx, i + 1 - self._source_weights[idx]))
         found.sort(key=lambda t: (t[1], t[0]))
         return found
 
+    def rightmost_occurrence(self, m: Monomial) -> tuple[int, int] | None:
+        """The (rule index, start) occurrence of a rule source in m with the
+        latest start, ties broken by lowest rule index (only possible on
+        non-left-reduced systems), or None when m is irreducible: one walk
+        of the automaton."""
+        delta, out, weights = self._automaton.delta, self._automaton.out, self._source_weights
+        best = None
+        state = 0
+        for end, letter in enumerate(m.word, 1):
+            state = delta[state].get(letter, 0)
+            for idx in out[state]:
+                start = end - weights[idx]
+                if best is None or start > best[1] or (start == best[1] and idx < best[0]):
+                    best = idx, start
+        return best
+
     def is_reducible(self, m: Monomial) -> bool:
+        delta, out = self._automaton.delta, self._automaton.out
         state = 0
         for letter in m.word:
-            state = self._automaton.step(state, letter)
-            if self._automaton.matches_ending_at(state):
+            state = delta[state].get(letter, 0)
+            if out[state]:
                 return True
         return False
 
     def contexts(self, m: Monomial, rule_idx: int, start: int) -> tuple[Monomial, Monomial]:
-        rule = self.rules[rule_idx]
-        k = len(rule.source.word)
-        left = self.quiver.monomial(m.word[:start], at=m.source)
-        right_word = m.word[start + k :]
-        if right_word:
-            right = self.quiver.monomial(right_word)
-        else:
-            right = self.quiver.identity(m.target)
+        """The left and right contexts of the occurrence (rule index, start)
+        in m, sliced from m.word: slices of a composable word are
+        composable, so only their degrees are computed."""
+        source, gens = self.rules[rule_idx].source, self.quiver.generators
+        word = m.word
+        left_word = word[:start]
+        left_degree = sum(gens[g].degree for g in left_word)
+        left = Monomial(left_word, m.source, source.source, left_degree)
+        right = Monomial(
+            word[start + len(source.word) :],
+            source.target,
+            m.target,
+            m.degree - left_degree - source.degree,
+        )
         return left, right
 
 
@@ -252,13 +266,11 @@ def find_redexes(f: Polynomial, P: Polygraph2) -> list[RewriteStep]:
 
 
 def rightmost_redex(m: Monomial, P: Polygraph2) -> tuple[int, int]:
-    """(rule index, start) of the occurrence in m with the latest start (ties
-    broken by lowest rule index; only possible on non-left-reduced systems)."""
-    occ = P.occurrences(m)
-    if not occ:
+    """P.rightmost_occurrence(m); NoStepError when m is irreducible."""
+    found = P.rightmost_occurrence(m)
+    if found is None:
         raise NoStepError(f"{m} is irreducible")
-    best_start = max(start for _, start in occ)
-    return min(i for i, start in occ if start == best_start), best_start
+    return found
 
 
 def rightmost_step(m: Monomial, P: Polygraph2) -> RewriteStep:
@@ -420,7 +432,7 @@ def standard_basis(P: Polygraph2, dmax: int) -> StandardBasis:
                     (g.name, g.degree, g.target, nstate)
                     for g in gens
                     if g.source == obj
-                    and not auto.matches_ending_at(nstate := auto.step(state, g.name))
+                    and not auto.out[nstate := auto.step(state, g.name)]
                 ]
             for name, gdeg, target, nstate in out:
                 d = degree + gdeg

@@ -200,7 +200,8 @@ class ParameterField(Field):
     """Rational functions in named parameters over Q, via sympy.
 
     Elements are sympy expressions normalized with ``cancel`` so equality is
-    decidable.  Division is only allowed by expressions whose non-constant
+    decidable: every operation returns a cancelled value, so the inherited
+    zero test ``a == zero`` is exact.  Division is only allowed by expressions whose non-constant
     factors all belong to the declared non-vanishing set.
     """
 
@@ -263,9 +264,6 @@ class ParameterField(Field):
         if self.is_zero(a):
             raise FieldError("division by zero")
         return self._canon(1 / a)
-
-    def is_zero(self, a) -> bool:
-        return self._canon(a) == 0
 
     def coerce(self, x):
         if isinstance(x, Fraction):

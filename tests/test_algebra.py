@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from linrew import (
     GF,
     CompositionError,
     Generator,
+    Monomial,
     MonomialOrder,
     ParameterField,
     QQ,
@@ -72,6 +74,43 @@ def test_composition_boundaries():
     assert (fg.source, fg.target) == ("o1", "o1")
     with pytest.raises(CompositionError):
         quiver.monomial(("f", "f"))
+
+
+# (word, source, target, degree): the constructor's argument order.
+monomial_fields = st.tuples(
+    words, st.sampled_from(["o1", "o2"]), st.sampled_from(["o1", "o2"]), st.integers(0, 6)
+)
+
+
+@given(st.lists(monomial_fields, max_size=8))
+def test_monomials_sort_by_degree_source_target_word(fields):
+    got = [(m.degree, m.source, m.target, m.word) for m in sorted(Monomial(*f) for f in fields)]
+    assert got == sorted((d, s, t, w) for w, s, t, d in fields)
+
+
+@given(monomial_fields, monomial_fields)
+def test_monomial_equality_and_hash(a, b):
+    m = Monomial(*a)
+    assert (m.word, m.source, m.target, m.degree) == a
+    assert m == Monomial(*a) and hash(m) == hash(Monomial(*a))
+    assert (m == Monomial(*b)) == (a == b)
+    assert pickle.loads(pickle.dumps(m)) == m
+
+
+def test_identities_on_different_objects_are_distinct_keys():
+    quiver = Quiver(["o1", "o2"], [Generator("f", "o1", "o2")])
+    one1, one2 = quiver.identity("o1"), quiver.identity("o2")
+    assert one1 != one2 and one1.word == one2.word == ()
+    table = {one1: "o1", one2: "o2"}
+    assert table[quiver.monomial((), at="o1")] == "o1"
+    assert table[Monomial((), "o2", "o2", 0)] == "o2"
+
+
+@given(words)
+def test_weight_is_the_word_length(w):
+    m = Q3.monomial(w)
+    assert m.weight == len(m.word) == len(w)
+    assert len(m) == 4  # a Monomial is a 4-tuple whatever its weight
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))

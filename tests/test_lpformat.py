@@ -148,6 +148,11 @@ MALFORMED = {
     "order-missing": (GEN_XY + "order deglex x\n" + RULE, 3),
     "order-undeclared": (GEN_XY + "order elimination x < z\n" + RULE, 3),
     "order-twice": (GEN_XY + "order deglex x < y < x\n" + RULE, 3),
+    "undeclared-object": (
+        "field Q\nobjects a b\ngenerator f : a -> c\ngenerator g : b -> a\n"
+        "rule r : f g -> f g f g\n", 3,
+    ),
+    "undeclared-object-no-objects-line": (GEN_XY + "generator f : a -> b\n", 3),
 }
 
 

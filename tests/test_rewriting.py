@@ -66,6 +66,69 @@ def test_occurrences_overlapping(sys_ab):
     assert sys_ab.occurrences(m2) == [(0, 0), (0, 2)]
 
 
+SEARCH_QUIVERS = {
+    "one-object-degree-2": Quiver.free("xy", {"y": 2}),
+    "two-objects": Quiver(
+        ["o1", "o2"],
+        [Generator("f", "o1", "o2"), Generator("g", "o2", "o1"), Generator("h", "o1", "o1", 2)],
+    ),
+}
+
+
+@st.composite
+def paths(draw, quiver, min_size, max_size):
+    """A composable word of the quiver, as a Monomial."""
+    start = obj = draw(st.sampled_from(quiver.objects))
+    word = []
+    for _ in range(draw(st.integers(min_size, max_size))):
+        g = draw(st.sampled_from([g for g in quiver.generators.values() if g.source == obj]))
+        word.append(g.name)
+        obj = g.target
+    return quiver.monomial(word, at=start)
+
+
+def monomial_rules(quiver, sources):
+    return [Rule(f"r{i}", s, quiver.zero(QQ, s.source, s.target)) for i, s in enumerate(sources)]
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_QUIVERS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_one_walk_search_and_sliced_contexts(name, data):
+    """The one-walk rightmost search is the latest-start, lowest-index
+    occurrence, and contexts sliced from the word are the monomials that
+    Quiver.monomial validates from the same slices."""
+    quiver = SEARCH_QUIVERS[name]
+    sources = data.draw(st.lists(paths(quiver, 1, 3), min_size=1, max_size=4))
+    if data.draw(st.booleans()):  # a factor of a source: not left-reduced
+        w = sources[0].word
+        i = data.draw(st.integers(0, len(w) - 1))
+        j = data.draw(st.integers(i + 1, len(w)))
+        sources.append(quiver.monomial(w[i:j]))
+    P = Polygraph2(quiver, QQ, monomial_rules(quiver, data.draw(st.permutations(sources))))
+    m = data.draw(paths(quiver, 0, 8))
+    occ = P.occurrences(m)
+    expected = max(occ, key=lambda o: (o[1], -o[0])) if occ else None
+    assert P.rightmost_occurrence(m) == expected
+    for idx, start in occ:
+        source = P.rules[idx].source
+        end = start + source.weight
+        assert P.contexts(m, idx, start) == (
+            quiver.monomial(m.word[:start], at=m.source),
+            quiver.monomial(m.word[end:], at=source.target),
+        )
+
+
+def test_rightmost_occurrence_ties_go_to_the_lowest_rule_index():
+    Q = Quiver.free("xy")
+    xy = Q.monomial(("x", "y"))
+    for sources, expected in (([xy, Q.monomial(("x",))], (0, 0)), ([Q.monomial(("x",)), xy], (0, 0))):
+        P = Polygraph2(Q, QQ, monomial_rules(Q, sources))
+        assert not P.left_reduced
+        assert P.rightmost_occurrence(xy) == expected
+    assert P.rightmost_occurrence(Q.monomial(("y", "y"))) is None
+
+
 def test_step_soundness(sys_ab):
     Q = sys_ab.quiver
     f = make_poly(Q, QQ, [(2, "bab")])

@@ -50,6 +50,21 @@ def test_parameter_field_canonical_equality():
     assert F.is_zero(F.sub(left, a))
 
 
+def test_parameter_linear_combination_drops_a_sum_that_cancels():
+    # The zero test is plain equality, so each sum must come back cancelled:
+    # a/(a+1) + 1/(a+1) - 1 and a * (1/a) - 1 vanish only after cancel.
+    F = ParameterField(("a",), ("a",))
+    a = F.symbols["a"]
+    pairs = [
+        (F.one, {"x": F.coerce("a/(a+1)"), "y": F.one}),
+        (F.one, {"x": F.coerce("1/(a+1)"), "y": a}),
+        (F.coerce(-1), {"x": F.one}),
+        (a, {"z": F.inv(a)}),
+        (F.coerce(-1), {"z": F.one}),
+    ]
+    assert F.linear_combination(pairs) == {"y": F.coerce("a + 1")}
+
+
 nonzero = st.builds(Fraction, st.integers(-20, 20).filter(bool), st.integers(1, 12))
 term_maps = st.dictionaries(st.sampled_from("abcde"), nonzero, max_size=4)
 
