@@ -201,8 +201,9 @@ class ParameterField(Field):
 
     Elements are sympy expressions normalized with ``cancel`` so equality is
     decidable: every operation returns a cancelled value, so the inherited
-    zero test ``a == zero`` is exact.  Division is only allowed by expressions whose non-constant
-    factors all belong to the declared non-vanishing set.
+    zero test ``a == zero`` is exact.  Division is only allowed by
+    expressions whose non-constant factors all belong to the declared
+    non-vanishing set.
     """
 
     def __init__(self, params: tuple[str, ...], nonvanishing: tuple[str, ...] = ()):
