@@ -20,10 +20,7 @@ from .rewriting import (
     Rule,
     StepBudgetExceeded,
     Trace,
-    find_redexes,
     ideal_member,
-    leftmost_step,
-    monomialize,
     nf,
     normal_form,
     pbw_check,
@@ -38,12 +35,8 @@ from .completion import (
     TerminationCertificate,
     certify_termination,
     check_confluence,
-    classify_branching,
     complete,
     enumerate_critical_branchings,
-    groebner_view,
-    interreduce,
-    local_branchings,
     orient,
     s_polynomial,
 )

@@ -209,9 +209,6 @@ class Polynomial:
         """Reduced expression: (coefficient, monomial) pairs, canonically sorted."""
         return [(self.terms[m], m) for m in self.monomials]
 
-    def coefficient(self, m: Monomial):
-        return self.terms.get(m, self.field.zero)
-
     def _plus(self, other: "Polynomial", coeff) -> "Polynomial":
         """self + coeff * other, for a nonzero coeff."""
         if (self.source, self.target) != (other.source, other.target):

@@ -11,6 +11,7 @@ import json
 import sys
 
 from . import lpformat
+from .algebra import monomial_poly
 from .completion import (
     DEFAULT_MAX_DEGREE,
     DEFAULT_MAX_RULES,
@@ -125,8 +126,6 @@ def _cmd_nf(args, P, meta, doc) -> int:
     word = lpformat._expand_word(lpformat._tokens_with_cols(args.term), 0, quiver)
     if not word:
         raise LpError("--term needs a nonempty word")
-    from .algebra import monomial_poly
-
     m = quiver.monomial(word)
     try:
         result = nf(monomial_poly(P.field, m), P)
@@ -360,7 +359,7 @@ def main(argv=None) -> int:
         doc.update(u.report)
         _emit(doc)
         return EXIT_UNCERTIFIED
-    except (LpError, FileNotFoundError, RewriteError) as e:
+    except (LpError, OSError, UnicodeDecodeError, RewriteError) as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)
         uncertified = (CompletionBoundExceeded, NotCertifiedError, StepBudgetExceeded)
         return EXIT_UNCERTIFIED if isinstance(e, uncertified) else EXIT_INPUT

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .algebra import Monomial, MonomialOrder, Polynomial, monomial_poly
+from .algebra import Monomial, MonomialOrder, Polynomial, leading_data, monomial_poly
 from .rewriting import (
     NotCertifiedError,
     Polygraph2,
@@ -17,7 +17,6 @@ from .rewriting import (
     RewriteStep,
     Rule,
     all_words,
-    find_redexes,
     nf,
 )
 
@@ -67,13 +66,12 @@ class TerminationCertificate:
 
 @dataclass(frozen=True)
 class Branching:
-    """Two rewriting steps out of the same source."""
+    """A critical branching: two rewriting steps out of the same source."""
 
     word: Monomial
     step1: RewriteStep
     step2: RewriteStep
-    classification: str  # aspherical | Peiffer | additive-Peiffer | overlapping | critical
-    positions: tuple[int, int] = (0, 0)
+    positions: tuple[int, int]
 
     @property
     def rules(self) -> tuple[Rule, Rule]:
@@ -142,29 +140,6 @@ def certify_termination(P: Polygraph2, hint=None) -> TerminationCertificate:
     )
 
 
-def classify_branching(f: Polynomial, a: RewriteStep, b: RewriteStep) -> str:
-    """Classification of a local branching (a, b) on f."""
-    if a == b:
-        return "aspherical"
-    if a.redex != b.redex:
-        return "additive-Peiffer"
-    pa, pb = a.left.weight, b.left.weight
-    ea, eb = pa + a.rule.source.weight, pb + b.rule.source.weight
-    if ea <= pb or eb <= pa:
-        return "Peiffer"
-    return "overlapping"
-
-
-def local_branchings(f: Polynomial, P: Polygraph2) -> list[Branching]:
-    steps = find_redexes(f, P)
-    out = []
-    for a, b in itertools.combinations(steps, 2):
-        cls = classify_branching(f, a, b)
-        lm = a.redex
-        out.append(Branching(lm, a, b, cls, (a.left.weight, b.left.weight)))
-    return out
-
-
 def enumerate_critical_branchings(P: Polygraph2) -> list[Branching]:
     """One branching per proper overlap of two rule sources (nonempty proper
     suffix of source(r1) = prefix of source(r2)); on non-left-reduced systems
@@ -186,7 +161,7 @@ def enumerate_critical_branchings(P: Polygraph2) -> list[Branching]:
                 left1, right1 = P.contexts(word, i, 0)
                 step1 = RewriteStep(field.one, left1, r1, right1)
                 step2 = RewriteStep(field.one, left2, r2, right2)
-                found.append(Branching(word, step1, step2, "critical", (0, start2)))
+                found.append(Branching(word, step1, step2, (0, start2)))
             if not P.left_reduced and i != j and len(w2) <= len(w1):
                 for start2 in r1.source.factor_positions(w2):
                     if start2 == 0 and len(w2) == len(w1):
@@ -196,15 +171,13 @@ def enumerate_critical_branchings(P: Polygraph2) -> list[Branching]:
                     step1 = RewriteStep(field.one, P.quiver.identity(word.source), r1,
                                         P.quiver.identity(word.target))
                     step2 = RewriteStep(field.one, left2, r2, right2)
-                    found.append(Branching(word, step1, step2, "critical", (0, start2)))
+                    found.append(Branching(word, step1, step2, (0, start2)))
             out.extend(sorted(found, key=lambda b: b.word.weight))
     return out
 
 
 def s_polynomial(b: Branching) -> Polynomial:
     """t1(leftmost leg) - t1(rightmost leg) of a critical branching."""
-    if b.classification != "critical":
-        raise RewriteError("S-polynomial is only defined for critical branchings")
     leg1, leg2 = b.legs
     return leg1 - leg2
 
@@ -251,8 +224,6 @@ def orient(f: Polynomial, order: MonomialOrder, name: str) -> Optional[Rule]:
     it raises NotCertifiedError."""
     if f.is_zero():
         return None
-    from .algebra import leading_data
-
     lm, lc, _ = leading_data(f, order)
     if lm.is_identity():
         raise NotCertifiedError(f"rule {name}: the ideal contains the nonzero scalar {f}")
@@ -383,26 +354,9 @@ def _unchanged_by(source: tuple, memo: dict) -> dict:
     return kept
 
 
-def interreduce(P: Polygraph2) -> Polygraph2:
+def _interreduce_rules(P: Polygraph2, order: MonomialOrder) -> Polygraph2:
     """Left- and right-reduce a terminating system (Tietze-equivalent,
     idempotent)."""
-    if not P.certified_terminating and P.order is None:
-        raise NotCertifiedError("interreduction requires a termination certificate or order")
-    order = P.order
-    if order is None and P.termination_certificate is not None:
-        order = P.termination_certificate.order
-    if order is None:
-        raise NotCertifiedError("interreduction needs an order-compatible certificate")
-    out = _interreduce_rules(P, order)
-    cert = certify_termination(out, order)
-    if cert.ok:
-        out.termination_certificate = cert
-    if P.convergence_certificate:
-        check_confluence(out)
-    return out
-
-
-def _interreduce_rules(P: Polygraph2, order: MonomialOrder) -> Polygraph2:
     rules = list(P.rules)
     changed = True
     while changed:
@@ -428,18 +382,3 @@ def _interreduce_rules(P: Polygraph2, order: MonomialOrder) -> Polygraph2:
     # relations share a source, so one of them was dropped above.
     return Polygraph2(P.quiver, P.field, rules, order)
 
-
-def groebner_view(P: Polygraph2, order: Optional[MonomialOrder] = None) -> list[Polynomial]:
-    """The set {source - target} per rule, with unit leading coefficients."""
-    if order is None:
-        order = P.order
-    out = []
-    for r in P.rules:
-        rel = r.relation()
-        if order is not None:
-            from .algebra import leading_data
-
-            _, lc, _ = leading_data(rel, order)
-            rel = rel.scale(P.field.generic_inv(lc))
-        out.append(rel)
-    return out

@@ -79,7 +79,7 @@ def row_reduce(rows, field: Field):
         r += 1
         if r == len(rows):
             break
-    return rows[:r] + rows[r:], pivots
+    return rows, pivots
 
 
 def rank(rows, field: Field) -> int:
@@ -90,11 +90,6 @@ def rank(rows, field: Field) -> int:
         return _rank_bareiss(_cleared_int_rows([[Fraction(x) for x in r] for r in rows]))
     _, pivots = row_reduce(rows, field)
     return len(pivots)
-
-
-def nullity(rows, ncols: int, field: Field) -> int:
-    """dim ker of the map sending basis vector i to rows[i] (rows = images)."""
-    return len(rows) - rank(rows, field) if rows else 0
 
 
 def solve_rows(rows, target, field: Field):
@@ -112,11 +107,3 @@ def solve_rows(rows, target, field: Field):
     for r, col in enumerate(pivots):
         sol[col] = reduced[r][n]
     return sol
-
-
-def in_span(vec, basis_rows, field: Field) -> bool:
-    if all(field.is_zero(x) for x in vec):
-        return True
-    if not basis_rows:
-        return False
-    return rank(list(basis_rows) + [list(vec)], field) == rank(basis_rows, field)

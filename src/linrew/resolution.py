@@ -33,13 +33,6 @@ class ChainCell:
     def degree(self) -> int:
         return self.word.degree
 
-    def parent_key(self) -> tuple:
-        """Key of the (dim-1)-chain obtained by dropping the last redex."""
-        if self.dim < 3:
-            raise RewriteError("no parent below dimension 3")
-        *init, (rule, start) = self.redexes
-        return tuple(init)
-
     def __str__(self):
         marks = ",".join(f"{r}@{s}" for r, s in self.redexes)
         return f"[{self.word}; {marks}]" if marks else f"[{self.word}]"

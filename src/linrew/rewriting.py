@@ -1,5 +1,5 @@
 """Rules, linear 2-polygraphs, rewriting steps with traces, normal forms,
-standard bases, monomialization, and PBW verification.
+standard bases and PBW verification.
 
 A rule is a monic oriented relation m => h with monomial source and
 polynomial target.  A rewriting step replaces one occurrence of a rule
@@ -115,10 +115,6 @@ class RewriteStep:
     left: Monomial
     rule: Rule
     right: Monomial
-
-    @property
-    def redex(self) -> Monomial:
-        return self.left * self.rule.source * self.right
 
     def delta(self) -> Polynomial:
         """lam * m1 (source - target) m2; applying the step subtracts this."""
@@ -255,16 +251,6 @@ class Polygraph2:
 # -- operations --------------------------------------------------------------
 
 
-def find_redexes(f: Polynomial, P: Polygraph2) -> list[RewriteStep]:
-    """One step per (term, occurrence, rule), deterministically ordered."""
-    steps = []
-    for coeff, m in f.items():
-        for idx, start in P.occurrences(m):
-            left, right = P.contexts(m, idx, start)
-            steps.append(RewriteStep(coeff, left, P.rules[idx], right))
-    return steps
-
-
 def rightmost_redex(m: Monomial, P: Polygraph2) -> tuple[int, int]:
     """P.rightmost_occurrence(m); NoStepError when m is irreducible."""
     found = P.rightmost_occurrence(m)
@@ -276,15 +262,6 @@ def rightmost_redex(m: Monomial, P: Polygraph2) -> tuple[int, int]:
 def rightmost_step(m: Monomial, P: Polygraph2) -> RewriteStep:
     """The step on m whose left context has maximal length."""
     idx, start = rightmost_redex(m, P)
-    left, right = P.contexts(m, idx, start)
-    return RewriteStep(P.field.one, left, P.rules[idx], right)
-
-
-def leftmost_step(m: Monomial, P: Polygraph2) -> RewriteStep:
-    occ = P.occurrences(m)
-    if not occ:
-        raise NoStepError(f"{m} is irreducible")
-    idx, start = occ[0]
     left, right = P.contexts(m, idx, start)
     return RewriteStep(P.field.one, left, P.rules[idx], right)
 
@@ -472,52 +449,11 @@ def all_words(quiver: Quiver, degree: int) -> list[Monomial]:
     return sorted(out)
 
 
-def monomialize(P: Polygraph2) -> Polygraph2:
-    rules = [
-        Rule(r.name, r.source, P.quiver.zero(P.field, r.source.source, r.source.target))
-        for r in P.rules
-    ]
-    return Polygraph2(P.quiver, P.field, rules, P.order)
-
-
-def words_up_to(quiver: Quiver, dmax: int) -> list[Monomial]:
-    out = []
-    for d in range(dmax + 1):
-        out.extend(all_words(quiver, d))
-    return out
-
-
 def _row(f: Polynomial, index: dict[Monomial, int], field: Field) -> list:
     row = [field.zero] * len(index)
     for m, c in f.terms.items():
         row[index[m]] = c
     return row
-
-
-def ideal_spanning(P: Polygraph2, dmax: int):
-    """All context embeddings u (source - target) v whose top monomial has
-    degree <= dmax, as rows over the basis of all words of degree <= dmax.
-    Returns (rows, index)."""
-    field = P.field
-    words = words_up_to(P.quiver, dmax)
-    index = {m: i for i, m in enumerate(words)}
-    contexts = words  # identity contexts included
-    rows = []
-    for rule in P.rules:
-        rel = rule.relation()
-        for u in contexts:
-            if u.target != rule.source.source or u.degree + rule.degree > dmax:
-                continue
-            for v in contexts:
-                if v.source != rule.source.target:
-                    continue
-                if u.degree + rule.source.degree + v.degree > dmax:
-                    continue
-                emb = rel.whisker(u, v)
-                if any(m.degree > dmax for m in emb.terms):
-                    continue
-                rows.append(_row(emb, index, field))
-    return rows, index
 
 
 def ideal_rows_in_degree(P: Polygraph2, degree: int):

@@ -23,9 +23,9 @@ from linrew import (
     standard_basis,
     tor_table,
 )
-from linrew.rewriting import ideal_spanning, words_up_to
 from linrew import monomial_poly
 
+from brute_force import ideal_spanning, words_up_to
 from conftest import corpus_seed, make_poly
 
 

@@ -319,6 +319,25 @@ def test_missing_file_exit_2(capsys, fixtures_dir):
     assert main(["check", str(fixtures_dir / "nope.lp")]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{D}"],
+        ["check", "{D}/latin1.lp"],
+        ["complete", "{F}", "-o", "{D}"],
+        ["tor", "{F}", "--kmax", "2", "--dmax", "3", "--json", "{D}"],
+    ],
+    ids=["check-dir", "check-not-utf8", "complete-output-dir", "tor-json-dir"],
+)
+def test_unreadable_or_unwritable_path_exit_2(capsys, fixtures_dir, tmp_path, argv):
+    (tmp_path / "latin1.lp").write_bytes("field Q\ngenerators x \xe9\n".encode("latin-1"))
+    code = main([a.format(F=fx(fixtures_dir, "xy.lp"), D=tmp_path) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]
+
+
 def test_bad_subcommand_exit_2(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -15,14 +15,12 @@ from linrew import (
     check_confluence,
     complete,
     enumerate_critical_branchings,
-    groebner_view,
-    interreduce,
-    local_branchings,
     lpformat,
     monomial_poly,
     orient,
     s_polynomial,
 )
+from linrew.completion import _interreduce_rules
 from linrew.rewriting import RewriteStep
 
 from conftest import FIXTURES, deglex_system, make_poly
@@ -56,15 +54,6 @@ def test_pattern_measure_counts_overlaps():
 def test_critical_branchings_xy(sys_xy):
     words = sorted(str(b.word) for b in enumerate_critical_branchings(sys_xy))
     assert words == ["x y^2", "y^3"]
-    for b in enumerate_critical_branchings(sys_xy):
-        assert b.classification == "critical"
-
-
-def test_classify_peiffer(sys_xy):
-    Q = sys_xy.quiver
-    w = monomial_poly(QQ, Q.monomial(tuple("xyyy")))
-    kinds = {b.classification for b in local_branchings(w, sys_xy)}
-    assert "Peiffer" in kinds
 
 
 def test_s_polynomial_sign(sys_xy):
@@ -118,15 +107,8 @@ def test_orient():
 
 def test_interreduce_idempotent(sys_xy):
     done = complete(sys_xy, sys_xy.order)
-    again = interreduce(done)
+    again = _interreduce_rules(done, done.order)
     assert [r.relation() for r in again.rules] == [r.relation() for r in done.rules]
-
-
-def test_groebner_view(sys_xy):
-    done = complete(sys_xy, sys_xy.order)
-    for g in groebner_view(done):
-        lead = done.order.max_monomial(g)
-        assert g.terms[lead] == QQ.one
 
 
 def test_confluence_requires_certificate(sys_xy):

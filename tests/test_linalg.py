@@ -28,18 +28,6 @@ def test_solve_rows():
     assert linalg.solve_rows(rows, frows([[0, 0, 1]])[0], QQ) is None
 
 
-def test_in_span():
-    rows = frows([[1, 1, 0], [0, 0, 1]])
-    assert linalg.in_span(frows([[2, 2, 3]])[0], rows, QQ)
-    assert not linalg.in_span(frows([[1, 0, 0]])[0], rows, QQ)
-    assert linalg.in_span([Fraction(0)] * 3, [], QQ)
-
-
-def test_nullity():
-    rows = frows([[1, 2], [2, 4], [0, 0]])
-    assert linalg.nullity(rows, 2, QQ) == 2
-
-
 matrices = st.lists(
     st.lists(st.integers(min_value=-5, max_value=5), min_size=3, max_size=3),
     min_size=1,

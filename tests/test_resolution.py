@@ -82,7 +82,7 @@ def test_parent_key(pp_done):
     keys3 = {c.redexes for c in cells if c.dim == 3}
     for c in cells:
         if c.dim == 4:
-            assert c.parent_key() in keys3
+            assert c.redexes[:-1] in keys3
 
 
 def test_cell_degrees_concentration(pp_done):
