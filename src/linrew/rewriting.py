@@ -347,17 +347,22 @@ def ideal_member(f: Polynomial, P: Polygraph2) -> bool:
 
 @dataclass
 class StandardBasis:
-    """Irreducible words per internal degree, in canonical order, with their
-    text (the ``str`` of their Monomial); counts give the Hilbert function
-    of the presented algebra when the system is convergent.  Degree 0 holds
-    one empty word per object, in object order."""
+    """Irreducible words per internal degree, in canonical order, as text
+    (the ``str`` of their Monomial); counts give the Hilbert function of the
+    presented algebra when the system is convergent.  Degree 0 holds one
+    empty word per object, in object order."""
 
     quiver: Quiver
-    words: dict[int, list[tuple[str, ...]]]
     text: dict[int, list[str]]
 
     def counts(self) -> dict[int, int]:
-        return {d: len(ws) for d, ws in sorted(self.words.items())}
+        return {d: len(ts) for d, ts in sorted(self.text.items())}
+
+    @cached_property
+    def words(self) -> dict[int, list[tuple[str, ...]]]:
+        """The words as tuples of generator names, read back from their
+        text on first access."""
+        return {d: [_read_word(t) for t in ts] if d else [()] * len(ts) for d, ts in self.text.items()}
 
     @cached_property
     def by_degree(self) -> dict[int, list[Monomial]]:
@@ -371,65 +376,99 @@ class StandardBasis:
         }
 
 
+def _read_word(text: str) -> tuple[str, ...]:
+    word: list[str] = []
+    for tok in text.split(" "):
+        name, _, run = tok.rpartition("^")
+        word += [name] * int(run) if name else [run]
+    return tuple(word)
+
+
 def standard_basis(P: Polygraph2, dmax: int) -> StandardBasis:
-    """The irreducible words of degree <= dmax, by one depth-first walk of
-    the rule-source automaton from each object.  Generators are tried in
-    name order, so the words from one object come out in lexicographic
-    order; quivers with several objects then sort by target.  A word's text
-    is its parent's text before the last run of letters, the last letter
-    and the length of that run, so each child's text costs O(1) steps."""
+    """The irreducible words of degree <= dmax as text.  The words of degree
+    d from an object are the irreducible suffixes of degree d from the
+    automaton's start state there (see _suffixes), which come out in
+    lexicographic order; quivers with several objects then sort by target."""
     if dmax < 0:
         raise ValueError(f"dmax must be non-negative, got {dmax}")
-    quiver, auto = P.quiver, P._automaton
-    gens = sorted(quiver.generators.values(), key=lambda g: g.name, reverse=True)
-    lightest = min((g.degree for g in gens), default=dmax + 1)
+    quiver = P.quiver
     objects = sorted(quiver.objects)
-    words: dict[int, list] = {d: [] for d in range(dmax + 1)}
-    text: dict[int, list] = {d: [] for d in range(dmax + 1)}
-    words[0] = [()] * len(objects)
-    text[0] = [f"1_{obj}" for obj in objects]
-    # (automaton state, object) -> the moves from there that complete no
-    # rule source, in reverse name order so that the stack pops the first.
-    moves: dict[tuple[int, str], list] = {}
-    for src in objects:
-        # word, text, text before the last run, last letter, run, degree,
-        # automaton state, object the word ends at
-        stack = [((), "", "", "", 0, 0, 0, src)]
-        while stack:
-            word, txt, pre, last, run, degree, state, obj = stack.pop()
-            if word:
-                words[degree].append(word)
-                text[degree].append(txt)
-            if degree + lightest > dmax:
-                continue
-            key = (state, obj)
-            out = moves.get(key)
-            if out is None:
-                out = moves[key] = [
-                    (g.name, g.degree, g.target, nstate)
-                    for g in gens
-                    if g.source == obj
-                    and not auto.out[nstate := auto.step(state, g.name)]
-                ]
-            for name, gdeg, target, nstate in out:
-                d = degree + gdeg
-                if d > dmax:
-                    continue
-                if name == last:
-                    stack.append((word + (name,), f"{pre}{name}^{run + 1}", pre, name, run + 1, d, nstate, target))
-                else:
-                    head = f"{txt} " if word else ""
-                    stack.append((word + (name,), head + name, head, name, 1, d, nstate, target))
-    if len(objects) > 1:
-        by_name = quiver.generators
-        for d in range(1, dmax + 1):
-            pairs = sorted(
-                zip(words[d], text[d]),
-                key=lambda p: (by_name[p[0][0]].source, by_name[p[0][-1]].target),
-            )
-            words[d] = [w for w, _ in pairs]
-            text[d] = [t for _, t in pairs]
-    return StandardBasis(quiver, words, text)
+    gens = sorted(quiver.generators.values(), key=lambda g: g.name)
+    memo: dict = {}
+    moves: dict = {}
+    text = {0: [f"1_{obj}" for obj in objects]}
+    for d in range(1, dmax + 1):
+        text[d] = []
+        for src in objects:
+            texts, _, ends, _ = _suffixes((0, src, d), memo, moves, P._automaton, gens)
+            if len(objects) > 1:
+                texts = [texts[i] for i in sorted(range(len(texts)), key=ends.__getitem__)]
+            text[d] += texts
+    return StandardBasis(quiver, text)
+
+
+def _suffixes(key: tuple, memo: dict, moves: dict, auto: _Automaton, gens: list) -> tuple:
+    """memo[key] for key = (automaton state, object, degree): the texts of
+    the words of that degree, starting at that object, that complete no rule
+    source when read on from that state, in lexicographic order; each
+    text's run of its first letter; each word's end object; and the range
+    of the texts that begin with each letter.  A key's texts are its
+    children's, one child per generator in name order, each text prefixed
+    with the generator's name, or with its run extended when the text
+    begins with the same letter.  Children are built first, with an
+    explicit stack: the degree strictly falls from parent to child."""
+    stack = [key]
+    while stack:
+        top = stack[-1]
+        if top in memo:
+            stack.pop()
+            continue
+        state, obj, d = top
+        out = moves.get((state, obj))
+        if out is None:
+            out = moves[state, obj] = [
+                (g.name, g.degree, g.target, nstate)
+                for g in gens
+                if g.source == obj and not auto.out[nstate := auto.step(state, g.name)]
+            ]
+        missing = [
+            child
+            for _, gdeg, target, nstate in out
+            if gdeg < d and (child := (nstate, target, d - gdeg)) not in memo
+        ]
+        if missing:
+            stack += missing
+            continue
+        stack.pop()
+        texts: list[str] = []
+        runs: list[int] = []
+        ends: list[str] = []
+        blocks: dict[str, tuple[int, int]] = {}
+        for name, gdeg, target, nstate in out:
+            start = len(texts)
+            if gdeg == d:
+                texts.append(name)
+                runs.append(1)
+                ends.append(target)
+            elif gdeg < d:
+                ctexts, cruns, cends, cblocks = memo[nstate, target, d - gdeg]
+                i, j = cblocks.get(name, (0, 0))
+                head = name + " "
+                texts += [head + t for t in ctexts[:i]]
+                # A text beginning with a run of r letters `name` (the
+                # token name^r, or name when r is 1) gets the run r + 1.
+                longer = [f"{name}^{r + 1}" for r in range(d)]
+                cut = [0, len(name)] + [len(f"{name}^{r}") for r in range(2, d)]
+                texts += [longer[r] + t[cut[r] :] for r, t in zip(cruns[i:j], ctexts[i:j])]
+                texts += [head + t for t in ctexts[j:]]
+                runs += [1] * i
+                runs += [r + 1 for r in cruns[i:j]]
+                runs += [1] * (len(ctexts) - j)
+                ends += cends
+            if len(texts) > start:
+                blocks[name] = (start, len(texts))
+        memo[top] = texts, runs, ends, blocks
+    return memo[key]
 
 
 def all_words(quiver: Quiver, degree: int) -> list[Monomial]:
