@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _encode
 
 from . import lpformat
 from .algebra import monomial_poly
@@ -117,8 +118,73 @@ def _prepare(P, meta, doc):
 
 
 def _emit(doc):
-    json.dump(doc, sys.stdout, indent=2, default=str)
+    _write_json(doc, sys.stdout.write)
     sys.stdout.write("\n")
+
+
+_CHUNK = 4096  # list items encoded by one join
+
+
+def _write_json(o, write, indent: str = "") -> None:
+    """Write o as json.dump(o, fp, indent=2, default=str) writes it, piece
+    by piece.  The type dispatch is json's, in its order: a Monomial is a
+    tuple, a bool is not written as an int, and anything json cannot encode
+    is written as its str.  The strings of a list are encoded by one join
+    per chunk of items."""
+    if isinstance(o, str):
+        write(_encode(o))
+    elif o is None:
+        write("null")
+    elif o is True:
+        write("true")
+    elif o is False:
+        write("false")
+    elif isinstance(o, int):
+        write(int.__repr__(o))
+    elif isinstance(o, float):
+        write(json.dumps(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            write("[]")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        write("[\n" + inner)
+        for start in range(0, len(o), _CHUNK):
+            chunk = o[start : start + _CHUNK]
+            if start:
+                write(sep)
+            try:
+                write(sep.join(map(_encode, chunk)))
+            except TypeError:  # not all strings
+                for i, item in enumerate(chunk):
+                    if i:
+                        write(sep)
+                    _write_json(item, write, inner)
+        write("\n" + indent + "]")
+    elif isinstance(o, dict):
+        if not o:
+            write("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, value in o.items():
+            write(sep + _encode(_key(key)) + ": ")
+            _write_json(value, write, inner)
+            sep = ",\n" + inner
+        write("\n" + indent + "}")
+    else:
+        write(_encode(str(o)))
+
+
+def _key(key) -> str:
+    """A dict key as json converts it: str as is; int, float, bool and
+    None as their JSON text."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _cmd_nf(args, P, meta, doc) -> int:
@@ -213,7 +279,7 @@ def _cmd_tor(args, P, meta, doc) -> int:
     doc["tor"] = table.as_dict()
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, default=str)
+            _write_json(doc, fh.write)
     _emit(doc)
     return EXIT_OK
 
