@@ -37,6 +37,7 @@ from .completion import (
     check_confluence,
     complete,
     enumerate_critical_branchings,
+    is_confluent,
     orient,
     s_polynomial,
 )

@@ -21,6 +21,7 @@ from .completion import (
     check_confluence,
     complete,
     enumerate_critical_branchings,
+    is_confluent,
 )
 from .homology import koszul_verdict, tor_table
 from .lpformat import LpError
@@ -76,8 +77,10 @@ def _base_report(P, meta) -> dict:
     return out
 
 
-def _certify(P, meta) -> dict:
-    """Attach termination + convergence certificates or raise _Uncertified."""
+def _terminates(P, meta):
+    """Certify termination under the declared order, then the declared
+    measure; attach the first certificate that holds to P and return it,
+    else return the last one tried."""
     hints = [h for h in (P.order, meta.get("measure")) if h is not None]
     cert = None
     for hint in hints:
@@ -86,14 +89,16 @@ def _certify(P, meta) -> dict:
             break
     if cert is None:
         cert = certify_termination(P, None)
+    if cert.ok:
+        P.termination_certificate = cert
+    return cert
+
+
+def _summary(P, cert) -> dict:
+    """The termination certificate and, when it holds, the confluence report."""
     summary = {"termination": cert.summary()}
-    if not cert.ok:
-        raise _Uncertified(summary)
-    P.termination_certificate = cert
-    report = check_confluence(P)
-    summary["confluence"] = report
-    if not report["convergent"]:
-        raise _Uncertified(summary)
+    if cert.ok:
+        summary["confluence"] = check_confluence(P)
     return summary
 
 
@@ -104,17 +109,18 @@ def _added_rules(done, P) -> dict:
 
 def _prepare(P, meta, doc):
     """Certified-convergent system for resolution-level commands, completing
-    under the declared order when the input itself is not convergent."""
-    try:
-        _certify(P, meta)
+    under the declared order when the input itself is not convergent.  The
+    input's confluence is decided without a report, which is built only when
+    the command fails on it: there is no order to complete under."""
+    cert = _terminates(P, meta)
+    if cert.ok and is_confluent(P):
         return P
-    except _Uncertified:
-        if P.order is None:
-            raise
-        done = complete(P, P.order)
-        doc["completed"] = True
-        doc["added_rules"] = _added_rules(done, P)
-        return done
+    if P.order is None:
+        raise _Uncertified(_summary(P, cert))
+    done = complete(P, P.order)
+    doc["completed"] = True
+    doc["added_rules"] = _added_rules(done, P)
+    return done
 
 
 def _emit(doc):
@@ -203,14 +209,11 @@ def _cmd_nf(args, P, meta, doc) -> int:
 
 
 def _cmd_check(args, P, meta, doc) -> int:
-    try:
-        doc.update(_certify(P, meta))
-    except _Uncertified as u:
-        u.report["convergent"] = False
-        raise
-    doc["convergent"] = True
+    cert = _terminates(P, meta)
+    doc.update(_summary(P, cert))
+    doc["convergent"] = cert.ok and doc["confluence"]["convergent"]
     _emit(doc)
-    return EXIT_OK
+    return EXIT_OK if doc["convergent"] else EXIT_UNCERTIFIED
 
 
 def _cmd_complete(args, P, meta, doc) -> int:

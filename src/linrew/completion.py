@@ -182,40 +182,57 @@ def s_polynomial(b: Branching) -> Polynomial:
     return leg1 - leg2
 
 
+def _joined_legs(P: Polygraph2):
+    """(branching, nf of its first leg, nf of its second leg) per critical
+    branching of P, in enumeration order; the branching is joinable when
+    the two normal forms are equal (nf is linear and its S-polynomial is the
+    first leg minus the second)."""
+    if not P.certified_terminating:
+        raise NotCertifiedError("confluence check requires a termination certificate")
+    for b in enumerate_critical_branchings(P):
+        leg1, leg2 = b.legs
+        yield b, nf(leg1, P), nf(leg2, P)
+
+
+def _attach_convergence(P: Polygraph2, checked: int) -> None:
+    P.convergence_certificate = {
+        "method": "critical-pair lemma + Newman",
+        "criticals_checked": checked,
+    }
+
+
+def is_confluent(P: Polygraph2) -> bool:
+    """Whether every critical branching of P is joinable, stopping at the
+    first that is not: check_confluence's verdict without its report.
+    Attaches a convergence certificate to P when convergent."""
+    checked = 0
+    for _, nf1, nf2 in _joined_legs(P):
+        if not (nf1 - nf2).is_zero():
+            return False
+        checked += 1
+    _attach_convergence(P, checked)
+    return True
+
+
 def check_confluence(P: Polygraph2) -> dict:
     """Convergence report: every critical S-polynomial must normalize to 0.
     Attaches a convergence certificate to P when convergent."""
-    if not P.certified_terminating:
-        raise NotCertifiedError("confluence check requires a termination certificate")
-    branchings = enumerate_critical_branchings(P)
     entries = []
-    for b in branchings:
-        sp = s_polynomial(b)
-        leg1, leg2 = b.legs
-        nf1 = nf(leg1, P)
-        nf2 = nf(leg2, P)
-        spnf = nf1 - nf2  # nf is linear and sp = leg1 - leg2
+    for b, nf1, nf2 in _joined_legs(P):
+        spnf = nf1 - nf2
         entries.append({
             "word": str(b.word),
             "rules": (b.step1.rule.name, b.step2.rule.name),
-            "s_polynomial": str(sp),
+            "s_polynomial": str(s_polynomial(b)),
             "s_polynomial_nf": str(spnf),
             "joinable": spnf.is_zero(),
             "nf1": str(nf1),
             "nf2": str(nf2),
         })
     convergent = all(e["joinable"] for e in entries)
-    report = {
-        "convergent": convergent,
-        "critical_branchings": len(branchings),
-        "entries": entries,
-    }
     if convergent:
-        P.convergence_certificate = {
-            "method": "critical-pair lemma + Newman",
-            "criticals_checked": len(branchings),
-        }
-    return report
+        _attach_convergence(P, len(entries))
+    return {"convergent": convergent, "critical_branchings": len(entries), "entries": entries}
 
 
 def orient(f: Polynomial, order: MonomialOrder, name: str) -> Optional[Rule]:
@@ -322,7 +339,7 @@ def complete(
                 # Every S-polynomial reduced to 0 and interreduction changed
                 # nothing: attach the convergence certificate (the nf cache
                 # is warm).
-                check_confluence(cur)
+                is_confluent(cur)
                 return cur
             rules = list(reduced.rules)
             memo, spolys, joined = {}, {}, {}

@@ -646,7 +646,7 @@ def _build_xi(P: Polygraph2, cand: list[Monomial], N: int) -> dict:
         cert = completion.certify_termination(xi, hint=P.order)
         xi.termination_certificate = cert
         if cert.ok:
-            result["convergent"] = completion.check_confluence(xi)["convergent"]
+            result["convergent"] = completion.is_confluent(xi)
     return result
 
 
