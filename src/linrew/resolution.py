@@ -53,7 +53,10 @@ def _rule_by_name(P: Polygraph2, name: str) -> Rule:
 
 
 def enumerate_chains(P: Polygraph2, kmax: int, dmax: int) -> list[ChainCell]:
-    """All chain cells of dimension <= kmax and internal degree <= dmax."""
+    """All chain cells of dimension <= kmax and internal degree <= dmax.  A
+    cell extends to the next dimension at each suffix, starting inside its
+    last redex, that is a proper prefix of a rule source: the rest of the
+    source is appended."""
     _require_usable(P)
     cells: list[ChainCell] = []
     if kmax >= 1:
@@ -66,24 +69,28 @@ def enumerate_chains(P: Polygraph2, kmax: int, dmax: int) -> list[ChainCell]:
         for r in P.rules:
             if r.degree <= dmax:
                 cells.append(ChainCell(2, r.source, ((r.name, 0),)))
+    gens = P.quiver.generators
+    # proper prefix of a rule source -> (rule name, rest of the source, its
+    # degree, source target), in rule order
+    by_prefix: dict[tuple, list] = {}
+    for r in P.rules:
+        sw = r.source.word
+        for cut in range(1, len(sw)):
+            rest = sw[cut:]
+            by_prefix.setdefault(sw[:cut], []).append(
+                (r.name, rest, sum(gens[g].degree for g in rest), r.source.target)
+            )
     frontier = [c for c in cells if c.dim == 2]
     k = 3
     while k <= kmax and frontier:
         new = []
         for c in frontier:
-            last_rule, last_start = c.redexes[-1]
             w = c.word
-            for q in range(last_start + 1, w.weight):
-                suffix = w.word[q:]
-                for rule in P.rules:
-                    sw = rule.source.word
-                    if len(sw) <= len(suffix) or sw[: len(suffix)] != suffix:
-                        continue
-                    u = sw[len(suffix) :]
-                    nw = P.quiver.monomial(w.word + u, at=w.source)
-                    if nw.degree > dmax:
-                        continue
-                    new.append(ChainCell(k, nw, c.redexes + ((rule.name, q),)))
+            for q in range(c.redexes[-1][1] + 1, w.weight):
+                for name, rest, degree, target in by_prefix.get(w.word[q:], ()):
+                    if w.degree + degree <= dmax:
+                        nw = Monomial(w.word + rest, w.source, target, w.degree + degree)
+                        new.append(ChainCell(k, nw, c.redexes + ((name, q),)))
         cells.extend(new)
         frontier = new
         k += 1
