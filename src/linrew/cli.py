@@ -309,10 +309,8 @@ def _cmd_hilbert(args, P, meta, doc) -> int:
 
 
 def _cmd_pbw(args, P, meta, doc) -> int:
-    with open(args.basis_file, encoding="utf-8") as fh:
-        text = fh.read()
     candidate = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lpformat.read_text(args.basis_file).splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -428,7 +426,7 @@ def main(argv=None) -> int:
         doc.update(u.report)
         _emit(doc)
         return EXIT_UNCERTIFIED
-    except (LpError, OSError, UnicodeDecodeError, RewriteError) as e:
+    except (LpError, OSError, RewriteError) as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)
         uncertified = (CompletionBoundExceeded, NotCertifiedError, StepBudgetExceeded)
         return EXIT_UNCERTIFIED if isinstance(e, uncertified) else EXIT_INPUT

@@ -437,8 +437,23 @@ def parse(text: str):
 
 
 def parse_file(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return parse(fh.read())
+    return parse(read_text(path))
+
+
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file.  A byte sequence that is not UTF-8 raises
+    LpError naming the file and the line and column where it starts."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        before = data[: e.start].decode("utf-8")
+        raise LpError(
+            f"{path} is not UTF-8: cannot decode byte 0x{data[e.start]:02x} ({e.reason})",
+            before.count("\n") + 1,
+            len(before) - before.rfind("\n"),
+        ) from None
 
 
 def _coeff_str(field, c) -> str:

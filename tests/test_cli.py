@@ -1,10 +1,12 @@
 import hashlib
+import io
 import json
+from fractions import Fraction
 
 import pytest
 
-from linrew import lpformat
-from linrew.cli import main
+from linrew import Monomial, Polynomial, lpformat
+from linrew.cli import _emit, main
 from linrew.completion import DEFAULT_WORK_BUDGET
 
 from conftest import cubic_system
@@ -346,3 +348,104 @@ def test_reports_deterministic(capsys, fixtures_dir):
     _, a = run(capsys, "koszul", fx(fixtures_dir, "pp05.lp"))
     _, b = run(capsys, "koszul", fx(fixtures_dir, "pp05.lp"))
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        [],
+        {"a": [], "b": {}, "c": [[], [{}], {"d": []}]},
+        ["caf\u00e9 \u2603 \U0001d11e", "tab\tnul\x00quote\"back\\slash\nline"],
+        {"flags": [True, 1, False, 0, None], "float": [2.5, -0.0, 1e300]},
+        {"m": [Monomial(("x", "y"), "*", "*", 2), "x y"], "bare": Monomial((), "*", "*", 0)},
+        {"q": [Fraction(1, 3), Fraction(-2), "1/3"], "f": Fraction(5, 7)},
+        {1: "one", 2.5: "float", True: "true", None: "none", "k": ("a", ("b", 3))},
+        {"many": [f"w{i}" for i in range(10_000)] + [Fraction(1, 2), 7] + ["t"] * 5_000},
+    ],
+    ids=["empty-dict", "empty-list", "nested-empty", "non-ascii-and-control", "bool-int-none-float",
+         "monomial", "fraction", "non-str-keys", "long-mixed-list"],
+)
+def test_emit_writes_what_json_dump_writes(capsys, doc):
+    expected = io.StringIO()
+    json.dump(doc, expected, indent=2, default=str)
+    _emit(doc)
+    assert capsys.readouterr().out == expected.getvalue() + "\n"
+
+
+def test_tor_json_file_is_the_report_on_stdout(capsys, fixtures_dir, tmp_path):
+    path = tmp_path / "tor.json"
+    code, out = run(capsys, "tor", fx(fixtures_dir, "pp05.lp"), "--kmax", "4", "--dmax", "6", "--json", str(path))
+    assert code == 0
+    assert path.read_bytes() + b"\n" == out.encode()
+
+
+@pytest.mark.parametrize("flag", ["file", "basis-file"])
+def test_not_utf8_names_the_file_line_and_column(capsys, fixtures_dir, tmp_path, flag):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("field Q\n# caf\u00e9 x\n".encode("latin-1"))
+    if flag == "file":
+        argv = ["check", str(bad)]
+    else:
+        argv = ["pbw", fx(fixtures_dir, "xy.lp"), "--basis-file", str(bad), "--dmax", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error.startswith(f"line 2, col 6: {bad} is not UTF-8")
+    assert "0xe9" in error
+
+
+SKEW = """field Q
+generators x y z
+order deglex x < y < z
+rule a : y x -> 2 x y
+rule b : z x -> 3 x z
+rule c : z y -> 5 y z
+"""
+
+
+@pytest.mark.parametrize("command", ["complete-pp05", "tor-skew"])
+def test_decided_confluence_formats_no_polynomial(capsys, monkeypatch, fixtures_dir, tmp_path, command):
+    """complete certifies its result, and tor its convergent input, without
+    writing an S-polynomial or a normal form as text."""
+    skew = tmp_path / "skew.lp"
+    skew.write_text(SKEW, encoding="utf-8")
+
+    def no_str(self):
+        raise AssertionError("Polynomial.__str__ called")
+
+    monkeypatch.setattr(Polynomial, "__str__", no_str)
+    if command == "complete-pp05":
+        code, doc = run_json(capsys, "complete", fx(fixtures_dir, "pp05.lp"))
+        assert doc["convergent"]
+    else:
+        code, doc = run_json(capsys, "tor", str(skew), "--kmax", "3", "--dmax", "4")
+        assert "completed" not in doc
+    assert code == 0
+
+
+NON_CONFLUENT_NO_ORDER = """field Q
+generators x y
+measure letter y 1
+measure bound 3
+rule b : y y -> x x
+rule a : x y -> x x
+"""
+
+
+def test_non_confluent_without_order_reports_every_branching(capsys, tmp_path):
+    """A resolution command on a terminating system that is not confluent
+    and declares no order exits 3 with the full confluence report, whose
+    first branching is already not joinable."""
+    path = tmp_path / "no_order.lp"
+    path.write_text(NON_CONFLUENT_NO_ORDER, encoding="utf-8")
+    code, out = run(capsys, "tor", str(path), "--kmax", "3", "--dmax", "4")
+    assert code == 3
+    entries = json.loads(out)["confluence"]["entries"]
+    assert [(e["word"], e["joinable"], e["s_polynomial_nf"]) for e in entries] == [
+        ("y^3", False, "x^3 - y x^2"),
+        ("x y^2", True, "0"),
+    ]
+    digest = hashlib.sha256(out.replace(str(path), "{F}").encode()).hexdigest()
+    assert digest == "68753d969cc727c471c7fd54df9a983d3c92c828e4136175f8ae6b2bdfe4683a"

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -284,6 +285,20 @@ def test_standard_basis_builds_no_monomials(monkeypatch):
     assert len(calls) < 100
     assert sum(map(len, basis.text.values())) == sum(basis.counts().values()) > 100_000
     assert len(calls) < 100
+
+
+def test_standard_basis_leaves_no_reference_cycle():
+    """The suffix memo is freed when standard_basis returns, without
+    waiting for the cycle collector."""
+    P = cubic_system()
+    done = complete(P, P.order)
+    gc.collect()
+    gc.disable()
+    try:
+        standard_basis(done, 8)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_quotient_dimension_matches_standard_basis(sys_ab):
