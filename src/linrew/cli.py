@@ -139,45 +139,27 @@ def _write_json(o, write, indent: str = "") -> None:
     per chunk of items."""
     if isinstance(o, str):
         write(_encode(o))
-    elif o is None:
-        write("null")
-    elif o is True:
-        write("true")
-    elif o is False:
-        write("false")
-    elif isinstance(o, int):
-        write(int.__repr__(o))
-    elif isinstance(o, float):
-        write(json.dumps(o))
+    elif o is None or isinstance(o, (int, float)) or isinstance(o, (list, tuple, dict)) and not o:
+        write(json.dumps(o))  # null, true, false, a number, [] or {}
     elif isinstance(o, (list, tuple)):
-        if not o:
-            write("[]")
-            return
-        inner = indent + "  "
-        sep = ",\n" + inner
-        write("[\n" + inner)
+        lead, sep = "[\n" + indent + "  ", ",\n" + indent + "  "
         for start in range(0, len(o), _CHUNK):
             chunk = o[start : start + _CHUNK]
-            if start:
-                write(sep)
             try:
-                write(sep.join(map(_encode, chunk)))
+                write(lead + sep.join(map(_encode, chunk)))
             except TypeError:  # not all strings
-                for i, item in enumerate(chunk):
-                    if i:
-                        write(sep)
-                    _write_json(item, write, inner)
+                for item in chunk:
+                    write(lead)
+                    _write_json(item, write, indent + "  ")
+                    lead = sep
+            lead = sep
         write("\n" + indent + "]")
     elif isinstance(o, dict):
-        if not o:
-            write("{}")
-            return
-        inner = indent + "  "
-        sep = "{\n" + inner
+        lead, sep = "{\n" + indent + "  ", ",\n" + indent + "  "
         for key, value in o.items():
-            write(sep + _encode(_key(key)) + ": ")
-            _write_json(value, write, inner)
-            sep = ",\n" + inner
+            write(lead + _encode(_key(key)) + ": ")
+            _write_json(value, write, indent + "  ")
+            lead = sep
         write("\n" + indent + "}")
     else:
         write(_encode(str(o)))

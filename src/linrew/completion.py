@@ -182,45 +182,39 @@ def s_polynomial(b: Branching) -> Polynomial:
     return leg1 - leg2
 
 
-def _joined_legs(P: Polygraph2):
-    """(branching, nf of its first leg, nf of its second leg) per critical
-    branching of P, in enumeration order; the branching is joinable when
-    the two normal forms are equal (nf is linear and its S-polynomial is the
-    first leg minus the second)."""
+def _joins(P: Polygraph2):
+    """(branching, nf of its first leg, nf of its second leg, their
+    difference) per critical branching of P; nf is linear, so the difference
+    is the normal form of the S-polynomial.  Once every branching has been
+    met and every difference is 0, attaches a convergence certificate to P."""
     if not P.certified_terminating:
         raise NotCertifiedError("confluence check requires a termination certificate")
-    for b in enumerate_critical_branchings(P):
+    branchings = enumerate_critical_branchings(P)
+    convergent = True
+    for b in branchings:
         leg1, leg2 = b.legs
-        yield b, nf(leg1, P), nf(leg2, P)
-
-
-def _attach_convergence(P: Polygraph2, checked: int) -> None:
-    P.convergence_certificate = {
-        "method": "critical-pair lemma + Newman",
-        "criticals_checked": checked,
-    }
+        nf1, nf2 = nf(leg1, P), nf(leg2, P)
+        spnf = nf1 - nf2
+        convergent = convergent and spnf.is_zero()
+        yield b, nf1, nf2, spnf
+    if convergent:
+        P.convergence_certificate = {
+            "method": "critical-pair lemma + Newman",
+            "criticals_checked": len(branchings),
+        }
 
 
 def is_confluent(P: Polygraph2) -> bool:
-    """Whether every critical branching of P is joinable, stopping at the
-    first that is not: check_confluence's verdict without its report.
-    Attaches a convergence certificate to P when convergent."""
-    checked = 0
-    for _, nf1, nf2 in _joined_legs(P):
-        if not (nf1 - nf2).is_zero():
-            return False
-        checked += 1
-    _attach_convergence(P, checked)
-    return True
+    """check_confluence's verdict without its report: stops at the first
+    branching that is not joinable."""
+    return all(spnf.is_zero() for *_, spnf in _joins(P))
 
 
 def check_confluence(P: Polygraph2) -> dict:
     """Convergence report: every critical S-polynomial must normalize to 0.
     Attaches a convergence certificate to P when convergent."""
-    entries = []
-    for b, nf1, nf2 in _joined_legs(P):
-        spnf = nf1 - nf2
-        entries.append({
+    entries = [
+        {
             "word": str(b.word),
             "rules": (b.step1.rule.name, b.step2.rule.name),
             "s_polynomial": str(s_polynomial(b)),
@@ -228,10 +222,10 @@ def check_confluence(P: Polygraph2) -> dict:
             "joinable": spnf.is_zero(),
             "nf1": str(nf1),
             "nf2": str(nf2),
-        })
+        }
+        for b, nf1, nf2, spnf in _joins(P)
+    ]
     convergent = all(e["joinable"] for e in entries)
-    if convergent:
-        _attach_convergence(P, len(entries))
     return {"convergent": convergent, "critical_branchings": len(entries), "entries": entries}
 
 

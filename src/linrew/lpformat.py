@@ -449,11 +449,8 @@ def read_text(path: str) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:
         before = data[: e.start].decode("utf-8")
-        raise LpError(
-            f"{path} is not UTF-8: cannot decode byte 0x{data[e.start]:02x} ({e.reason})",
-            before.count("\n") + 1,
-            len(before) - before.rfind("\n"),
-        ) from None
+        message = f"{path} is not UTF-8: cannot decode byte 0x{data[e.start]:02x} ({e.reason})"
+        raise LpError(message, before.count("\n") + 1, len(before) - before.rfind("\n")) from None
 
 
 def _coeff_str(field, c) -> str:

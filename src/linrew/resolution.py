@@ -54,9 +54,8 @@ def _rule_by_name(P: Polygraph2, name: str) -> Rule:
 
 def enumerate_chains(P: Polygraph2, kmax: int, dmax: int) -> list[ChainCell]:
     """All chain cells of dimension <= kmax and internal degree <= dmax.  A
-    cell extends to the next dimension at each suffix, starting inside its
-    last redex, that is a proper prefix of a rule source: the rest of the
-    source is appended."""
+    cell's suffixes that start inside its last redex and are proper prefixes
+    of rule sources extend it by the rest of each such source."""
     _require_usable(P)
     cells: list[ChainCell] = []
     if kmax >= 1:

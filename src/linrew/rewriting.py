@@ -394,8 +394,7 @@ def standard_basis(P: Polygraph2, dmax: int) -> StandardBasis:
     quiver = P.quiver
     objects = sorted(quiver.objects)
     gens = sorted(quiver.generators.values(), key=lambda g: g.name)
-    memo: dict = {}
-    moves: dict = {}
+    memo, moves = {}, {}  # see _suffixes
     text = {0: [f"1_{obj}" for obj in objects]}
     for d in range(1, dmax + 1):
         text[d] = []
@@ -408,15 +407,13 @@ def standard_basis(P: Polygraph2, dmax: int) -> StandardBasis:
 
 
 def _suffixes(key: tuple, memo: dict, moves: dict, auto: _Automaton, gens: list) -> tuple:
-    """memo[key] for key = (automaton state, object, degree): the texts of
-    the words of that degree, starting at that object, that complete no rule
-    source when read on from that state, in lexicographic order; each
-    text's run of its first letter; each word's end object; and the range
-    of the texts that begin with each letter.  A key's texts are its
-    children's, one child per generator in name order, each text prefixed
-    with the generator's name, or with its run extended when the text
-    begins with the same letter.  Children are built first, with an
-    explicit stack: the degree strictly falls from parent to child."""
+    """memo[key] for key = (automaton state, object, degree): the texts, in
+    lexicographic order, of the words of that degree from that object that
+    complete no rule source when read on from that state; each text's run
+    of its first letter; each word's end object; and the range of texts
+    that begin with each letter.  A key's texts are its children's, one
+    child per generator in name order, with the generator prefixed or the
+    run extended.  Children are built first, on an explicit stack."""
     stack = [key]
     while stack:
         top = stack[-1]
@@ -431,19 +428,13 @@ def _suffixes(key: tuple, memo: dict, moves: dict, auto: _Automaton, gens: list)
                 for g in gens
                 if g.source == obj and not auto.out[nstate := auto.step(state, g.name)]
             ]
-        missing = [
-            child
-            for _, gdeg, target, nstate in out
-            if gdeg < d and (child := (nstate, target, d - gdeg)) not in memo
-        ]
+        children = [(nstate, target, d - gdeg) for _, gdeg, target, nstate in out if gdeg < d]
+        missing = [child for child in children if child not in memo]
         if missing:
             stack += missing
             continue
         stack.pop()
-        texts: list[str] = []
-        runs: list[int] = []
-        ends: list[str] = []
-        blocks: dict[str, tuple[int, int]] = {}
+        texts, runs, ends, blocks = [], [], [], {}
         for name, gdeg, target, nstate in out:
             start = len(texts)
             if gdeg == d:
@@ -461,9 +452,7 @@ def _suffixes(key: tuple, memo: dict, moves: dict, auto: _Automaton, gens: list)
                 cut = [0, len(name)] + [len(f"{name}^{r}") for r in range(2, d)]
                 texts += [longer[r] + t[cut[r] :] for r, t in zip(cruns[i:j], ctexts[i:j])]
                 texts += [head + t for t in ctexts[j:]]
-                runs += [1] * i
-                runs += [r + 1 for r in cruns[i:j]]
-                runs += [1] * (len(ctexts) - j)
+                runs += [1] * i + [r + 1 for r in cruns[i:j]] + [1] * (len(ctexts) - j)
                 ends += cends
             if len(texts) > start:
                 blocks[name] = (start, len(texts))
