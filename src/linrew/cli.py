@@ -166,13 +166,11 @@ def _write_json(o, write, indent: str = "") -> None:
 
 
 def _key(key) -> str:
-    """A dict key as json converts it: str as is; int, float, bool and
-    None as their JSON text."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return json.dumps(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    """A dict key as json converts it: a str as is; an int, float, bool or
+    None as its JSON text."""
+    if key is not None and not isinstance(key, (str, int, float)):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return key if isinstance(key, str) else json.dumps(key)
 
 
 def _cmd_nf(args, P, meta, doc) -> int:

@@ -192,8 +192,7 @@ def _joins(P: Polygraph2):
     branchings = enumerate_critical_branchings(P)
     convergent = True
     for b in branchings:
-        leg1, leg2 = b.legs
-        nf1, nf2 = nf(leg1, P), nf(leg2, P)
+        nf1, nf2 = (nf(leg, P) for leg in b.legs)
         spnf = nf1 - nf2
         convergent = convergent and spnf.is_zero()
         yield b, nf1, nf2, spnf

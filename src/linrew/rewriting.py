@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Optional
 
 from .algebra import (
@@ -362,7 +363,11 @@ class StandardBasis:
     def words(self) -> dict[int, list[tuple[str, ...]]]:
         """The words as tuples of generator names, read back from their
         text on first access."""
-        return {d: [_read_word(t) for t in ts] if d else [()] * len(ts) for d, ts in self.text.items()}
+        letters = _Letters().__getitem__
+        return {
+            d: [tuple(chain.from_iterable(map(letters, t.split(" ")))) for t in ts] if d else [()] * len(ts)
+            for d, ts in self.text.items()
+        }
 
     @cached_property
     def by_degree(self) -> dict[int, list[Monomial]]:
@@ -376,12 +381,14 @@ class StandardBasis:
         }
 
 
-def _read_word(text: str) -> tuple[str, ...]:
-    word: list[str] = []
-    for tok in text.split(" "):
-        name, _, run = tok.rpartition("^")
-        word += [name] * int(run) if name else [run]
-    return tuple(word)
+class _Letters(dict):
+    """The letters of each token of a word's text (x, or x^k for a run),
+    read on first lookup."""
+
+    def __missing__(self, token: str) -> tuple[str, ...]:
+        name, _, run = token.rpartition("^")
+        letters = self[token] = (name,) * int(run) if name else (token,)
+        return letters
 
 
 def standard_basis(P: Polygraph2, dmax: int) -> StandardBasis:
