@@ -79,16 +79,12 @@ def _base_report(P, meta) -> dict:
 
 def _terminates(P, meta):
     """Certify termination under the declared order, then the declared
-    measure; attach the first certificate that holds to P and return it,
-    else return the last one tried."""
-    hints = [h for h in (P.order, meta.get("measure")) if h is not None]
-    cert = None
-    for hint in hints:
+    measure (with no hint when neither is declared); attach the first
+    certificate that holds to P and return it, else return the last one."""
+    for hint in [h for h in (P.order, meta.get("measure")) if h is not None] or [None]:
         cert = certify_termination(P, hint)
         if cert.ok:
             break
-    if cert is None:
-        cert = certify_termination(P, None)
     if cert.ok:
         P.termination_certificate = cert
     return cert

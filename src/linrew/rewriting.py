@@ -398,29 +398,41 @@ def standard_basis(P: Polygraph2, dmax: int) -> StandardBasis:
     lexicographic order; quivers with several objects then sort by target."""
     if dmax < 0:
         raise ValueError(f"dmax must be non-negative, got {dmax}")
-    quiver = P.quiver
-    objects = sorted(quiver.objects)
-    gens = sorted(quiver.generators.values(), key=lambda g: g.name)
-    memo, moves = {}, {}  # see _suffixes
+    quiver, auto = P.quiver, P._automaton
+    objects, by_name = sorted(quiver.objects), quiver.generators
+    gens = sorted(by_name.values(), key=lambda g: g.name)
+    # (automaton state, object) -> the generators read from there that
+    # complete no rule source: (name, degree, target, next state)
+    moves = {
+        (state, obj): [
+            (g.name, g.degree, g.target, nstate)
+            for g in gens
+            if g.source == obj and not auto.out[nstate := auto.step(state, g.name)]
+        ]
+        for state in range(len(auto.delta))
+        for obj in objects
+    }
+    memo, runs = {}, {}  # see _suffixes
     text = {0: [f"1_{obj}" for obj in objects]}
     for d in range(1, dmax + 1):
         text[d] = []
         for src in objects:
-            texts, _, ends, _ = _suffixes((0, src, d), memo, moves, P._automaton, gens)
-            if len(objects) > 1:
-                texts = [texts[i] for i in sorted(range(len(texts)), key=ends.__getitem__)]
+            texts = _suffixes((0, src, d), memo, moves, runs)[0]
+            if len(objects) > 1:  # by the target of the last letter
+                texts = sorted(texts, key=lambda t: by_name[t.rpartition(" ")[2].partition("^")[0]].target)
             text[d] += texts
     return StandardBasis(quiver, text)
 
 
-def _suffixes(key: tuple, memo: dict, moves: dict, auto: _Automaton, gens: list) -> tuple:
+def _suffixes(key: tuple, memo: dict, moves: dict, runs: dict) -> tuple:
     """memo[key] for key = (automaton state, object, degree): the texts, in
     lexicographic order, of the words of that degree from that object that
     complete no rule source when read on from that state; each text's run
-    of its first letter; each word's end object; and the range of texts
-    that begin with each letter.  A key's texts are its children's, one
+    of its first letter; and the range of texts that begin with each
+    letter.  A key's texts are its children's, one
     child per generator in name order, with the generator prefixed or the
-    run extended.  Children are built first, on an explicit stack."""
+    run extended.  runs[name][r] is the text of a run of r letters name.
+    Children are built first, on an explicit stack."""
     stack = [key]
     while stack:
         top = stack[-1]
@@ -428,42 +440,33 @@ def _suffixes(key: tuple, memo: dict, moves: dict, auto: _Automaton, gens: list)
             stack.pop()
             continue
         state, obj, d = top
-        out = moves.get((state, obj))
-        if out is None:
-            out = moves[state, obj] = [
-                (g.name, g.degree, g.target, nstate)
-                for g in gens
-                if g.source == obj and not auto.out[nstate := auto.step(state, g.name)]
-            ]
+        out = moves[state, obj]
         children = [(nstate, target, d - gdeg) for _, gdeg, target, nstate in out if gdeg < d]
         missing = [child for child in children if child not in memo]
         if missing:
             stack += missing
             continue
         stack.pop()
-        texts, runs, ends, blocks = [], [], [], {}
+        texts, firsts, blocks = [], [], {}
         for name, gdeg, target, nstate in out:
             start = len(texts)
             if gdeg == d:
                 texts.append(name)
-                runs.append(1)
-                ends.append(target)
+                firsts.append(1)
             elif gdeg < d:
-                ctexts, cruns, cends, cblocks = memo[nstate, target, d - gdeg]
+                ctexts, cfirsts, cblocks = memo[nstate, target, d - gdeg]
                 i, j = cblocks.get(name, (0, 0))
                 head = name + " "
                 texts += [head + t for t in ctexts[:i]]
-                # A text beginning with a run of r letters `name` (the
-                # token name^r, or name when r is 1) gets the run r + 1.
-                longer = [f"{name}^{r + 1}" for r in range(d)]
-                cut = [0, len(name)] + [len(f"{name}^{r}") for r in range(2, d)]
-                texts += [longer[r] + t[cut[r] :] for r, t in zip(cruns[i:j], ctexts[i:j])]
+                if j > i:  # these texts begin with a run of `name`: extend it
+                    run = runs.setdefault(name, ["", name])
+                    run += [f"{name}^{r}" for r in range(len(run), max(cfirsts[i:j]) + 2)]
+                    texts += [run[r + 1] + t[len(run[r]) :] for r, t in zip(cfirsts[i:j], ctexts[i:j])]
                 texts += [head + t for t in ctexts[j:]]
-                runs += [1] * i + [r + 1 for r in cruns[i:j]] + [1] * (len(ctexts) - j)
-                ends += cends
+                firsts += [1] * i + [r + 1 for r in cfirsts[i:j]] + [1] * (len(ctexts) - j)
             if len(texts) > start:
                 blocks[name] = (start, len(texts))
-        memo[top] = texts, runs, ends, blocks
+        memo[top] = texts, firsts, blocks
     return memo[key]
 
 

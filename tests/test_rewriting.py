@@ -301,6 +301,16 @@ def test_standard_basis_leaves_no_reference_cycle():
         gc.enable()
 
 
+def test_standard_basis_at_a_degree_past_the_recursion_limit():
+    """The suffix memo is built on an explicit stack, so a degree far past
+    Python's recursion limit works.  With x y and y x both zero, the words
+    of degree d are x^d and y^d."""
+    P = _free_system("xy", "yx")
+    basis = standard_basis(P, 3000)
+    assert basis.text[3000] == ["x^3000", "y^3000"]
+    assert basis.counts()[2999] == 2
+
+
 def test_quotient_dimension_matches_standard_basis(sys_ab):
     for d in range(5):
         assert quotient_dimension(sys_ab, d) == d + 1
