@@ -189,11 +189,15 @@ class Polynomial:
                 raise CompositionError(
                     f"term {m} has boundary ({m.source},{m.target}), expected ({source},{target})"
                 )
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "terms", dict(terms))
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "_hash", None)
+        _fill(self, field, dict(terms), source, target)
+
+    @classmethod
+    def _unchecked(cls, field: Field, terms: dict, source: str, target: str) -> "Polynomial":
+        """A polynomial on terms, taken as it is: terms must be a fresh dict
+        whose monomials all run from source to target."""
+        self = object.__new__(cls)
+        _fill(self, field, terms, source, target)
+        return self
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
@@ -215,7 +219,7 @@ class Polynomial:
             raise CompositionError("boundary mismatch in polynomial addition")
         f = self.field
         terms = f.linear_combination(((f.one, self.terms), (coeff, other.terms)))
-        return Polynomial(f, terms, self.source, self.target)
+        return Polynomial._unchecked(f, terms, self.source, self.target)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         return self._plus(other, self.field.one)
@@ -231,8 +235,8 @@ class Polynomial:
         if coeff == f.one:
             return self
         if f.is_zero(coeff):
-            return Polynomial(f, {}, self.source, self.target)
-        return Polynomial(
+            return Polynomial._unchecked(f, {}, self.source, self.target)
+        return Polynomial._unchecked(
             f, {m: f.mul(coeff, c) for m, c in self.terms.items()}, self.source, self.target
         )
 
@@ -267,7 +271,7 @@ class Polynomial:
             Monomial(lw + m.word + rw, source, target, ld + m.degree + rd): c
             for m, c in self.terms.items()
         }
-        return Polynomial(self.field, terms, source, target)
+        return Polynomial._unchecked(self.field, terms, source, target)
 
     def __eq__(self, other):
         return (
@@ -307,6 +311,14 @@ class Polynomial:
         return out
 
     __repr__ = __str__
+
+
+def _fill(p: Polynomial, field: Field, terms: dict, source: str, target: str) -> None:
+    object.__setattr__(p, "field", field)
+    object.__setattr__(p, "terms", terms)
+    object.__setattr__(p, "source", source)
+    object.__setattr__(p, "target", target)
+    object.__setattr__(p, "_hash", None)
 
 
 def _is_simple_neg(s: str) -> bool:

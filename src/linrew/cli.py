@@ -27,6 +27,7 @@ from .homology import koszul_verdict, tor_table
 from .lpformat import LpError
 from .resolution import cell_degrees, enumerate_chains
 from .rewriting import (
+    BasisBudgetExceeded,
     NotCertifiedError,
     RewriteError,
     StepBudgetExceeded,
@@ -404,7 +405,7 @@ def main(argv=None) -> int:
         return EXIT_UNCERTIFIED
     except (LpError, OSError, RewriteError) as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)
-        uncertified = (CompletionBoundExceeded, NotCertifiedError, StepBudgetExceeded)
+        uncertified = (BasisBudgetExceeded, CompletionBoundExceeded, NotCertifiedError, StepBudgetExceeded)
         return EXIT_UNCERTIFIED if isinstance(e, uncertified) else EXIT_INPUT
 
 

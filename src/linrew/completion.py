@@ -157,8 +157,8 @@ def enumerate_critical_branchings(P: Polygraph2) -> list[Branching]:
                     continue
                 word = P.quiver.monomial(w1 + w2[o:], at=r1.source.source)
                 start2 = len(w1) - o
-                left2, right2 = P.contexts(word, j, start2)
-                left1, right1 = P.contexts(word, i, 0)
+                left2, right2 = P.contexts(word, r2, start2)
+                left1, right1 = P.contexts(word, r1, 0)
                 step1 = RewriteStep(field.one, left1, r1, right1)
                 step2 = RewriteStep(field.one, left2, r2, right2)
                 found.append(Branching(word, step1, step2, (0, start2)))
@@ -167,7 +167,7 @@ def enumerate_critical_branchings(P: Polygraph2) -> list[Branching]:
                     if start2 == 0 and len(w2) == len(w1):
                         continue
                     word = r1.source
-                    left2, right2 = P.contexts(word, j, start2)
+                    left2, right2 = P.contexts(word, r2, start2)
                     step1 = RewriteStep(field.one, P.quiver.identity(word.source), r1,
                                         P.quiver.identity(word.target))
                     step2 = RewriteStep(field.one, left2, r2, right2)

@@ -126,10 +126,10 @@ def ell(N: int, k: int) -> int:
 def _walk(P: Polygraph2, k: int, f: Polynomial, right: Monomial, memo: dict) -> dict:
     """The column of rho*_k along the rightmost normalisation of f, each
     step whiskered on the right by `right`: every node of P._nf_cache met
-    whose step has an identity left context adds rho*_k(step.rule,
-    step.right . right), scaled by the coefficients on its path from f.  A
-    step with a nontrivial left context adds nothing itself (whiskers only
-    grow, so every cell below it vanishes), but its reducts are walked."""
+    whose redex starts at 0 adds rho*_k(rule, step's right context . right),
+    scaled by the coefficients on its path from f.  A redex with a
+    nontrivial left context adds nothing itself (whiskers only grow, so
+    every cell below it vanishes), but its reducts are walked."""
     cache = P._nf_cache
     if any(m not in cache for m in f.terms):
         nf(f, P)  # builds the missing nodes
@@ -141,20 +141,27 @@ def _walk(P: Polygraph2, k: int, f: Polynomial, right: Monomial, memo: dict) -> 
 def _walk_node(P: Polygraph2, k: int, node: tuple, right: Monomial, memo: dict) -> dict:
     """_walk from one node, memoised per (k, node, right); nf never evicts
     a node, so its identity names it for the life of P."""
-    _, step, children = node
-    if step is None:
+    _, redex, children = node
+    if redex is None:
         return {}
     key = (k, id(node), right)
     if key in memo:
         return memo[key]
     one = P.field.one
     pairs = []
-    if step.left.is_identity():
-        m = step.right if right.is_identity() else step.right * right
+    rule, start, rewritten = redex
+    if start == 0:  # m: the step's right context, then right
+        src = rule.source
+        m = Monomial(
+            rewritten.word[src.weight :] + right.word,
+            src.target,
+            right.target,
+            rewritten.degree - src.degree + right.degree,
+        )
         if k == 3:
-            pairs.append((one, _rho_star_rule(P, step.rule, m, memo)))
+            pairs.append((one, _rho_star_rule(P, rule, m, memo)))
         elif m.is_identity():  # rho*_2: a whole-word step is its rule
-            pairs.append((one, {step.rule.name: one}))
+            pairs.append((one, {rule.name: one}))
     pairs += [(d, _walk_node(P, k, child, right, memo)) for d, child in children]
     col = memo[key] = P.field.linear_combination(pairs)
     return col
@@ -211,10 +218,10 @@ def _rho_star_rule(P: Polygraph2, rule: Rule, mhat: Monomial, memo: dict) -> dic
     cache = P._nf_cache
     if mhat not in cache:
         nf(monomial_poly(field, mhat), P)
-    normal, step, _ = cache[mhat]
+    form, redex, _ = cache[mhat]
     pairs = []
-    if step is not None:
-        pairs = [(c, _rho_star_rule(P, rule, n, memo)) for n, c in normal.terms.items()]
+    if redex is not None:
+        pairs = [(c, _rho_star_rule(P, rule, n, memo)) for n, c in field.form_terms(form).items()]
     else:
         idx, start = rightmost_redex(rule.source * mhat, P)
         if start > 0:

@@ -26,6 +26,10 @@ from .scalars import Field
 from . import linalg
 
 DEFAULT_STEP_BUDGET = 10**6
+# Irreducible words standard_basis may list.  The 1,127,251 words of
+# x y -> x x up to degree 1500 take 1.3 s; the 4.5 million of
+# tests/fixtures/groebner2.lp up to degree 14 took 740 MB.
+BASIS_WORD_BUDGET = 2_000_000
 
 
 class RewriteError(ValueError):
@@ -41,6 +45,10 @@ class NotCertifiedError(RewriteError):
 
 
 class StepBudgetExceeded(RewriteError):
+    pass
+
+
+class BasisBudgetExceeded(RewriteError):
     pass
 
 
@@ -169,10 +177,12 @@ class Polygraph2:
         self.convergence_certificate = None
         self._automaton = _Automaton(self.rules)
         self._source_weights = [r.source.weight for r in self.rules]
-        # The rightmost rewriting DAG, one node per visited monomial:
-        # (normal form, rightmost step, (coefficient, node) per term of the
-        # step's reduct), or (m, None, ()) when m is irreducible.  Every node
-        # is inserted after its children.
+        # The rightmost rewriting DAG, one node per visited monomial m:
+        # (normal form, redex, children).  The normal form is kept as its
+        # field.form.  The redex of a reducible m is (rule, start, m), with
+        # one (coefficient, node) child per term of its reduct, in canonical
+        # order; an irreducible m has redex None and no children.  Every
+        # node is inserted after its children.
         self._nf_cache: dict[Monomial, tuple] = {}
         self._nf_work = 0  # terms nf has summed into normal forms
         # Left-reduced: no rule source is a factor of another's.  An equal
@@ -231,11 +241,11 @@ class Polygraph2:
                 return True
         return False
 
-    def contexts(self, m: Monomial, rule_idx: int, start: int) -> tuple[Monomial, Monomial]:
-        """The left and right contexts of the occurrence (rule index, start)
-        in m, sliced from m.word: slices of a composable word are
+    def contexts(self, m: Monomial, rule: Rule, start: int) -> tuple[Monomial, Monomial]:
+        """The left and right contexts of the occurrence of rule's source at
+        start in m, sliced from m.word: slices of a composable word are
         composable, so only their degrees are computed."""
-        source, gens = self.rules[rule_idx].source, self.quiver.generators
+        source, gens = rule.source, self.quiver.generators
         word = m.word
         left_word = word[:start]
         left_degree = sum(gens[g].degree for g in left_word)
@@ -263,8 +273,9 @@ def rightmost_redex(m: Monomial, P: Polygraph2) -> tuple[int, int]:
 def rightmost_step(m: Monomial, P: Polygraph2) -> RewriteStep:
     """The step on m whose left context has maximal length."""
     idx, start = rightmost_redex(m, P)
-    left, right = P.contexts(m, idx, start)
-    return RewriteStep(P.field.one, left, P.rules[idx], right)
+    rule = P.rules[idx]
+    left, right = P.contexts(m, rule, start)
+    return RewriteStep(P.field.one, left, rule, right)
 
 
 def nf(f: Polynomial, P: Polygraph2) -> Polynomial:
@@ -274,26 +285,29 @@ def nf(f: Polynomial, P: Polygraph2) -> Polynomial:
     of 10**6, 10x more once termination is certified.  Running out of it,
     or meeting a monomial again while it is still being normalized (the
     strategy loops), raises StepBudgetExceeded.  The terms summed into
-    normal forms are added to P._nf_work."""
+    normal forms are added to P._nf_work.  Each reduct is sliced from the
+    word rewritten: no step or context is built."""
     cache = P._nf_cache
     field = P.field
+    sum_forms, rules = field.sum_forms, P.rules
     budget = DEFAULT_STEP_BUDGET * (10 if P.certified_terminating else 1)
     work = 0
     opened: set[Monomial] = set()  # rewritten, waiting for their reducts' terms
-    stack: list = [m for _, m in reversed(f.items()) if m not in cache]
+    items = f.items()
+    stack: list = [m for _, m in reversed(items) if m not in cache]
     while stack:
         m = stack.pop()
-        if type(m) is tuple:  # (m, step, reduct): every term of the reduct is done
-            m, step, reduct = m
+        if type(m) is tuple:  # (m, redex, reduct): every term of the reduct is done
+            m, redex, reduct = m
             opened.discard(m)
-            children = tuple((coeff, cache[n]) for coeff, n in reduct.items())
-            terms, summed = _combine(children, field)
+            children = tuple((coeff, cache[n]) for coeff, n in reduct)
+            form, summed = sum_forms([(coeff, node[0]) for coeff, node in children])
             work += summed
-            cache[m] = (Polynomial(field, terms, m.source, m.target), step, children)
+            cache[m] = (form, redex, children)
         elif m in cache:
             continue
         elif not P.is_reducible(m):
-            cache[m] = (monomial_poly(field, m), None, ())
+            cache[m] = (field.form({m: field.one}), None, ())
         else:
             budget -= m.weight
             if budget < 0:
@@ -301,26 +315,26 @@ def nf(f: Polynomial, P: Polygraph2) -> Polynomial:
                     f"step budget exhausted while normalizing {f}"
                     + ("" if P.certified_terminating else " (no termination certificate)")
                 )
-            step = rightmost_step(m, P)
-            reduct = step.rule.target.whisker(step.left, step.right)
+            idx, start = rightmost_redex(m, P)
+            rule = rules[idx]
+            word, shift = m.word, m.degree - rule.source.degree
+            left, right = word[:start], word[start + rule.source.weight :]
+            reduct = [
+                (c, Monomial(left + t.word + right, m.source, m.target, shift + t.degree))
+                for c, t in rule.target.items()
+            ]
             opened.add(m)
-            stack.append((m, step, reduct))
-            for _, n in reversed(reduct.items()):
+            stack.append((m, (rule, start, m), reduct))
+            for _, n in reversed(reduct):
                 if n not in cache:
                     if n in opened:
                         raise StepBudgetExceeded(f"rightmost rewriting of {n} loops while normalizing {f}")
                     stack.append(n)
-    terms, summed = _combine([(coeff, cache[m]) for coeff, m in f.items()], field)
+    form, summed = sum_forms([(coeff, cache[m][0]) for coeff, m in items])
     P._nf_work += work + summed
-    return Polynomial(field, terms, f.source, f.target)
-
-
-def _combine(pairs, field: Field) -> tuple[dict, int]:
-    """The terms of sum(coeff * normal form of node) over (coeff, node)
-    pairs, by field.linear_combination, and the number of terms summed.
-    The terms come in no promised order."""
-    forms = [(coeff, node[0].terms) for coeff, node in pairs]
-    return field.linear_combination(forms), sum(len(terms) for _, terms in forms)
+    # A form that sum_forms builds is fresh, and form_terms copies a form it
+    # keeps: no node shares the result's terms.
+    return Polynomial._unchecked(field, field.form_terms(form), f.source, f.target)
 
 
 def normal_form(f: Polynomial, P: Polygraph2) -> tuple[Polynomial, Trace]:
@@ -333,9 +347,11 @@ def normal_form(f: Polynomial, P: Polygraph2) -> tuple[Polynomial, Trace]:
     steps: list[RewriteStep] = []
     todo = [(c, P._nf_cache[m]) for c, m in reversed(f.items())]  # a stack: no recursion
     while todo:
-        c, (_, step, children) = todo.pop()
-        if step is not None:
-            steps.append(RewriteStep(c, step.left, step.rule, step.right))
+        c, (_, redex, children) = todo.pop()
+        if redex is not None:
+            rule, start, m = redex
+            left, right = P.contexts(m, rule, start)
+            steps.append(RewriteStep(c, left, rule, right))
             todo.extend((mul(c, d), node) for d, node in reversed(children) if node[1] is not None)
     return result, Trace(f, tuple(steps), result)
 
@@ -395,7 +411,9 @@ def standard_basis(P: Polygraph2, dmax: int) -> StandardBasis:
     """The irreducible words of degree <= dmax as text.  The words of degree
     d from an object are the irreducible suffixes of degree d from the
     automaton's start state there (see _suffixes), which come out in
-    lexicographic order; quivers with several objects then sort by target."""
+    lexicographic order; quivers with several objects then sort by target.
+    The words are counted first: BasisBudgetExceeded is raised, with no
+    text built, when there are more than BASIS_WORD_BUDGET."""
     if dmax < 0:
         raise ValueError(f"dmax must be non-negative, got {dmax}")
     quiver, auto = P.quiver, P._automaton
@@ -412,6 +430,7 @@ def standard_basis(P: Polygraph2, dmax: int) -> StandardBasis:
         for state in range(len(auto.delta))
         for obj in objects
     }
+    _count_words(moves, objects, dmax)
     memo, runs = {}, {}  # see _suffixes
     text = {0: [f"1_{obj}" for obj in objects]}
     for d in range(1, dmax + 1):
@@ -468,6 +487,28 @@ def _suffixes(key: tuple, memo: dict, moves: dict, runs: dict) -> tuple:
                 blocks[name] = (start, len(texts))
         memo[top] = texts, firsts, blocks
     return memo[key]
+
+
+def _count_words(moves: dict, objects: list, dmax: int) -> None:
+    """Count the words of standard_basis degree by degree, by _suffixes's
+    recursion over counts: counts[state, obj, d] is the number of texts
+    _suffixes would list for that key.  Raises BasisBudgetExceeded at the
+    first degree where the words so far pass BASIS_WORD_BUDGET."""
+    counts: dict = {}
+    total = len(objects)
+    for d in range(1, dmax + 1):
+        for (state, obj), out in moves.items():
+            counts[state, obj, d] = sum(
+                1 if gdeg == d else counts[nstate, target, d - gdeg]
+                for _, gdeg, target, nstate in out
+                if gdeg <= d
+            )
+        total += sum(counts[0, obj, d] for obj in objects)
+        if total > BASIS_WORD_BUDGET:
+            raise BasisBudgetExceeded(
+                f"standard basis exceeded its budget of {BASIS_WORD_BUDGET} words while "
+                f"counting them: {total} words up to degree {d}"
+            )
 
 
 def all_words(quiver: Quiver, degree: int) -> list[Monomial]:

@@ -8,7 +8,7 @@ Canonical representation means ``==`` and ``hash`` decide equality.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Any
 
 
@@ -78,6 +78,24 @@ class Field:
                     acc[t] = s
         return acc
 
+    # A form is how rewriting.nf keeps a normal form in its memo.  Here it is
+    # the sparse vector itself; RationalField keeps integers instead.
+
+    def form(self, terms: dict):
+        """The form of the sparse vector terms {key: coefficient}."""
+        return terms
+
+    def form_terms(self, form) -> dict:
+        """The sparse vector {key: coefficient} of a form.  It may be the
+        form's own dict: the caller must not change it."""
+        return form
+
+    def sum_forms(self, pairs: list) -> tuple:
+        """(the form of sum(coeff * vector of form), the number of terms of
+        the summed forms) over a list of (coeff, form) pairs, under
+        linear_combination's contract."""
+        return self.linear_combination(pairs), sum(len(form) for _, form in pairs)
+
     def coerce(self, x):
         """Build an element from an int, Fraction, or string like '-1/2'."""
         raise NotImplementedError
@@ -126,6 +144,46 @@ class RationalField(Field):
                     g = gcd(od, d)
                     acc[t] = (on * (d // g) + n * (od // g), od // g * d)
         return {t: Fraction(n, d) for t, (n, d) in acc.items() if n}
+
+    def form(self, terms: dict) -> tuple:
+        """(D, {key: int}): the lcm D of the denominators and the
+        numerators over it, whose gcd with D is then 1."""
+        D = lcm(*[c.denominator for c in terms.values()])
+        return D, {t: c.numerator * (D // c.denominator) for t, c in terms.items()}
+
+    def form_terms(self, form: tuple) -> dict:
+        D, terms = form
+        if D == 1:  # Fraction(n) skips the gcd that Fraction(n, 1) computes
+            return {t: Fraction(n) for t, n in terms.items()}
+        return {t: Fraction(n, D) for t, n in terms.items()}
+
+    def sum_forms(self, pairs: list) -> tuple:
+        """Field.sum_forms in ints: each form is scaled to the lcm of the
+        pairs' denominators and summed, and the sum is divided by the gcd of
+        its numerators and that lcm.  A lone pair with coefficient 1 keeps
+        its form."""
+        if len(pairs) == 1 and pairs[0][0] == 1:
+            return pairs[0][1], len(pairs[0][1][1])
+        scaled = [(c.numerator, c.denominator * D, terms) for c, (D, terms) in pairs]
+        L = lcm(*[b for _, b, _ in scaled])
+        acc: dict = {}
+        summed = 0
+        for a, b, terms in scaled:
+            summed += len(terms)
+            k = a * (L // b)
+            if not acc:
+                acc = {t: k * n for t, n in terms.items()}
+                continue
+            get = acc.get
+            for t, n in terms.items():
+                acc[t] = get(t, 0) + k * n
+        if 0 in acc.values():
+            acc = {t: n for t, n in acc.items() if n}
+        g = gcd(L, *acc.values())
+        if g > 1:
+            L //= g
+            acc = {t: n // g for t, n in acc.items()}
+        return (L, acc), summed
 
     def coerce(self, x):
         if isinstance(x, Fraction):

@@ -2,7 +2,7 @@
 set of the relation ideal over those words.  They enumerate all contexts of
 all rules, so they are meant for the small systems of the tests."""
 
-from linrew.rewriting import _row, all_words
+from linrew.rewriting import RewriteStep, _row, all_words, rightmost_step
 
 
 def words_up_to(quiver, dmax: int) -> list:
@@ -36,3 +36,17 @@ def ideal_spanning(P, dmax: int):
                     continue
                 rows.append(_row(emb, index, field))
     return rows, index
+
+
+def rightmost_nf(f, P):
+    """nf with Polynomial arithmetic and no memo: apply the rightmost step
+    of the last reducible term, in canonical order, until no term is
+    reducible.  A rightmost step leaves nf's value unchanged, so the
+    order in which terms are rewritten does not change the result."""
+    while True:
+        reducible = [(c, m) for c, m in f.items() if P.is_reducible(m)]
+        if not reducible:
+            return f
+        c, m = reducible[-1]
+        step = rightmost_step(m, P)
+        f = RewriteStep(c, step.left, step.rule, step.right).apply(f)

@@ -236,7 +236,7 @@ def local_branchings_joinable(P, max_len=6):
             continue
         results = set()
         for idx, start in occ:
-            left, right = P.contexts(w, idx, start)
+            left, right = P.contexts(w, P.rules[idx], start)
             reduct = P.rules[idx].target.whisker(left, right)
             results.add(nf(reduct, P))
             if len(results) > 1:

@@ -11,11 +11,17 @@ from linrew import (
     Monomial,
     MonomialOrder,
     ParameterField,
+    Polygraph2,
+    Polynomial,
     QQ,
     Quiver,
+    Rule,
     leading_data,
     monomial_poly,
+    nf,
 )
+
+from brute_force import rightmost_nf
 
 Q3 = Quiver.free("xyz")
 
@@ -211,6 +217,43 @@ def test_whisker_is_product_with_contexts(name, data):
     assert f.whisker(None, v) == f * monomial_poly(field, v)
     one = Q3.identity("*")
     assert f.whisker(one, one) == f.whisker(None, None) == f
+
+
+# Two objects: f : o1 -> o2, g : o2 -> o1, h : o1 -> o1.
+QUIVER2 = Quiver(
+    ["o1", "o2"], [Generator("f", "o1", "o2"), Generator("g", "o2", "o1"), Generator("h", "o1", "o1")]
+)
+loops = st.lists(st.sampled_from([("h",), ("f", "g")]), max_size=3).map(lambda blocks: sum(blocks, ()))
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_results_built_unchecked_pass_the_check(name, data):
+    """whisker, sums, scale and nf build their results without the
+    boundary check.  Each equals its terms built independently through the
+    checked constructor, and that constructor still rejects a term with
+    another boundary."""
+    field, scalars = FIELDS[name]
+    q = QUIVER2
+
+    def poly(pairs, source="o1", target="o2"):
+        return q.poly(field, pairs, source, target)
+
+    o1_to_o2 = loops.map(lambda w: q.monomial(w + ("f",)))
+    f, g = (poly(data.draw(st.lists(st.tuples(scalars, o1_to_o2), max_size=4))) for _ in "fg")
+    c = field.coerce(data.draw(scalars))
+    u, v = q.monomial(data.draw(loops), at="o1"), q.monomial(("g",) + data.draw(loops))
+    minus = [(field.neg(k), m) for k, m in g.items()]
+    assert f.whisker(u, v) == poly([(k, u * m * v) for k, m in f.items()], "o1", "o1")
+    assert f + g == poly(f.items() + g.items())
+    assert f - g == poly(f.items() + minus)
+    assert f.scale(c) == poly([(field.mul(c, k), m) for k, m in f.items()])
+    rule = Rule("r", q.monomial(("f", "g")), q.poly(field, [(c, q.monomial(("h",)))], "o1", "o1"))
+    P = Polygraph2(q, field, [rule], MonomialOrder("deglex", "hfg"))
+    assert nf(f, P) == rightmost_nf(f, P)
+    with pytest.raises(CompositionError):
+        Polynomial(field, {u * v: field.one}, "o1", "o2")
 
 
 def test_whisker_zero_polynomial():

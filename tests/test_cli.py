@@ -214,6 +214,25 @@ def test_hilbert(capsys, fixtures_dir):
     assert doc["counts"] == {"0": 1, "1": 3, "2": 9, "3": 26, "4": 75}
 
 
+def test_hilbert_basis_budget_exits_3(capsys, fixtures_dir):
+    """groebner2 has 4.5 million irreducible words up to degree 14: they
+    are counted, and refused, before any is listed."""
+    code = main(["hilbert", fx(fixtures_dir, "groebner2.lp"), "--dmax", "300"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert json.loads(err) == {
+        "error": "standard basis exceeded its budget of 2000000 words while counting them: "
+        "4502773 words up to degree 14"
+    }
+
+
+def test_hilbert_large_basis_within_budget(capsys, fixtures_dir):
+    code, doc = run_json(capsys, "hilbert", fx(fixtures_dir, "xyonly.lp"), "--dmax", "1500")
+    assert code == 0
+    assert sum(doc["counts"].values()) == 1_127_251
+    assert doc["basis"]["1500"][:2] == ["x^1500", "y x^1499"]
+
+
 def test_hilbert_cubic_digest(capsys, tmp_path):
     # Degree 11 reaches runs such as x^10 that the fixtures at --dmax 6 do
     # not; the digest was recorded with the Monomial-by-Monomial listing.

@@ -111,19 +111,27 @@ def test_shuffled_input_same_basis(outcomes):
 
 
 def test_h1_degree7_rightmost_steps(monkeypatch):
-    """Completion keeps its memo across rounds: the rightmost steps it
-    computes stay close to the number of monomials it visits."""
+    """Completion keeps its memo across rounds: the redex searches it
+    makes stay close to the number of monomials it visits."""
     calls = []
 
-    def counting_step(m, P):
+    def counting_redex(m, P):
         calls.append(m)
-        return rightmost_step(m, P)
+        return rightmost_redex(m, P)
 
-    rightmost_step = rewriting.rightmost_step
-    monkeypatch.setattr(rewriting, "rightmost_step", counting_step)
+    rightmost_redex = rewriting.rightmost_redex
+    monkeypatch.setattr(rewriting, "rightmost_redex", counting_redex)
     with pytest.raises(CompletionBoundExceeded):
         complete(h1_system(), max_degree=7)
     assert 0 < len(calls) <= 1200
+
+
+def test_h1_degree7_nf_work():
+    """The terms nf sums into normal forms while completing H1 up to degree
+    7, which DEFAULT_WORK_BUDGET is counted in."""
+    with pytest.raises(CompletionBoundExceeded) as trip:
+        complete(h1_system(), max_degree=7)
+    assert trip.value.partial._nf_work == 25_110
 
 
 WORDS = {2: ["xx", "xy", "yx", "yy"]}

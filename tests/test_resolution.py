@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +16,9 @@ from linrew import (
     generating_confluence,
     homology,
     lpformat,
+    resolution,
 )
+from linrew.scalars import RationalField
 
 from conftest import FIXTURES, cubic_system, deglex_system, skew_system
 from test_acceptance import random_system
@@ -136,6 +139,31 @@ def test_boundary4_instances(pp_done):
         assert set(col) <= keys3
         assert not any(QQ.is_zero(v) for v in col.values())
         assert col == cx.delta[3][key]
+
+
+def test_rho_star_reads_the_memo_as_fractions(monkeypatch):
+    """nf keeps Q normal forms as integers over one denominator; rho*_3
+    reads them back as Fractions, so every coefficient it sums is one."""
+    P = next(_completed([skew_system(4)]))
+    read, summed = [], []
+    rho_star_rule, linear_combination = resolution._rho_star_rule, RationalField.linear_combination
+
+    def recording_rho_star_rule(P, rule, mhat, memo):
+        read.append(P.is_reducible(mhat))
+        return rho_star_rule(P, rule, mhat, memo)
+
+    def recording_linear_combination(self, pairs):
+        pairs = list(pairs)
+        summed.extend(c for c, _ in pairs)
+        return linear_combination(self, pairs)
+
+    monkeypatch.setattr(resolution, "_rho_star_rule", recording_rho_star_rule)
+    monkeypatch.setattr(RationalField, "linear_combination", recording_linear_combination)
+    for cell in enumerate_chains(P, 4, 4):
+        if cell.dim == 4:
+            boundary4(cell, P)
+    assert any(read) and any(form[0] > 1 for form, _, _ in P._nf_cache.values())
+    assert summed and all(type(c) is Fraction for c in summed)
 
 
 def _completed(systems, **bounds):

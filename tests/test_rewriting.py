@@ -30,6 +30,7 @@ from linrew import (
 
 from linrew.rewriting import all_words
 
+from brute_force import rightmost_nf
 from conftest import cubic_system, make_poly
 
 
@@ -111,7 +112,7 @@ def test_one_walk_search_and_sliced_contexts(name, data):
     for idx, start in occ:
         source = P.rules[idx].source
         end = start + source.weight
-        assert P.contexts(m, idx, start) == (
+        assert P.contexts(m, P.rules[idx], start) == (
             quiver.monomial(m.word[:start], at=m.source),
             quiver.monomial(m.word[end:], at=source.target),
         )
@@ -179,8 +180,8 @@ def test_normal_form_linear(pairs):
 
 
 def test_nf_builds_no_trace(monkeypatch):
-    """nf builds one rightmost step per reducible monomial it visits and
-    no trace out of them."""
+    """nf builds no rewriting step, and searches for the redex of each
+    reducible monomial it visits at most once."""
     from linrew import rewriting
 
     Q = Quiver.free("xyz")
@@ -188,16 +189,71 @@ def test_nf_builds_no_trace(monkeypatch):
         Rule("a", Q.monomial(tuple("zy")), make_poly(Q, QQ, [(1, "yz"), (1, "xx")])),
         Rule("b", Q.monomial(tuple("zx")), make_poly(Q, QQ, [(1, "xz"), (2, "yy")])),
     ], MonomialOrder("deglex", "xyz"))
-    built = []
+    built, searched = [], []
 
     def counting_step(*args):
         built.append(args)
         return RewriteStep(*args)
 
+    def counting_redex(m, P):
+        searched.append(m)
+        return rightmost_redex(m, P)
+
+    rightmost_redex = rewriting.rightmost_redex
     monkeypatch.setattr(rewriting, "RewriteStep", counting_step)
+    monkeypatch.setattr(rewriting, "rightmost_redex", counting_redex)
     nf(make_poly(Q, QQ, [(1, "zzzzzyyxx")]), P)
     reducible = sum(1 for m in P._nf_cache if P.is_reducible(m))
-    assert 0 < len(built) <= reducible
+    assert not built
+    assert 0 < len(searched) <= reducible
+
+
+LETTERS = "abc"
+DEGLEX = MonomialOrder("deglex", LETTERS)
+# Nonzero, and often fractional or negative.
+q_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+abc_words = st.lists(st.sampled_from(LETTERS), max_size=5)
+
+
+@st.composite
+def q_systems(draw):
+    """One to three rules over Q on a < b < c whose target terms lie below
+    their source in deglex, so rightmost rewriting terminates."""
+    Q = Quiver.free(LETTERS)
+    rules = []
+    for k in range(draw(st.integers(1, 3))):
+        source = Q.monomial(draw(st.lists(st.sampled_from(LETTERS), min_size=1, max_size=3)))
+        below = [w for d in range(source.degree + 1) for w in all_words(Q, d) if DEGLEX.less(w, source)]
+        words = draw(st.lists(st.sampled_from(below), max_size=3, unique=True))
+        rules.append(Rule(f"r{k}", source, Q.poly(QQ, [(draw(q_coeffs), w) for w in words])))
+    return Polygraph2(Q, QQ, rules, DEGLEX)
+
+
+@given(q_systems(), st.lists(st.tuples(q_coeffs, abc_words), max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_nf_matches_the_memo_free_reducer(P, pairs):
+    """nf, which sums integer forms over one denominator, is the normal
+    form that rightmost steps reach with Fraction arithmetic; so f minus
+    that normal form has normal form 0."""
+    Q = P.quiver
+    f = Q.poly(QQ, [(c, Q.monomial(w)) for c, w in pairs])
+    expected = rightmost_nf(f, P)
+    assert nf(f, P) == expected
+    assert nf(f - expected, P).is_zero()
+
+
+@pytest.mark.parametrize("sign, expected", [(1, [(1, "a")]), (-1, [])])
+def test_nf_memo_sums_over_one_denominator(sign, expected):
+    """c -> a/2 +- b/2 and b -> a: the halves make a whole or cancel, and the
+    memo keeps the normal form of c over the denominator 1."""
+    Q = Quiver.free(LETTERS)
+    P = Polygraph2(Q, QQ, [
+        Rule("c", Q.monomial("c"), make_poly(Q, QQ, [(Fraction(1, 2), "a"), (Fraction(sign, 2), "b")])),
+        Rule("b", Q.monomial("b"), make_poly(Q, QQ, [(1, "a")])),
+    ], DEGLEX)
+    c = Q.monomial("c")
+    assert nf(monomial_poly(QQ, c), P) == make_poly(Q, QQ, expected)
+    assert P._nf_cache[c][0] == (1, {Q.monomial(w): n for n, w in expected})
 
 
 def test_trace_replay(sys_xyz):
