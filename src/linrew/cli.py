@@ -216,8 +216,8 @@ def _cmd_branchings(args, P, meta, doc) -> int:
         doc["critical_branchings"] = [
             {
                 "word": str(b.word),
-                "rules": [b.step1.rule.name, b.step2.rule.name],
-                "positions": list(b.positions),
+                "rules": [b.rule1.name, b.rule2.name],
+                "positions": [0, b.start2],
             }
             for b in enumerate_critical_branchings(P)
         ]

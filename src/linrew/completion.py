@@ -14,10 +14,9 @@ from .rewriting import (
     NotCertifiedError,
     Polygraph2,
     RewriteError,
-    RewriteStep,
     Rule,
-    all_words,
     nf,
+    reduct,
 )
 
 DEFAULT_CONTEXT_BOUND = 3
@@ -37,6 +36,12 @@ class PatternMeasure:
     letter_weights: tuple[tuple[str, int], ...]
     pattern_weights: tuple[tuple[tuple[str, ...], int], ...]
     context_bound: int = DEFAULT_CONTEXT_BOUND
+
+    def __post_init__(self):
+        # A negative weight makes the measure unbounded below, so that a
+        # decrease proves nothing: x -> x x decreases it when x weighs -1.
+        if any(w < 0 for _, w in self.letter_weights + self.pattern_weights):
+            raise ValueError("measure weights must be non-negative")
 
     def measure(self, word: tuple[str, ...]) -> int:
         letters = dict(self.letter_weights)
@@ -66,25 +71,17 @@ class TerminationCertificate:
 
 @dataclass(frozen=True)
 class Branching:
-    """A critical branching: two rewriting steps out of the same source."""
+    """A critical branching: word rewritten by rule1 at 0 and by rule2 at start2."""
 
     word: Monomial
-    step1: RewriteStep
-    step2: RewriteStep
-    positions: tuple[int, int]
-
-    @property
-    def rules(self) -> tuple[Rule, Rule]:
-        return (self.step1.rule, self.step2.rule)
+    rule1: Rule
+    rule2: Rule
+    start2: int
 
     @cached_property
     def legs(self) -> tuple[Polynomial, Polynomial]:
-        """The reducts of word by step1 and by step2: each rule's target
-        whiskered by its step's contexts, times the step's coefficient.
-        This is step.apply(word), whose source terms cancel, without them."""
-        return tuple(
-            s.rule.target.whisker(s.left, s.right).scale(s.coeff) for s in (self.step1, self.step2)
-        )
+        """The reducts of word by its two redexes."""
+        return reduct(self.word, self.rule1, 0), reduct(self.word, self.rule2, self.start2)
 
 
 def certify_termination(P: Polygraph2, hint=None) -> TerminationCertificate:
@@ -104,8 +101,14 @@ def certify_termination(P: Polygraph2, hint=None) -> TerminationCertificate:
                     )
         return TerminationCertificate("order-compatible", True, order=hint)
     if isinstance(hint, PatternMeasure):
-        L = hint.context_bound
-        contexts = [w for d in range(L + 1) for w in all_words(P.quiver, d) if w.weight <= L]
+        # The weights are nonnegative, so the measure is a natural number.
+        # The pattern occurrences that differ between u.s.v and u.t.v lie in
+        # the last k - 1 letters of u, then s or t, then the first k - 1
+        # letters of v, for k the longest pattern: contexts of at most
+        # k - 1 letters decide the decrease in every context.  The declared
+        # bound may only widen the window.
+        L = max([0, hint.context_bound] + [len(p) - 1 for p, _ in hint.pattern_weights])
+        contexts = _words_up_to_weight(P.quiver, L)
         for rule in P.rules:
             src = rule.source
             for u in contexts:
@@ -140,39 +143,34 @@ def certify_termination(P: Polygraph2, hint=None) -> TerminationCertificate:
     )
 
 
+def _words_up_to_weight(quiver, n: int) -> list[Monomial]:
+    """Every composable word of at most n letters, in canonical order."""
+    letters = [quiver.monomial((g,)) for g in quiver.generators]
+    words = frontier = [quiver.identity(obj) for obj in quiver.objects]
+    for _ in range(n):
+        frontier = [m * g for m in frontier for g in letters if m.target == g.source]
+        words = words + frontier
+    return sorted(words)
+
+
 def enumerate_critical_branchings(P: Polygraph2) -> list[Branching]:
     """One branching per proper overlap of two rule sources (nonempty proper
-    suffix of source(r1) = prefix of source(r2)); on non-left-reduced systems
-    inclusion overlaps are also emitted.  Ordered by rule pair, then by
-    overlap weight."""
-    field = P.field
+    suffix of source(r1) = prefix of source(r2), looked up in P.prefix_index);
+    on non-left-reduced systems also one per other rule source inside
+    source(r1).  Ordered by r1, r2, then word weight: inclusions first."""
+    rules, index = P.rules, P.prefix_index
     out = []
-    for i, r1 in enumerate(P.rules):
-        w1 = r1.source.word
-        for j, r2 in enumerate(P.rules):
-            w2 = r2.source.word
-            found = []
-            for o in range(1, min(len(w1), len(w2))):
-                if w1[len(w1) - o :] != w2[:o]:
-                    continue
-                word = P.quiver.monomial(w1 + w2[o:], at=r1.source.source)
-                start2 = len(w1) - o
-                left2, right2 = P.contexts(word, r2, start2)
-                left1, right1 = P.contexts(word, r1, 0)
-                step1 = RewriteStep(field.one, left1, r1, right1)
-                step2 = RewriteStep(field.one, left2, r2, right2)
-                found.append(Branching(word, step1, step2, (0, start2)))
-            if not P.left_reduced and i != j and len(w2) <= len(w1):
-                for start2 in r1.source.factor_positions(w2):
-                    if start2 == 0 and len(w2) == len(w1):
-                        continue
-                    word = r1.source
-                    left2, right2 = P.contexts(word, r2, start2)
-                    step1 = RewriteStep(field.one, P.quiver.identity(word.source), r1,
-                                        P.quiver.identity(word.target))
-                    step2 = RewriteStep(field.one, left2, r2, right2)
-                    found.append(Branching(word, step1, step2, (0, start2)))
-            out.extend(sorted(found, key=lambda b: b.word.weight))
+    for i, r1 in enumerate(rules):
+        src = r1.source
+        found = [] if P.left_reduced else [
+            (j, src, start2)
+            for j, start2 in P.occurrences(src)
+            if j != i and not (start2 == 0 and rules[j].source.weight == src.weight)
+        ]
+        for start2 in range(1, src.weight):
+            found += [(j, src * rest, start2) for j, rest in index.get(src.word[start2:], ())]
+        found.sort(key=lambda t: (t[0], t[1].weight))
+        out += [Branching(word, r1, rules[j], start2) for j, word, start2 in found]
     return out
 
 
@@ -215,7 +213,7 @@ def check_confluence(P: Polygraph2) -> dict:
     entries = [
         {
             "word": str(b.word),
-            "rules": (b.step1.rule.name, b.step2.rule.name),
+            "rules": (b.rule1.name, b.rule2.name),
             "s_polynomial": str(s_polynomial(b)),
             "s_polynomial_nf": str(spnf),
             "joinable": spnf.is_zero(),
@@ -298,7 +296,7 @@ def complete(
         )
         new_rule = None
         for _, b in pending:
-            key = (b.step1.rule.name, b.step2.rule.name, b.positions[1], b.word.word)
+            key = (b.rule1.name, b.rule2.name, b.start2, b.word.word)
             used = joined.get(key)
             if used is not None and all(memo.get(m) is node for m, node in used):
                 continue

@@ -144,6 +144,13 @@ def _int(tok: str, what: str, line: int) -> int:
         raise LpError(f"bad {what} {tok!r}", line, 1)
 
 
+def _measure_weight(tok: str, line: int) -> int:
+    weight = _int(tok, "weight", line)
+    if weight < 0:  # see PatternMeasure
+        raise LpError(f"measure weight {weight} is negative; weights must be non-negative", line, 9)
+    return weight
+
+
 class _FieldContext:
     def __init__(self):
         self.gf = None  # the prime field declared, or None for Q
@@ -318,9 +325,9 @@ def parse(text: str):
         elif head == "measure":
             has_measure = True
             if len(parts) >= 4 and parts[1] == "letter":
-                measure_letters.append((parts[2], _int(parts[3], "weight", lineno)))
+                measure_letters.append((parts[2], _measure_weight(parts[3], lineno)))
             elif len(parts) >= 4 and parts[1] == "pattern":
-                measure_patterns.append((tuple(parts[2:-1]), _int(parts[-1], "weight", lineno)))
+                measure_patterns.append((tuple(parts[2:-1]), _measure_weight(parts[-1], lineno)))
             elif len(parts) == 3 and parts[1] == "bound":
                 measure_bound = _int(parts[2], "bound", lineno)
             else:

@@ -19,6 +19,7 @@ from .rewriting import (
     RewriteError,
     Rule,
     nf,
+    reduct,
     rightmost_redex,
 )
 
@@ -55,7 +56,8 @@ def _rule_by_name(P: Polygraph2, name: str) -> Rule:
 def enumerate_chains(P: Polygraph2, kmax: int, dmax: int) -> list[ChainCell]:
     """All chain cells of dimension <= kmax and internal degree <= dmax.  A
     cell's suffixes that start inside its last redex and are proper prefixes
-    of rule sources extend it by the rest of each such source."""
+    of rule sources extend it by the rest of each such source, read from
+    P.prefix_index."""
     _require_usable(P)
     cells: list[ChainCell] = []
     if kmax >= 1:
@@ -68,17 +70,7 @@ def enumerate_chains(P: Polygraph2, kmax: int, dmax: int) -> list[ChainCell]:
         for r in P.rules:
             if r.degree <= dmax:
                 cells.append(ChainCell(2, r.source, ((r.name, 0),)))
-    gens = P.quiver.generators
-    # proper prefix of a rule source -> (rule name, rest of the source, its
-    # degree, source target), in rule order
-    by_prefix: dict[tuple, list] = {}
-    for r in P.rules:
-        sw = r.source.word
-        for cut in range(1, len(sw)):
-            rest = sw[cut:]
-            by_prefix.setdefault(sw[:cut], []).append(
-                (r.name, rest, sum(gens[g].degree for g in rest), r.source.target)
-            )
+    rules, index = P.rules, P.prefix_index
     frontier = [c for c in cells if c.dim == 2]
     k = 3
     while k <= kmax and frontier:
@@ -86,10 +78,10 @@ def enumerate_chains(P: Polygraph2, kmax: int, dmax: int) -> list[ChainCell]:
         for c in frontier:
             w = c.word
             for q in range(c.redexes[-1][1] + 1, w.weight):
-                for name, rest, degree, target in by_prefix.get(w.word[q:], ()):
-                    if w.degree + degree <= dmax:
-                        nw = Monomial(w.word + rest, w.source, target, w.degree + degree)
-                        new.append(ChainCell(k, nw, c.redexes + ((name, q),)))
+                for idx, rest in index.get(w.word[q:], ()):
+                    if w.degree + rest.degree <= dmax:
+                        nw = Monomial(w.word + rest.word, w.source, rest.target, w.degree + rest.degree)
+                        new.append(ChainCell(k, nw, c.redexes + ((rules[idx].name, q),)))
         cells.extend(new)
         frontier = new
         k += 1
@@ -176,7 +168,7 @@ def leftmost_reduct(b: ChainCell, P: Polygraph2) -> Polynomial:
     if b.dim != 3:
         raise RewriteError("generating confluences are indexed by 3-chains")
     rule1 = _rule_by_name(P, b.redexes[0][0])
-    mid = rule1.target.whisker(None, P.quiver.monomial(b.word.word[rule1.source.weight :]))
+    mid = reduct(b.word, rule1, 0)
     if nf(mid, P) != nf(monomial_poly(P.field, b.word), P):
         raise RewriteError(f"generating confluence legs disagree on {b.word}")
     return mid

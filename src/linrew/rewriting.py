@@ -241,6 +241,19 @@ class Polygraph2:
                 return True
         return False
 
+    @cached_property
+    def prefix_index(self) -> dict[tuple[str, ...], list[tuple[int, Monomial]]]:
+        """Each proper prefix of a rule source -> (rule index, the rest of the
+        source), in rule order: the overlaps of critical branchings and of
+        chains.  Built on first use: most systems never need it."""
+        gens, index = self.quiver.generators, {}
+        for idx, src in enumerate(r.source for r in self.rules):
+            for cut in range(1, src.weight):
+                rest = src.word[cut:]
+                degree = sum(gens[g].degree for g in rest)
+                index.setdefault(src.word[:cut], []).append((idx, Monomial(rest, gens[rest[0]].source, src.target, degree)))
+        return index
+
     def contexts(self, m: Monomial, rule: Rule, start: int) -> tuple[Monomial, Monomial]:
         """The left and right contexts of the occurrence of rule's source at
         start in m, sliced from m.word: slices of a composable word are
@@ -276,6 +289,19 @@ def rightmost_step(m: Monomial, P: Polygraph2) -> RewriteStep:
     rule = P.rules[idx]
     left, right = P.contexts(m, rule, start)
     return RewriteStep(P.field.one, left, rule, right)
+
+
+def reduct(m: Monomial, rule: Rule, start: int) -> Polynomial:
+    """m with the occurrence of rule's source at start replaced by rule's
+    target: each target monomial is sliced into m's word, as nf slices its
+    reducts."""
+    word, shift = m.word, m.degree - rule.source.degree
+    left, right = word[:start], word[start + rule.source.weight :]
+    terms = {
+        Monomial(left + t.word + right, m.source, m.target, shift + t.degree): c
+        for t, c in rule.target.terms.items()
+    }
+    return Polynomial._unchecked(rule.target.field, terms, m.source, m.target)
 
 
 def nf(f: Polynomial, P: Polygraph2) -> Polynomial:

@@ -1,6 +1,8 @@
-"""Brute-force reference oracles: every word up to a degree, and the spanning
-set of the relation ideal over those words.  They enumerate all contexts of
-all rules, so they are meant for the small systems of the tests."""
+"""Brute-force reference oracles: every word up to a degree, the spanning
+set of the relation ideal over those words, normal forms with no memo, and
+the critical branchings of every pair of rules.  They enumerate all contexts
+or pairs of all rules, so they are meant for the small systems of the
+tests."""
 
 from linrew.rewriting import RewriteStep, _row, all_words, rightmost_step
 
@@ -50,3 +52,33 @@ def rightmost_nf(f, P):
         c, m = reducible[-1]
         step = rightmost_step(m, P)
         f = RewriteStep(c, step.left, step.rule, step.right).apply(f)
+
+
+def critical_branchings(P) -> list:
+    """The critical branchings of P by a loop over every pair of rules, as
+    (str(word), rule1 name, rule2 name, start2): the proper overlaps of
+    source(rule1) with source(rule2) and, on a system that is not
+    left-reduced, the inclusions of source(rule2) in source(rule1).  Ordered
+    by rule pair, then by the weight of the word."""
+    out = []
+    for i, r1 in enumerate(P.rules):
+        w1 = r1.source.word
+        for j, r2 in enumerate(P.rules):
+            w2 = r2.source.word
+            found = [
+                (w1 + w2[o:], len(w1) - o)
+                for o in range(1, min(len(w1), len(w2)))
+                if w1[len(w1) - o :] == w2[:o]
+            ]
+            if not P.left_reduced and i != j and len(w2) <= len(w1):
+                found += [
+                    (w1, start2)
+                    for start2 in r1.source.factor_positions(w2)
+                    if not (start2 == 0 and len(w2) == len(w1))
+                ]
+            found.sort(key=lambda t: len(t[0]))
+            out += [
+                (str(P.quiver.monomial(word, at=r1.source.source)), r1.name, r2.name, start2)
+                for word, start2 in found
+            ]
+    return out

@@ -41,6 +41,24 @@ def test_check_convergent(capsys, fixtures_dir):
     assert doc["confluence"]["critical_branchings"] == 0
 
 
+def test_check_refuses_measures_of_non_terminating_systems(capsys, tmp_path):
+    """Two systems whose rewriting never ends, once accepted as convergent:
+    a negative letter weight is refused at its line, and the pattern
+    c c c c b is checked in contexts longer than the declared bound 3."""
+    negative = tmp_path / "negative.lp"
+    negative.write_text("field Q\ngenerators x\nmeasure letter x -1\nrule r : x -> x x\n")
+    assert main(["check", str(negative)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"].startswith("line 3, col 9: measure weight -1")
+    pattern = tmp_path / "pattern.lp"
+    pattern.write_text(
+        "field Q\ngenerators a b c\nmeasure letter a 2\nmeasure letter b 1\n"
+        "measure pattern c c c c b 10\nrule r : a -> b\nrule s : c c c c b -> c c c c a\n"
+    )
+    code, doc = run_json(capsys, "check", str(pattern))
+    assert code == 3 and not doc["convergent"] and not doc["termination"]["ok"]
+    assert run(capsys, "nf", str(pattern), "--term", "c c c c a")[0] == 3
+
+
 def test_check_nonconfluent_exits_3(capsys, fixtures_dir):
     code, doc = run_json(capsys, "check", fx(fixtures_dir, "xyrev.lp"))
     assert code == 3

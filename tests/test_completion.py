@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from linrew import (
     CompletionBoundExceeded,
@@ -18,12 +18,14 @@ from linrew import (
     is_confluent,
     lpformat,
     monomial_poly,
+    nf,
     orient,
     s_polynomial,
 )
 from linrew.completion import _interreduce_rules
 from linrew.rewriting import RewriteStep
 
+import brute_force
 from conftest import FIXTURES, deglex_system, make_poly
 from test_acceptance import random_system
 
@@ -45,6 +47,71 @@ def test_pattern_measure_certificate(sys_xyz):
     cert = certify_termination(sys_xyz, measure)
     assert cert.ok and cert.kind == "pattern-measure"
     assert "semi-sound" in cert.notes
+    # A declared bound below the longest pattern length - 1 does not narrow
+    # the contexts checked.
+    cert = certify_termination(sys_xyz, PatternMeasure(measure.letter_weights, measure.pattern_weights, 0))
+    assert cert.ok and "contexts up to length 2;" in cert.notes
+
+
+@pytest.mark.parametrize("generators,bound", [
+    ("generators a b c", 3),
+    # c c c c has degree 8: contexts are counted in letters, not degree.
+    ("generators a b\ngenerator c degree 2", 4),
+], ids=["bound-3", "c-of-degree-2"])
+def test_pattern_measure_checks_contexts_past_the_bound(generators, bound):
+    """c c c c b -> c c c c a decreases the measure in every context of up
+    to 3 letters, but a -> b raises it after c c c c: rewriting c^4 a
+    never ends."""
+    P, meta = lpformat.parse(
+        f"field Q\n{generators}\nmeasure letter a 2\nmeasure letter b 1\n"
+        f"measure pattern c c c c b 10\nmeasure bound {bound}\n"
+        "rule r : a -> b\nrule s : c c c c b -> c c c c a\n"
+    )
+    cert = certify_termination(P, meta["measure"])
+    assert not cert.ok
+    assert cert.notes == "rule r: measure does not decrease in context (c^4, 1_*) on target monomial b"
+
+
+def test_pattern_measure_refuses_negative_weights():
+    with pytest.raises(ValueError, match="non-negative"):
+        PatternMeasure((("x", -1),), ())
+    with pytest.raises(ValueError, match="non-negative"):
+        PatternMeasure((), ((("x", "x"), -2),))
+
+
+_WORDS = st.lists(st.sampled_from("xy"), max_size=3).map("".join)
+
+
+@st.composite
+def measured_systems(draw):
+    """A system on x, y with 1-3 rules whose targets are sums of at most
+    two words of at most 3 letters, and a measure with letter weights 0-3,
+    at most two patterns of 1-4 letters weighing 0-6 and a declared bound
+    0-3."""
+    sources = draw(st.lists(_WORDS.filter(bool), min_size=1, max_size=3, unique=True))
+    rules = [
+        (f"r{i}", src, [(1, t) for t in draw(st.lists(_WORDS, max_size=2, unique=True)) if t != src])
+        for i, src in enumerate(sources)
+    ]
+    letters = tuple((g, draw(st.integers(0, 3))) for g in "xy")
+    pattern = st.lists(st.sampled_from("xy"), min_size=1, max_size=4).map(tuple)
+    patterns = tuple(draw(st.lists(st.tuples(pattern, st.integers(0, 6)), max_size=2)))
+    return deglex_system("xy", rules), PatternMeasure(letters, patterns, draw(st.integers(0, 3)))
+
+
+@given(measured_systems())
+@example((  # both rules decrease the measure bare, y -> x raises it after x: x x -> y y -> y x -> x x
+    deglex_system("xy", [("r", "xx", [(1, "yy")]), ("s", "y", [(1, "x")])]),
+    PatternMeasure((("y", 1),), ((("x", "x"), 3),), 0),
+))
+@settings(max_examples=150, deadline=None)
+def test_certified_measure_terminates(system):
+    """Whenever the measure certifies termination, rewriting every word up
+    to degree 6 ends within the step budget."""
+    P, measure = system
+    if certify_termination(P, measure).ok:
+        for w in brute_force.words_up_to(P.quiver, 6):
+            nf(monomial_poly(P.field, w), P)
 
 
 def test_pattern_measure_counts_overlaps():
@@ -124,12 +191,46 @@ def test_sys_xyz_no_criticals(sys_xyz):
 
 def assert_legs_are_step_replays(P):
     """Each branching's legs, and its S-polynomial, equal replaying its two
-    rewriting steps on the overlap word."""
+    rewriting steps, built from the contexts of its redexes, on the overlap
+    word."""
     for b in enumerate_critical_branchings(P):
         w = monomial_poly(P.field, b.word)
-        t1, t2 = b.step1.apply(w), b.step2.apply(w)
+        t1, t2 = (
+            RewriteStep(P.field.one, left, rule, right).apply(w)
+            for rule, start in ((b.rule1, 0), (b.rule2, b.start2))
+            for left, right in [P.contexts(b.word, rule, start)]
+        )
         assert b.legs == (t1, t2)
         assert s_polynomial(b) == t1 - t2
+
+
+def assert_branchings_match_reference(P):
+    """The overlap-index enumeration lists what the loop over every rule
+    pair finds, in the same order."""
+    found = [(str(b.word), b.rule1.name, b.rule2.name, b.start2) for b in enumerate_critical_branchings(P)]
+    assert found == brute_force.critical_branchings(P)
+
+
+def fixture_and_completion(path):
+    """The fixture's system and, under its order, its completion to degree
+    5 or the partial system where that trips."""
+    P, _ = lpformat.parse_file(path)
+    if P.order is None:
+        return [P]
+    try:
+        done = complete(P, P.order, max_degree=5)
+    except CompletionBoundExceeded as e:
+        done = e.partial
+    return [P, done]
+
+
+def zyz_system():
+    """y z is a factor of z y z: the system is not left-reduced, so z y z
+    also branches into its own rule and r2 inside it."""
+    return deglex_system("xyz", [
+        ("r1", "zyz", [(1, "xxy"), (-2, "y")]),
+        ("r2", "yz", [(Fraction(1, 2), "xx")]),
+    ])
 
 
 @given(st.integers(min_value=0, max_value=2**32))
@@ -140,27 +241,32 @@ def test_legs_equal_step_replay_a6(seed):
 
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.lp")), ids=lambda p: p.stem)
 def test_legs_equal_step_replay_fixtures(path):
-    P, _ = lpformat.parse_file(path)
-    assert_legs_are_step_replays(P)
-    if P.order is not None:
-        try:
-            done = complete(P, P.order, max_degree=5)
-        except CompletionBoundExceeded as e:
-            done = e.partial
-        assert_legs_are_step_replays(done)
+    for P in fixture_and_completion(path):
+        assert_legs_are_step_replays(P)
 
 
 def test_legs_equal_step_replay_inclusion_overlap():
-    # y z is a factor of z y z: the system is not left-reduced, so z y z
-    # also branches into its own rule and r2 inside it.
-    P = deglex_system("xyz", [
-        ("r1", "zyz", [(1, "xxy"), (-2, "y")]),
-        ("r2", "yz", [(Fraction(1, 2), "xx")]),
-    ])
+    P = zyz_system()
     assert not P.left_reduced
-    inclusions = [b for b in enumerate_critical_branchings(P) if b.word == b.step1.rule.source]
-    assert [(str(b.word), b.positions) for b in inclusions] == [("z y z", (0, 1))]
+    inclusions = [b for b in enumerate_critical_branchings(P) if b.word == b.rule1.source]
+    assert [(str(b.word), b.rule2.name, b.start2) for b in inclusions] == [("z y z", "r2", 1)]
     assert_legs_are_step_replays(P)
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=100, deadline=None)
+def test_branchings_match_reference_a6(seed):
+    assert_branchings_match_reference(random_system(random.Random(seed)))
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.lp")), ids=lambda p: p.stem)
+def test_branchings_match_reference_fixtures(path):
+    for P in fixture_and_completion(path):
+        assert_branchings_match_reference(P)
+
+
+def test_branchings_match_reference_inclusion_overlap():
+    assert_branchings_match_reference(zyz_system())
 
 
 def test_check_confluence_replays_no_step(monkeypatch):

@@ -122,6 +122,12 @@ def test_measure_lines():
     assert m.context_bound == 3
 
 
+@pytest.mark.parametrize("line", ["measure letter x -1", "measure pattern x x -2"])
+def test_negative_measure_weight_refused(line):
+    with pytest.raises(LpError, match=r"^line 3, col 9: measure weight -\d is negative"):
+        parse(f"field Q\ngenerators x\n{line}\nrule r : x -> x x\n")
+
+
 def test_comments_and_blanks():
     P, _ = parse(
         "# a comment\n\nfield Q\ngenerators x y  # trailing\n"

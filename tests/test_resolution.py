@@ -17,6 +17,7 @@ from linrew import (
     homology,
     lpformat,
     resolution,
+    standard_basis,
 )
 from linrew.scalars import RationalField
 
@@ -32,6 +33,32 @@ def pp_done(sys_pp):
 @pytest.fixture
 def xy_done(sys_xy):
     return complete(sys_xy, sys_xy.order)
+
+
+def chain_count_series(P, dmax: int) -> list:
+    """The coefficients of sum_k (-1)^k c_k(t) H_A(t) up to t^dmax, where
+    c_k(t) counts the k-chains by degree (c_0 = 1, for the empty chain) and
+    H_A(t) counts the normal words.  Anick's resolution makes it 1."""
+    c = [[0] * (dmax + 1) for _ in range(dmax + 1)]
+    c[0][0] = 1
+    for cell in enumerate_chains(P, dmax, dmax):
+        c[cell.dim][cell.degree] += 1
+    h = standard_basis(P, dmax).counts()
+    return [
+        sum((-1) ** k * c[k][i] * h[d - i] for k in range(dmax + 1) for i in range(d + 1))
+        for d in range(dmax + 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    # xyrev's completion does not stop.
+    "name", [path.stem for path in sorted(FIXTURES.glob("*.lp")) if path.stem != "xyrev"] + ["cubic"]
+)
+def test_anick_chain_count_identity(name):
+    """The chains read from the overlap index, counted with no
+    differential, against the Hilbert series through degree 7."""
+    P = cubic_system() if name == "cubic" else lpformat.parse_file(FIXTURES / f"{name}.lp")[0]
+    assert chain_count_series(complete(P, P.order), 7) == [1] + [0] * 7
 
 
 def test_ell_pattern():
