@@ -9,6 +9,9 @@ For homogeneous rules the complex is graded: every delta entry joins two
 cells of one internal degree, so a chain whose degree has no cells one
 dimension down gets its empty column without a walk.  Inhomogeneous systems
 have every column computed in full, degree-lowering entries included.
+
+delta2 trusts the convergence certificate, bound to the rules it was proved
+on, for the meeting of the legs of each generating confluence.
 """
 
 from __future__ import annotations
@@ -20,13 +23,12 @@ from . import linalg
 from .rewriting import NotCertifiedError, Polygraph2, RewriteError
 from .resolution import (
     ChainCell,
+    _require_usable,
     boundary4,
     ell,
     enumerate_chains,
     generating_confluence,
-    leftmost_reduct,
 )
-from .completion import enumerate_critical_branchings
 
 
 class ReducedComplex:
@@ -149,8 +151,9 @@ def build_complex(P: Polygraph2, cells: Iterable[ChainCell]) -> ReducedComplex:
     the rightmost rewriting DAG, sharing one memo.  On a homogeneous system
     the column of a (k+1)-chain is walked only when C_k has cells of the
     chain's degree, and is empty otherwise; an inhomogeneous system has
-    every column walked.  The legs of every 3-chain's generating confluence
-    are checked to meet, walked or not."""
+    every column walked.  P's certificate, bound to its rules, makes the
+    legs of every 3-chain's generating confluence meet, walked or not."""
+    _require_usable(P)
     field = P.field
     N = P.homogeneity_degree if P.homogeneous else None
     cx = ReducedComplex(field, N)
@@ -183,8 +186,6 @@ def build_complex(P: Polygraph2, cells: Iterable[ChainCell]) -> ReducedComplex:
         if c.dim not in (3, 4):
             continue
         if graded is not None and (c.dim - 1, c.degree) not in graded:
-            if c.dim == 3:
-                leftmost_reduct(c, P)  # the legs check, on every 3-chain
             col = {}
         elif c.dim == 3:
             col = generating_confluence(c, P, memo)
@@ -317,8 +318,7 @@ def koszul_verdict(P: Polygraph2, kmax: int = 4, dmax: int = 6) -> KoszulVerdict
     if not P.certified_convergent:
         raise RewriteError("Koszulity verdict needs a certified-convergent system")
     N = P.homogeneity_degree
-    criticals = enumerate_critical_branchings(P)
-    if not criticals:
+    if P.convergence_certificate["criticals_checked"] == 0:
         degrees = sorted({r.degree for r in P.rules})
         if len(degrees) > 1:
             raise _not_n_homogeneous(f"its rules have degrees {_listed(degrees)}")

@@ -159,27 +159,16 @@ def _walk_node(P: Polygraph2, k: int, node: tuple, right: Monomial, memo: dict) 
     return col
 
 
-def leftmost_reduct(b: ChainCell, P: Polygraph2) -> Polynomial:
-    """The reduct of a 3-chain's word by its leftmost redex, checked to have
-    the word's normal form: the two legs of the generating confluence meet.
-    Raises RewriteError when they do not, as on a system falsely certified
-    convergent."""
-    _require_usable(P)
-    if b.dim != 3:
-        raise RewriteError("generating confluences are indexed by 3-chains")
-    rule1 = _rule_by_name(P, b.redexes[0][0])
-    mid = reduct(b.word, rule1, 0)
-    if nf(mid, P) != nf(monomial_poly(P.field, b.word), P):
-        raise RewriteError(f"generating confluence legs disagree on {b.word}")
-    return mid
-
-
 def generating_confluence(b: ChainCell, P: Polygraph2, memo: Optional[dict] = None) -> dict:
     """The delta2 column {rule name: coefficient} of a 3-chain: rho*_2 along
     the leg beginning with the leftmost redex minus rho*_2 along rho on the
     overlap word.  The first step's right context is the rest of the word,
-    never empty, so that step adds nothing."""
-    mid = leftmost_reduct(b, P)
+    never empty, so that step adds nothing.  P's certificate makes the
+    legs meet: they are not normalised again."""
+    _require_usable(P)
+    if b.dim != 3:
+        raise RewriteError("generating confluences are indexed by 3-chains")
+    mid = reduct(b.word, _rule_by_name(P, b.redexes[0][0]), 0)
     if memo is None:
         memo = {}
     field = P.field

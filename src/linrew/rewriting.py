@@ -156,7 +156,8 @@ class Polygraph2:
 
     Reducedness and homogeneity flags are recomputed, never trusted from
     input.  Certificates (termination, convergence) are attached by the
-    completion module; the system is treated as immutable once certified.
+    completion module.  A convergence certificate holds the rules it was
+    proved on, and certifies the system only while its rules equal those.
     """
 
     def __init__(
@@ -200,7 +201,7 @@ class Polygraph2:
 
     @property
     def certified_convergent(self) -> bool:
-        return self.certified_terminating and bool(self.convergence_certificate)
+        return self.certified_terminating and (self.convergence_certificate or {}).get("rules") == tuple(self.rules)
 
     # -- redex search --------------------------------------------------------
 

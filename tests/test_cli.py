@@ -1,13 +1,14 @@
 import hashlib
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from linrew import Monomial, Polynomial, lpformat
 from linrew.cli import _emit, main
-from linrew.completion import DEFAULT_WORK_BUDGET
+from linrew.completion import DEFAULT_WORK_BUDGET, MEASURE_PAIR_BUDGET
 
 from conftest import cubic_system
 
@@ -59,6 +60,21 @@ def test_check_refuses_measures_of_non_terminating_systems(capsys, tmp_path):
     assert run(capsys, "nf", str(pattern), "--term", "c c c c a")[0] == 3
 
 
+def test_check_measure_budget_exits_3(capsys, fixtures_dir, tmp_path):
+    """xyz.lp at measure bound 7 has 3280 contexts a side: its measure check
+    is refused by its pair budget at once, with exit 3 and the report."""
+    path = tmp_path / "xyz7.lp"
+    path.write_text((fixtures_dir / "xyz.lp").read_text().replace("measure bound 3", "measure bound 7"))
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "check", str(path))
+    assert time.perf_counter() - start < 2
+    assert code == 3 and not doc["convergent"]
+    assert doc["termination"]["notes"] == (
+        f"measure check over contexts of up to 7 letters exceeds its budget of "
+        f"{MEASURE_PAIR_BUDGET} (u, v) context pairs: 1194649 pairs already at 6 letters"
+    )
+
+
 def test_check_nonconfluent_exits_3(capsys, fixtures_dir):
     code, doc = run_json(capsys, "check", fx(fixtures_dir, "xyrev.lp"))
     assert code == 3
@@ -77,6 +93,7 @@ def test_complete_writes_output(capsys, fixtures_dir, tmp_path):
         {"source": "y x^2", "target": "x^3"}
     ]
     assert "certified convergent" in out_path.read_text()
+    assert lpformat.parse_file(str(out_path))[0].certified_convergent
 
 
 def test_nf_nonterminating_exits_3(capsys, tmp_path):

@@ -6,11 +6,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from linrew import (
     CompletionBoundExceeded,
+    Generator,
     MonomialOrder,
     PatternMeasure,
     Polygraph2,
     QQ,
     Quiver,
+    Rule,
     certify_termination,
     check_confluence,
     complete,
@@ -22,7 +24,8 @@ from linrew import (
     orient,
     s_polynomial,
 )
-from linrew.completion import _interreduce_rules
+from linrew import completion
+from linrew.completion import MEASURE_PAIR_BUDGET, _context_pairs, _interreduce_rules
 from linrew.rewriting import RewriteStep
 
 import brute_force
@@ -70,6 +73,26 @@ def test_pattern_measure_checks_contexts_past_the_bound(generators, bound):
     cert = certify_termination(P, meta["measure"])
     assert not cert.ok
     assert cert.notes == "rule r: measure does not decrease in context (c^4, 1_*) on target monomial b"
+
+
+def test_pattern_measure_budget(sys_xyz):
+    """Past MEASURE_PAIR_BUDGET (u, v) context pairs the measure check is
+    refused before any pair is compared; the pairs are counted per object,
+    as the check pairs its contexts, without listing a word."""
+    measure = PatternMeasure((("y", 1),), ((("x", "y", "z"), 3),), 7)
+    cert = certify_termination(sys_xyz, measure)
+    assert not cert.ok and cert.kind == "pattern-measure" and cert.measure is measure
+    assert cert.notes == (
+        f"measure check over contexts of up to 7 letters exceeds its budget of "
+        f"{MEASURE_PAIR_BUDGET} (u, v) context pairs: 1194649 pairs already at 6 letters"
+    )
+    assert _context_pairs(sys_xyz, 5) == (132496, 5) and 132496 <= MEASURE_PAIR_BUDGET
+    two = Quiver(["o1", "o2"], [Generator("f", "o1", "o2"), Generator("g", "o2", "o1"), Generator("h", "o1", "o1")])
+    P = Polygraph2(two, QQ, [Rule("r", two.monomial("hf"), monomial_poly(QQ, two.monomial("f")))])
+    for n in range(5):
+        words = completion._words_up_to_weight(two, n)
+        listed = sum(u.target == "o1" for u in words) * sum(v.source == "o2" for v in words)
+        assert _context_pairs(P, n) == (listed, n)
 
 
 def test_pattern_measure_refuses_negative_weights():
@@ -279,6 +302,27 @@ def test_check_confluence_replays_no_step(monkeypatch):
     monkeypatch.setattr(RewriteStep, "apply", no_replay)
     report = check_confluence(done)
     assert report["convergent"] and report["critical_branchings"] == 4
+
+
+def test_convergence_certificate_is_bound_to_its_rules(sys_pp):
+    """A convergence certificate certifies the rules it was proved on and no
+    others: not a copy with a rule dropped or added, not its own system
+    once a rule is appended, and not a certificate that names no rules."""
+    done = complete(sys_pp, sys_pp.order)
+    assert done.certified_convergent
+    extra = Rule("extra", done.quiver.monomial(tuple("xxx")), done.quiver.zero(QQ))
+    cert = done.convergence_certificate
+    for rules, certificate in [
+        (done.rules[:-1], cert),
+        (done.rules + [extra], cert),
+        (done.rules, {k: v for k, v in cert.items() if k != "rules"}),
+    ]:
+        copy = Polygraph2(done.quiver, done.field, rules, done.order)
+        copy.termination_certificate = done.termination_certificate
+        copy.convergence_certificate = certificate
+        assert not copy.certified_convergent
+    done.rules.append(extra)
+    assert not done.certified_convergent
 
 
 def test_is_confluent_is_the_report_verdict():

@@ -20,7 +20,7 @@ from linrew import (
     monomial_poly,
     tor_table,
 )
-from linrew import linalg
+from linrew import completion, homology, linalg
 from linrew.resolution import _walk
 
 from conftest import make_poly
@@ -205,6 +205,18 @@ def test_koszul_verdicts(sys_xyz, pp_done, xy_done):
     v3 = koszul_verdict(xy_done, 4, 6)
     assert v3.status == "Not-Koszul"
     assert v3.witness == (3, 4)
+
+
+def test_koszul_reads_the_certificate_count(pp_done, monkeypatch):
+    """koszul_verdict takes the number of critical branchings from the
+    convergence certificate and enumerates none itself."""
+    calls = []
+    for module in (completion, homology):
+        monkeypatch.setattr(module, "enumerate_critical_branchings",
+                            lambda P: calls.append(P) or [], raising=False)
+    assert pp_done.convergence_certificate["criticals_checked"] > 0
+    assert koszul_verdict(pp_done, 4, 6).reason == "concentrated-after-collapse"
+    assert calls == []
 
 
 def test_koszul_requires_homogeneous():

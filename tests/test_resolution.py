@@ -6,16 +6,22 @@ import pytest
 
 from linrew import (
     QQ,
+    NotCertifiedError,
     RewriteError,
     boundary4,
     build_complex,
     cell_degrees,
+    certify_termination,
+    check_confluence,
     complete,
     ell,
     enumerate_chains,
     generating_confluence,
     homology,
+    is_confluent,
+    koszul_verdict,
     lpformat,
+    nf,
     resolution,
     standard_basis,
 )
@@ -133,7 +139,11 @@ def _falsely_certified(sys_pp, pp_done):
 
 
 def test_generating_confluence_legs_agree(pp_done, sys_pp):
-    cells = enumerate_chains(pp_done, 3, 6)
+    """On a certified system every generating confluence is delta2's column;
+    a certificate copied from another system certifies nothing, so chains,
+    generating confluences and boundary4 refuse it, and its yzy branching
+    does not join."""
+    cells = enumerate_chains(pp_done, 4, 6)
     cx = build_complex(pp_done, cells)
     names = {r.name for r in pp_done.rules}
     for c in cells:
@@ -142,18 +152,47 @@ def test_generating_confluence_legs_agree(pp_done, sys_pp):
             assert col == cx.delta[2][c.redexes]
             assert set(col) <= names
     P = _falsely_certified(sys_pp, pp_done)
-    yzy = next(c for c in enumerate_chains(P, 3, 3) if c.dim == 3 and c.word.word == tuple("yzy"))
-    with pytest.raises(RewriteError, match="legs disagree"):
+    assert not P.certified_convergent
+    yzy = next(c for c in cells if c.dim == 3 and c.word.word == tuple("yzy"))
+    cell4 = next(c for c in cells if c.dim == 4)
+    with pytest.raises(NotCertifiedError):
+        enumerate_chains(P, 3, 3)
+    with pytest.raises(NotCertifiedError):
         generating_confluence(yzy, P)
+    with pytest.raises(NotCertifiedError):
+        boundary4(cell4, P)
+    report = check_confluence(P)
+    assert not report["convergent"]
+    assert [e["joinable"] for e in report["entries"] if e["word"] == "y z y"] == [False]
+    assert not P.certified_convergent
 
 
 def test_build_complex_checks_legs_of_pruned_chains(pp_done, sys_pp):
-    # Both rules have degree 2, so the degree-3 column of yzy is not walked;
-    # its legs are still compared.
+    # Both rules have degree 2, so the degree-3 column of yzy would not be
+    # walked: build_complex refuses the falsely certified system itself,
+    # and so does koszul_verdict.
     P = _falsely_certified(sys_pp, pp_done)
     assert {r.degree for r in P.rules} == {2}
-    with pytest.raises(RewriteError, match="legs disagree on y z y"):
-        build_complex(P, enumerate_chains(P, 3, 3))
+    with pytest.raises(NotCertifiedError, match="certified-convergent"):
+        build_complex(P, enumerate_chains(pp_done, 3, 3))
+    with pytest.raises(RewriteError, match="certified-convergent"):
+        koszul_verdict(P, 4, 6)
+
+
+def test_build_complex_trusts_the_certificate_on_skew(monkeypatch):
+    """Once is_confluent has certified skew q6, build_complex normalises
+    nothing: no nf call and no new memo node for its (all pruned) 3- and
+    4-chains."""
+    P = skew_system(6)
+    P.termination_certificate = certify_termination(P, P.order)
+    assert is_confluent(P) and P.certified_convergent
+    cells = enumerate_chains(P, 4, 5)
+    nodes = len(P._nf_cache)
+    calls = []
+    monkeypatch.setattr(resolution, "nf", lambda f, P: calls.append(f) or nf(f, P))
+    cx = build_complex(P, cells)
+    assert len(cx.delta[2]) == 20 and len(cx.delta[3]) == 15
+    assert calls == [] and len(P._nf_cache) == nodes
 
 
 def test_boundary4_instances(pp_done):

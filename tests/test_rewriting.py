@@ -18,7 +18,9 @@ from linrew import (
     certify_termination,
     check_confluence,
     complete,
+    completion,
     ideal_member,
+    is_confluent,
     monomial_poly,
     nf,
     normal_form,
@@ -406,7 +408,7 @@ def test_pbw_xy_example():
     assert report2["failures"]
 
 
-def test_pbw_builds_quadratic_polygraph():
+def test_pbw_builds_quadratic_polygraph(monkeypatch):
     Q = Quiver.free("xy")
     order = MonomialOrder("deglex", "xy")
     rule = Rule("a", Q.monomial(("x", "y")), make_poly(Q, QQ, [(1, "xx")]))
@@ -417,7 +419,10 @@ def test_pbw_builds_quadratic_polygraph():
         for i in range(d + 1)
         for j in [d - i]
     ]
+    decided = []
+    monkeypatch.setattr(completion, "is_confluent", lambda xi: decided.append(xi) or is_confluent(xi))
     report = pbw_check(P, cand, 4, build_xi=True)
     assert report["passed"]
     assert report["xi"]["rules"] == ["xi0 : x y => x^2"]
     assert report["xi"]["convergent"]
+    assert [xi.certified_convergent for xi in decided] == [True]
