@@ -17,7 +17,7 @@ from .completion import (
     DEFAULT_MAX_DEGREE,
     DEFAULT_MAX_RULES,
     CompletionBoundExceeded,
-    certify_termination,
+    certify_declared,
     check_confluence,
     complete,
     enumerate_critical_branchings,
@@ -82,10 +82,7 @@ def _terminates(P, meta):
     """Certify termination under the declared order, then the declared
     measure (with no hint when neither is declared); attach the first
     certificate that holds to P and return it, else return the last one."""
-    for hint in [h for h in (P.order, meta.get("measure")) if h is not None] or [None]:
-        cert = certify_termination(P, hint)
-        if cert.ok:
-            break
+    cert = certify_declared(P, meta.get("measure"))
     if cert.ok:
         P.termination_certificate = cert
     return cert

@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from heapq import heapify, heappop, heappush
+from operator import itemgetter
 from typing import Optional
 
 from .algebra import Monomial, MonomialOrder, Polynomial, leading_data, monomial_poly
@@ -46,8 +48,12 @@ class PatternMeasure:
         if any(w < 0 for _, w in self.letter_weights + self.pattern_weights):
             raise ValueError("measure weights must be non-negative")
 
+    @cached_property
+    def _letters(self) -> dict[str, int]:
+        return dict(self.letter_weights)
+
     def measure(self, word: tuple[str, ...]) -> int:
-        letters = dict(self.letter_weights)
+        letters = self._letters
         total = sum(letters.get(g, 0) for g in word)
         for pattern, w in self.pattern_weights:
             k = len(pattern)
@@ -55,6 +61,13 @@ class PatternMeasure:
                 1 for i in range(len(word) - k + 1) if word[i : i + k] == pattern
             )
         return total
+
+    def window(self, u: tuple[str, ...], v: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The last k - 1 letters of u and the first k - 1 letters of v, for
+        k the longest pattern: the measures of u.s.v and u.t.v differ as
+        those of the window around s and t do (see certify_termination)."""
+        k = max((len(p) for p, _ in self.pattern_weights), default=1)
+        return u[max(len(u) - k + 1, 0) :], v[: k - 1]
 
 
 @dataclass
@@ -93,10 +106,7 @@ def certify_termination(P: Polygraph2, hint=None) -> TerminationCertificate:
     if hint is None:
         hint = P.order
     if isinstance(hint, MonomialOrder):
-        failure = next((
-            f"rule {rule.name}: target monomial {t} not below source {rule.source}"
-            for rule in P.rules for t in rule.target.terms if not hint.less(t, rule.source)
-        ), None)
+        failure = _order_failure(P.rules, hint)
         return TerminationCertificate("order-compatible", failure is None, order=hint, notes=failure or "")
     if isinstance(hint, PatternMeasure):
         # The weights are nonnegative, so the measure is a natural number.
@@ -113,6 +123,24 @@ def certify_termination(P: Polygraph2, hint=None) -> TerminationCertificate:
     return TerminationCertificate("user-asserted", False, notes="no usable hint (give an order or a measure)")
 
 
+def certify_declared(P: Polygraph2, measure: Optional[PatternMeasure] = None) -> TerminationCertificate:
+    """Certify termination under P's order, then under the measure (with no
+    hint when neither is given): the first certificate that holds, else the
+    last one."""
+    for hint in [h for h in (P.order, measure) if h is not None] or [None]:
+        cert = certify_termination(P, hint)
+        if cert.ok:
+            break
+    return cert
+
+
+def _order_failure(rules, order: MonomialOrder) -> Optional[str]:
+    return next((
+        f"rule {rule.name}: target monomial {t} not below source {rule.source}"
+        for rule in rules for t in rule.target.terms if not order.less(t, rule.source)
+    ), None)
+
+
 def _measure_failure(P: Polygraph2, measure: PatternMeasure, L: int) -> Optional[str]:
     """Why some rule does not decrease the measure in some context (u, v) of
     at most L letters a side, or None; none past MEASURE_PAIR_BUDGET pairs."""
@@ -121,13 +149,15 @@ def _measure_failure(P: Polygraph2, measure: PatternMeasure, L: int) -> Optional
         return (f"measure check over contexts of up to {L} letters exceeds its budget of {MEASURE_PAIR_BUDGET} "
                 f"(u, v) context pairs: {pairs} pairs already at {letters} letters")
     contexts = _words_up_to_weight(P.quiver, L)
+    measure_of = cache(measure.measure)  # of window words, which repeat
     for rule in P.rules:
         src = rule.source
         for u in (u for u in contexts if u.target == src.source):
             for v in (v for v in contexts if v.source == src.target):
-                base = measure.measure(u.word + src.word + v.word)
+                left, right = measure.window(u.word, v.word)
+                base = measure_of(left + src.word + right)
                 for t in rule.target.terms:
-                    if measure.measure(u.word + t.word + v.word) >= base:
+                    if measure_of(left + t.word + right) >= base:
                         return f"rule {rule.name}: measure does not decrease in context ({u}, {v}) on target monomial {t}"
     return None
 
@@ -162,24 +192,42 @@ def _words_up_to_weight(quiver, n: int) -> list[Monomial]:
 
 
 def enumerate_critical_branchings(P: Polygraph2) -> list[Branching]:
-    """One branching per proper overlap of two rule sources (nonempty proper
-    suffix of source(r1) = prefix of source(r2), looked up in P.prefix_index);
-    on non-left-reduced systems also one per other rule source inside
-    source(r1).  Ordered by r1, r2, then word weight: inclusions first."""
-    rules, index = P.rules, P.prefix_index
-    out = []
-    for i, r1 in enumerate(rules):
-        src = r1.source
-        found = [] if P.left_reduced else [
-            (j, src, start2)
-            for j, start2 in P.occurrences(src)
-            if j != i and not (start2 == 0 and rules[j].source.weight == src.weight)
-        ]
-        for start2 in range(1, src.weight):
-            found += [(j, src * rest, start2) for j, rest in index.get(src.word[start2:], ())]
-        found.sort(key=lambda t: (t[0], t[1].weight))
-        out += [Branching(word, r1, rules[j], start2) for j, word, start2 in found]
-    return out
+    """The critical branchings of every rule with itself and the rules
+    before it (see _branchings_from), ordered by r1, r2, then word weight:
+    inclusions first."""
+    return [e[5] for e in sorted(_branchings_from(P, 0), key=itemgetter(1, 2, 3, 4))]
+
+
+def _branchings_from(P: Polygraph2, first: int) -> list[tuple]:
+    """The critical branchings of each rule n from rules[first] on with
+    itself and with the rules before it: one per proper overlap (a
+    nonempty proper suffix of source(r1) = a prefix of source(r2), looked
+    up in the prefixes of P.overlap_index for r1 = n and in its suffixes
+    for r2 = n) and, on a system that is not left-reduced, one per other
+    rule source inside source(r1).  Each comes as (word degree, r1 index,
+    r2 index, word weight, start2, branching)."""
+    rules, (prefixes, suffixes) = P.rules, P.overlap_index
+    found = []
+    for n in range(first, len(rules)):
+        src = rules[n].source
+        word, k = src.word, len(src.word)
+        for cut in range(1, k):
+            found += [(n, j, src * rest, cut) for j, rest in prefixes.get(word[cut:], ()) if j <= n]
+            found += [
+                (i, n, Monomial(rules[i].source.word[:s] + word, rules[i].source.source, src.target, d + src.degree), s)
+                for i, s, d in suffixes.get(word[:cut], ()) if i < n
+            ]
+        if not P.left_reduced:  # the sources before n inside source(n), then source(n) inside theirs
+            found += [
+                (n, j, src, s) for j, s in P.occurrences(src)
+                if j < n and (s, len(rules[j].source.word)) != (0, k)
+            ]
+            for i, w1 in enumerate(r.source.word for r in rules[:n]):
+                found += [
+                    (i, n, rules[i].source, s) for s in range(len(w1) - k + 1)
+                    if w1[s : s + k] == word and (s, k) != (0, len(w1))
+                ]
+    return [(w.degree, i, j, len(w.word), s, Branching(w, rules[i], rules[j], s)) for i, j, w, s in found]
 
 
 def s_polynomial(b: Branching) -> Polynomial:
@@ -269,11 +317,14 @@ def complete(
     when a bound trips, or when nf has summed more than DEFAULT_WORK_BUDGET
     terms into normal forms.
 
-    Each round reduces the S-polynomials in degree order and appends the
-    first nonzero one as a rule.  A rule appended to the system changes no
-    rightmost step of a monomial it does not divide, so the next round keeps
-    every memo node that cannot reach such a monomial, and skips every
-    branching whose S-polynomial reduced to 0 on nodes that are all kept."""
+    Each interreduction pass grows one system in place.  Its critical
+    branchings wait on a heap by overlap degree, then in the order of
+    enumerate_critical_branchings; the first whose S-polynomial does not
+    reduce to 0 gives the next rule, and waits again.  A rule appended
+    changes no rightmost step of a monomial its source does not divide, so
+    only the memo nodes that can reach a monomial it divides are dropped,
+    and a branching whose S-polynomial reduced to 0 waits again only when
+    the node of one of its terms is dropped."""
     if order is None:
         order = P.order
     if order is None:
@@ -286,63 +337,59 @@ def complete(
             raise RewriteError(f"rule {r.name} is a zero relation; not orientable")
         rules.append(orient(rel, order, r.name))
 
-    memo: dict = {}  # the _nf_cache nodes still valid for `rules`
-    spolys: dict = {}  # branching key -> S-polynomial
-    joined: dict = {}  # branching key -> the (monomial, node) pairs it reduced to 0 on
     work = 0
     while True:
         cur = Polygraph2(P.quiver, P.field, rules, order)
-        cur._nf_cache = memo
         cur._nf_work = work
-        cert = certify_termination(cur, order)
+        cur.termination_certificate = cert = certify_termination(cur, order)
         if not cert.ok:
             raise RewriteError(f"orientation broke the termination order: {cert.notes}")
-        cur.termination_certificate = cert
-        # Fair queue: ascending overlap-word degree, then discovery order.
-        pending = sorted(
-            enumerate(enumerate_critical_branchings(cur)),
-            key=lambda t: (t[1].word.degree, t[0]),
-        )
-        new_rule = None
-        for _, b in pending:
-            key = (b.rule1.name, b.rule2.name, b.start2, b.word.word)
-            used = joined.get(key)
-            if used is not None and all(memo.get(m) is node for m, node in used):
-                continue
+        queue = _branchings_from(cur, 0)
+        heapify(queue)
+        text: dict = {}  # see _drop
+        spolys: dict = {}  # heap key -> S-polynomial
+        users: dict = {}  # monomial -> the queue entries with it as an S-polynomial term
+        joined: set = set()  # heap keys whose S-polynomial reduced to 0 on nodes still in the memo
+        while queue:
+            entry = heappop(queue)
+            key, b = entry[:5], entry[5]
             sp = spolys.get(key)
             if sp is None:
                 sp = spolys[key] = s_polynomial(b)
+                for m in sp.terms:
+                    users.setdefault(m, []).append(entry)
             spnf = nf(sp, cur)
             if cur._nf_work > DEFAULT_WORK_BUDGET:
                 raise _over_budget(cur, "reducing S-polynomials")
             if spnf.is_zero():
-                joined[key] = tuple((m, memo[m]) for m in sp.terms)
+                joined.add(key)
                 continue
             new_rule = orient(spnf, order, f"c{next(fresh)}")
             if new_rule.degree > max_degree:
-                raise CompletionBoundExceeded(
-                    f"completion exceeded max degree {max_degree}", cur
-                )
-            if len(rules) + 1 > max_rules:
-                raise CompletionBoundExceeded(
-                    f"completion exceeded max rule count {max_rules}", cur
-                )
-            break
-        if new_rule is not None:
-            rules.append(new_rule)
-            memo = _unchanged_by(new_rule.source.word, memo)
-        else:
-            reduced = _interreduce_rules(cur, order)
-            if cur._nf_work > DEFAULT_WORK_BUDGET:
-                raise _over_budget(cur, "interreducing")
-            if [r.relation() for r in reduced.rules] == [r.relation() for r in cur.rules]:
-                # Every S-polynomial reduced to 0 and interreduction changed
-                # nothing: attach the convergence certificate (the nf cache
-                # is warm).
-                is_confluent(cur)
-                return cur
-            rules = list(reduced.rules)
-            memo, spolys, joined = {}, {}, {}
+                raise CompletionBoundExceeded(f"completion exceeded max degree {max_degree}", cur)
+            if len(cur.rules) + 1 > max_rules:
+                raise CompletionBoundExceeded(f"completion exceeded max rule count {max_rules}", cur)
+            failure = _order_failure([new_rule], order)
+            if failure:
+                raise RewriteError(f"orientation broke the termination order: {failure}")
+            heappush(queue, entry)
+            for m in _drop(cur, text, new_rule.source.word):
+                for dropped in users.get(m, ()):
+                    if dropped[:5] in joined:
+                        joined.remove(dropped[:5])
+                        heappush(queue, dropped)
+            cur.add_rules([new_rule])
+            for e in _branchings_from(cur, len(cur.rules) - 1):
+                heappush(queue, e)
+        reduced = _interreduce_rules(cur, order)
+        if cur._nf_work > DEFAULT_WORK_BUDGET:
+            raise _over_budget(cur, "interreducing")
+        if [r.relation() for r in reduced.rules] == [r.relation() for r in cur.rules]:
+            # Every S-polynomial reduced to 0 on nodes still in the memo, and
+            # interreduction changed nothing: the system is convergent.
+            cur.convergence_certificate = {"criticals_checked": len(spolys), "rules": tuple(cur.rules)}
+            return cur
+        rules = list(reduced.rules)
         work = cur._nf_work
 
 
@@ -355,25 +402,37 @@ def _over_budget(partial: Polygraph2, stage: str) -> CompletionBoundExceeded:
     )
 
 
-def _unchanged_by(source: tuple, memo: dict) -> dict:
-    """The nodes of memo that appending a rule with this source word leaves
-    as they are: the source divides neither the node's monomial nor, through
-    its children, any monomial its rewriting reaches.  memo is filled
-    children first, so one forward pass decides."""
-    kept: dict = {}
-    valid: set[int] = set()  # ids of the kept nodes
-    for m, node in memo.items():
-        if m.factor_positions(source):
-            continue
-        if all(id(child) in valid for _, child in node[2]):
-            kept[m] = node
-            valid.add(id(node))
-    return kept
+def _drop(P: Polygraph2, text: dict, source: tuple) -> list[Monomial]:
+    """Drops from P's nf memo the nodes whose word contains source, and
+    their ancestors, and returns their monomials: a rule with this source
+    leaves every other node as it is.  text keeps the memo's words, one
+    character a letter, so that each factor test runs in C; children come
+    first in the memo, so one pass from the first node that contains source
+    finds the rest."""
+    cache, code = P._nf_cache, {g: chr(i) for i, g in enumerate(P.quiver.generators)}.__getitem__
+    text.update((m, "".join(map(code, m.word))) for m in itertools.islice(cache, len(text), None))
+    s = "".join(map(code, source))
+    first = next((i for i, t in enumerate(text.values()) if s in t), None)
+    if first is None:
+        return []
+    dropped, gone = [], set()  # gone: the ids of the nodes dropped
+    for m, node in itertools.islice(cache.items(), first, None):
+        if s in text[m] or any(id(child) in gone for _, child in node[2]):
+            dropped.append(m)
+            gone.add(id(node))
+    for m in dropped:
+        del cache[m], text[m]
+    return dropped
 
 
 def _interreduce_rules(P: Polygraph2, order: MonomialOrder) -> Polygraph2:
     """Left- and right-reduce a terminating system (Tietze-equivalent,
-    idempotent)."""
+    idempotent).  A left-reduced system whose targets are irreducible and
+    lie below their sources in the order is returned as it is."""
+    if P.left_reduced and _order_failure(P.rules, order) is None and all(
+        P.rightmost_occurrence(t) is None for r in P.rules for t in r.target.terms
+    ):
+        return P
     rules = list(P.rules)
     changed = True
     while changed:

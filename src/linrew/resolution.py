@@ -20,7 +20,6 @@ from .rewriting import (
     Rule,
     nf,
     reduct,
-    rightmost_redex,
 )
 
 
@@ -57,7 +56,7 @@ def enumerate_chains(P: Polygraph2, kmax: int, dmax: int) -> list[ChainCell]:
     """All chain cells of dimension <= kmax and internal degree <= dmax.  A
     cell's suffixes that start inside its last redex and are proper prefixes
     of rule sources extend it by the rest of each such source, read from
-    P.prefix_index."""
+    the prefixes of P.overlap_index."""
     _require_usable(P)
     cells: list[ChainCell] = []
     if kmax >= 1:
@@ -70,7 +69,7 @@ def enumerate_chains(P: Polygraph2, kmax: int, dmax: int) -> list[ChainCell]:
         for r in P.rules:
             if r.degree <= dmax:
                 cells.append(ChainCell(2, r.source, ((r.name, 0),)))
-    rules, index = P.rules, P.prefix_index
+    rules, (index, _) = P.rules, P.overlap_index
     frontier = [c for c in cells if c.dim == 2]
     k = 3
     while k <= kmax and frontier:
@@ -204,7 +203,7 @@ def _rho_star_rule(P: Polygraph2, rule: Rule, mhat: Monomial, memo: dict) -> dic
     if redex is not None:
         pairs = [(c, _rho_star_rule(P, rule, n, memo)) for n, c in field.form_terms(form).items()]
     else:
-        idx, start = rightmost_redex(rule.source * mhat, P)
+        idx, start = P.rightmost_occurrence(rule.source * mhat)
         if start > 0:
             psi = P.rules[idx]
             e = start + psi.source.weight - rule.source.weight  # the overlap ends in mhat

@@ -169,27 +169,43 @@ class Polygraph2:
     ):
         self.quiver = quiver
         self.field = field
-        self.rules = list(rules)
-        names = [r.name for r in self.rules]
-        if len(set(names)) != len(names):
-            raise RewriteError("duplicate rule names")
         self.order = order
         self.termination_certificate = None
         self.convergence_certificate = None
-        self._automaton = _Automaton(self.rules)
-        self._source_weights = [r.source.weight for r in self.rules]
         # The rightmost rewriting DAG, one node per visited monomial m:
-        # (normal form, redex, children).  The normal form is kept as its
-        # field.form.  The redex of a reducible m is (rule, start, m), with
+        # (normal form, redex, children).  The normal form is kept as a
+        # field form.  The redex of a reducible m is (rule, start, m), with
         # one (coefficient, node) child per term of its reduct, in canonical
         # order; an irreducible m has redex None and no children.  Every
         # node is inserted after its children.
         self._nf_cache: dict[Monomial, tuple] = {}
         self._nf_work = 0  # terms nf has summed into normal forms
-        # Left-reduced: no rule source is a factor of another's.  An equal
-        # or nested source adds a second occurrence to a rule's own source.
-        self.left_reduced = all(len(self.occurrences(r.source)) == 1 for r in self.rules)
-        self.homogeneous = all(r.homogeneous for r in self.rules)
+        self.rules: list[Rule] = []
+        self._source_weights: list[int] = []
+        self._reducts: list[list[tuple]] = []  # per rule: (coeff, word, degree shift) per target term, see nf
+        self._overlaps: tuple[dict, dict] = {}, {}  # see overlap_index
+        self._overlapped = 0  # the rules in _overlaps
+        self.left_reduced = self.homogeneous = True
+        self.add_rules(list(rules))
+
+    def add_rules(self, rules: list[Rule]) -> None:
+        """Append rules.  The flags are updated for them alone, the overlap
+        index and the reduct templates on their next use; the automaton is
+        rebuilt."""
+        names = [r.name for r in self.rules + rules]
+        if len(set(names)) != len(names):
+            raise RewriteError("duplicate rule names")
+        self.rules += rules
+        self._automaton = _Automaton(self.rules)
+        weights = [r.source.weight for r in rules]
+        self._source_weights += weights
+        # Left-reduced: no rule source is a factor of another's (an equal or
+        # nested source adds a second occurrence to a rule's own source).
+        shortest = min(weights, default=0)
+        self.left_reduced = self.left_reduced and all(
+            len(self.occurrences(r.source)) == 1 for r, w in zip(self.rules, self._source_weights) if w >= shortest
+        )
+        self.homogeneous = self.homogeneous and all(r.homogeneous for r in rules)
         self.homogeneity_degree = (
             min((r.degree for r in self.rules), default=None) if self.homogeneous else None
         )
@@ -233,27 +249,24 @@ class Polygraph2:
                     best = idx, start
         return best
 
-    def is_reducible(self, m: Monomial) -> bool:
-        delta, out = self._automaton.delta, self._automaton.out
-        state = 0
-        for letter in m.word:
-            state = delta[state].get(letter, 0)
-            if out[state]:
-                return True
-        return False
-
-    @cached_property
-    def prefix_index(self) -> dict[tuple[str, ...], list[tuple[int, Monomial]]]:
-        """Each proper prefix of a rule source -> (rule index, the rest of the
-        source), in rule order: the overlaps of critical branchings and of
-        chains.  Built on first use: most systems never need it."""
-        gens, index = self.quiver.generators, {}
-        for idx, src in enumerate(r.source for r in self.rules):
-            for cut in range(1, src.weight):
-                rest = src.word[cut:]
-                degree = sum(gens[g].degree for g in rest)
-                index.setdefault(src.word[:cut], []).append((idx, Monomial(rest, gens[rest[0]].source, src.target, degree)))
-        return index
+    @property
+    def overlap_index(self) -> tuple[dict, dict]:
+        """(prefixes, suffixes): each proper prefix of a rule source ->
+        (rule index, the rest of the source), and each proper suffix ->
+        (rule index, its start, the degree before it), in rule order: the
+        overlaps of critical branchings and of chains.  Built on first use,
+        as most systems never need it, and brought up to date with the
+        rules appended since at each use."""
+        if self._overlapped < len(self.rules):
+            (prefixes, suffixes), gens = self._overlaps, self.quiver.generators
+            for idx, src in enumerate((r.source for r in self.rules[self._overlapped :]), self._overlapped):
+                for cut in range(1, src.weight):
+                    head, rest = src.word[:cut], src.word[cut:]
+                    degree = sum(gens[g].degree for g in rest)
+                    prefixes.setdefault(head, []).append((idx, Monomial(rest, gens[rest[0]].source, src.target, degree)))
+                    suffixes.setdefault(rest, []).append((idx, cut, src.degree - degree))
+            self._overlapped = len(self.rules)
+        return self._overlaps
 
     def contexts(self, m: Monomial, rule: Rule, start: int) -> tuple[Monomial, Monomial]:
         """The left and right contexts of the occurrence of rule's source at
@@ -276,17 +289,13 @@ class Polygraph2:
 # -- operations --------------------------------------------------------------
 
 
-def rightmost_redex(m: Monomial, P: Polygraph2) -> tuple[int, int]:
-    """P.rightmost_occurrence(m); NoStepError when m is irreducible."""
+def rightmost_step(m: Monomial, P: Polygraph2) -> RewriteStep:
+    """The step on m whose left context has maximal length; NoStepError
+    when m is irreducible."""
     found = P.rightmost_occurrence(m)
     if found is None:
         raise NoStepError(f"{m} is irreducible")
-    return found
-
-
-def rightmost_step(m: Monomial, P: Polygraph2) -> RewriteStep:
-    """The step on m whose left context has maximal length."""
-    idx, start = rightmost_redex(m, P)
+    idx, start = found
     rule = P.rules[idx]
     left, right = P.contexts(m, rule, start)
     return RewriteStep(P.field.one, left, rule, right)
@@ -312,11 +321,15 @@ def nf(f: Polynomial, P: Polygraph2) -> Polynomial:
     of 10**6, 10x more once termination is certified.  Running out of it,
     or meeting a monomial again while it is still being normalized (the
     strategy loops), raises StepBudgetExceeded.  The terms summed into
-    normal forms are added to P._nf_work.  Each reduct is sliced from the
-    word rewritten: no step or context is built."""
+    normal forms are added to P._nf_work.  One automaton walk per monomial
+    finds its redex, and each reduct is sliced from the word rewritten by
+    the rule's reduct template: no step or context is built."""
     cache = P._nf_cache
     field = P.field
-    sum_forms, rules = field.sum_forms, P.rules
+    sum_forms, unit_form, find = field.sum_forms, field.unit_form, P.rightmost_occurrence
+    rules, reducts, weights, new = P.rules, P._reducts, P._source_weights, tuple.__new__
+    if len(reducts) < len(rules):  # the reduct templates of the rules added since the last call
+        reducts += [[(c, t.word, t.degree - r.degree) for c, t in r.target.items()] for r in rules[len(reducts) :]]
     budget = DEFAULT_STEP_BUDGET * (10 if P.certified_terminating else 1)
     work = 0
     opened: set[Monomial] = set()  # rewritten, waiting for their reducts' terms
@@ -327,36 +340,38 @@ def nf(f: Polynomial, P: Polygraph2) -> Polynomial:
         if type(m) is tuple:  # (m, redex, reduct): every term of the reduct is done
             m, redex, reduct = m
             opened.discard(m)
-            children = tuple((coeff, cache[n]) for coeff, n in reduct)
+            children = tuple([(coeff, cache[n]) for coeff, n in reduct])
             form, summed = sum_forms([(coeff, node[0]) for coeff, node in children])
             work += summed
             cache[m] = (form, redex, children)
-        elif m in cache:
             continue
-        elif not P.is_reducible(m):
-            cache[m] = (field.form({m: field.one}), None, ())
-        else:
-            budget -= m.weight
-            if budget < 0:
-                raise StepBudgetExceeded(
-                    f"step budget exhausted while normalizing {f}"
-                    + ("" if P.certified_terminating else " (no termination certificate)")
-                )
-            idx, start = rightmost_redex(m, P)
-            rule = rules[idx]
-            word, shift = m.word, m.degree - rule.source.degree
-            left, right = word[:start], word[start + rule.source.weight :]
-            reduct = [
-                (c, Monomial(left + t.word + right, m.source, m.target, shift + t.degree))
-                for c, t in rule.target.items()
-            ]
-            opened.add(m)
-            stack.append((m, (rule, start, m), reduct))
-            for _, n in reversed(reduct):
-                if n not in cache:
-                    if n in opened:
-                        raise StepBudgetExceeded(f"rightmost rewriting of {n} loops while normalizing {f}")
-                    stack.append(n)
+        if m in cache:
+            continue
+        found = find(m)
+        if found is None:
+            cache[m] = (unit_form(m), None, ())
+            continue
+        degree, source, target, word = m
+        budget -= len(word)
+        if budget < 0:
+            raise StepBudgetExceeded(
+                f"step budget exhausted while normalizing {f}"
+                + ("" if P.certified_terminating else " (no termination certificate)")
+            )
+        idx, start = found
+        left, right = word[:start], word[start + weights[idx] :]
+        # Monomial's own fields, in tuple order, with no __new__ call.
+        reduct = [
+            (c, new(Monomial, (degree + shift, source, target, left + t + right)))
+            for c, t, shift in reducts[idx]
+        ]
+        opened.add(m)
+        stack.append((m, (rules[idx], start, m), reduct))
+        for _, n in reversed(reduct):
+            if n not in cache:
+                if n in opened:
+                    raise StepBudgetExceeded(f"rightmost rewriting of {n} loops while normalizing {f}")
+                stack.append(n)
     form, summed = sum_forms([(coeff, cache[m][0]) for coeff, m in items])
     P._nf_work += work + summed
     # A form that sum_forms builds is fresh, and form_terms copies a form it
@@ -647,7 +662,7 @@ def pbw_check(P: Polygraph2, candidate: Iterable[Monomial], dmax: int, build_xi:
             uv = u * v
             if uv.degree > dmax:
                 continue
-            if uv not in cand_set and not P.is_reducible(uv):
+            if uv not in cand_set and P.rightmost_occurrence(uv) is None:
                 failures.append(
                     {"condition": "ii", "degree": uv.degree, "detail": f"{uv} neither candidate nor reducible"}
                 )

@@ -81,9 +81,9 @@ class Field:
     # A form is how rewriting.nf keeps a normal form in its memo.  Here it is
     # the sparse vector itself; RationalField keeps integers instead.
 
-    def form(self, terms: dict):
-        """The form of the sparse vector terms {key: coefficient}."""
-        return terms
+    def unit_form(self, key):
+        """The form of the vector {key: one}."""
+        return {key: self.one}
 
     def form_terms(self, form) -> dict:
         """The sparse vector {key: coefficient} of a form.  It may be the
@@ -145,11 +145,10 @@ class RationalField(Field):
                     acc[t] = (on * (d // g) + n * (od // g), od // g * d)
         return {t: Fraction(n, d) for t, (n, d) in acc.items() if n}
 
-    def form(self, terms: dict) -> tuple:
-        """(D, {key: int}): the lcm D of the denominators and the
-        numerators over it, whose gcd with D is then 1."""
-        D = lcm(*[c.denominator for c in terms.values()])
-        return D, {t: c.numerator * (D // c.denominator) for t, c in terms.items()}
+    def unit_form(self, key) -> tuple:
+        """A form over Q is (D, {key: int}): a common denominator D and the
+        numerators over it, whose gcd with D is 1."""
+        return 1, {key: 1}
 
     def form_terms(self, form: tuple) -> dict:
         D, terms = form
@@ -161,9 +160,17 @@ class RationalField(Field):
         """Field.sum_forms in ints: each form is scaled to the lcm of the
         pairs' denominators and summed, and the sum is divided by the gcd of
         its numerators and that lcm.  A lone pair with coefficient 1 keeps
-        its form."""
-        if len(pairs) == 1 and pairs[0][0] == 1:
-            return pairs[0][1], len(pairs[0][1][1])
+        its form, and a lone a/b * (D, terms) is scaled directly: as
+        gcd(a, b) = gcd(numerators, D) = 1, that gcd is gcd(a, D) *
+        gcd(b, numerators)."""
+        if len(pairs) == 1:
+            c, (D, terms) = pairs[0]
+            if c == 1:
+                return pairs[0][1], len(terms)
+            a, b = c.numerator, c.denominator
+            g, h = gcd(a, D), gcd(b, *terms.values())
+            k = a // g
+            return (b // h * (D // g), {t: k * (n // h) for t, n in terms.items()}), len(terms)
         scaled = [(c.numerator, c.denominator * D, terms) for c, (D, terms) in pairs]
         L = lcm(*[b for _, b, _ in scaled])
         acc: dict = {}

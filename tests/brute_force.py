@@ -1,10 +1,19 @@
 """Brute-force reference oracles: every word up to a degree, the spanning
-set of the relation ideal over those words, normal forms with no memo, and
-the critical branchings of every pair of rules.  They enumerate all contexts
-or pairs of all rules, so they are meant for the small systems of the
-tests."""
+set of the relation ideal over those words, normal forms with no memo, the
+critical branchings of every pair of rules, and completion with no memo and
+no pair queue.  They enumerate all contexts or pairs of all rules, so they
+are meant for the small systems of the tests."""
 
-from linrew.rewriting import RewriteStep, _row, all_words, rightmost_step
+import itertools
+
+from linrew.completion import (
+    _interreduce_rules,
+    certify_termination,
+    enumerate_critical_branchings,
+    orient,
+    s_polynomial,
+)
+from linrew.rewriting import Polygraph2, RewriteStep, _row, all_words, rightmost_step
 
 
 def words_up_to(quiver, dmax: int) -> list:
@@ -46,7 +55,7 @@ def rightmost_nf(f, P):
     reducible.  A rightmost step leaves nf's value unchanged, so the
     order in which terms are rewritten does not change the result."""
     while True:
-        reducible = [(c, m) for c, m in f.items() if P.is_reducible(m)]
+        reducible = [(c, m) for c, m in f.items() if P.rightmost_occurrence(m) is not None]
         if not reducible:
             return f
         c, m = reducible[-1]
@@ -82,3 +91,36 @@ def critical_branchings(P) -> list:
                 for word, start2 in found
             ]
     return out
+
+
+def reference_completion(P, max_degree: int, max_rules: int):
+    """complete's rules under P's order, or the partial rules where a bound
+    trips, found with no memo and no pair queue: each round builds a fresh
+    system on the rules so far, lists every critical branching with
+    enumerate_critical_branchings, and appends as a rule the first nonzero
+    rightmost_nf of an S-polynomial, in degree then discovery order.  Once
+    every S-polynomial reduces to 0 the rules are interreduced, and the
+    loop starts again unless that changed nothing.  Returns (rules, None)
+    or (partial rules, the bound's message)."""
+    order = P.order
+    rules = [orient(r.relation(), order, r.name) for r in P.rules]
+    fresh = itertools.count()
+    while True:
+        cur = Polygraph2(P.quiver, P.field, rules, order)
+        cur.termination_certificate = certify_termination(cur, order)
+        assert cur.termination_certificate.ok
+        branchings = sorted(enumerate(enumerate_critical_branchings(cur)), key=lambda t: (t[1].word.degree, t[0]))
+        normal_forms = (rightmost_nf(s_polynomial(b), cur) for _, b in branchings)
+        spnf = next((f for f in normal_forms if not f.is_zero()), None)
+        if spnf is not None:
+            rule = orient(spnf, order, f"c{next(fresh)}")
+            if rule.degree > max_degree:
+                return rules, f"completion exceeded max degree {max_degree}"
+            if len(rules) + 1 > max_rules:
+                return rules, f"completion exceeded max rule count {max_rules}"
+            rules = rules + [rule]
+            continue
+        reduced = _interreduce_rules(cur, order).rules
+        if [r.relation() for r in reduced] == [r.relation() for r in rules]:
+            return rules, None
+        rules = list(reduced)

@@ -11,6 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from linrew import CompletionBoundExceeded, certify_termination, complete, monomial_poly, nf
+
+from conftest import cubic_system, h1_system
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -40,3 +44,20 @@ def test_traced_layers_are_callable():
         if not callable(getattr(importlib.import_module(f"linrew.{mod}"), fname, None))
     ]
     assert missing == []
+
+
+def test_complete_leaves_its_input_untouched():
+    """tracing._rules_added reads len(args[0].rules) after complete returns
+    or raises: complete grows a system of its own, and leaves its input's
+    rules, certificates and nf memo as they were."""
+    for P, bounds in ((cubic_system(), {}), (h1_system(), {"max_degree": 5})):
+        P.termination_certificate = cert = certify_termination(P)
+        nf(monomial_poly(P.field, P.quiver.monomial(("z",) * 5)), P)
+        rules, cache = list(P.rules), dict(P._nf_cache)
+        try:
+            done = complete(P, P.order, **bounds)
+        except CompletionBoundExceeded as e:
+            done = e.partial
+        assert done is not P and len(done.rules) > len(rules)
+        assert P.rules == rules and P._nf_cache == cache and cache
+        assert P.termination_certificate is cert and P.convergence_certificate is None

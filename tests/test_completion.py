@@ -29,7 +29,7 @@ from linrew.completion import MEASURE_PAIR_BUDGET, _context_pairs, _interreduce_
 from linrew.rewriting import RewriteStep
 
 import brute_force
-from conftest import FIXTURES, deglex_system, make_poly
+from conftest import FIXTURES, cubic_system, deglex_system, h1_system, make_poly
 from test_acceptance import random_system
 
 
@@ -142,6 +142,25 @@ def test_pattern_measure_counts_overlaps():
     assert m.measure(("a", "a", "a")) == 2
 
 
+_LONG_WORDS = st.lists(st.sampled_from("xy"), max_size=6).map(tuple)
+
+
+@given(measured_systems(), _LONG_WORDS, _LONG_WORDS, _LONG_WORDS, _LONG_WORDS)
+@example(  # u is shorter than the window
+    (deglex_system("xy", [("r", "x", [])]), PatternMeasure((), ((("x", "x", "x"), 1), (("x",) * 4, 0)))),
+    ("x", "x"), (), ("x",), (),
+)
+@settings(max_examples=200, deadline=None)
+def test_measure_window_decides_the_decrease(system, u, s, t, v):
+    """The measures of u.s.v and u.t.v differ as those of the window the
+    measure check compares: the last k - 1 letters of u, then s or t, then
+    the first k - 1 letters of v."""
+    _, measure = system
+    left, right = measure.window(u, v)
+    whole = measure.measure(u + s + v) - measure.measure(u + t + v)
+    assert whole == measure.measure(left + s + right) - measure.measure(left + t + right)
+
+
 def test_critical_branchings_xy(sys_xy):
     words = sorted(str(b.word) for b in enumerate_critical_branchings(sys_xy))
     assert words == ["x y^2", "y^3"]
@@ -163,7 +182,7 @@ def test_completion_xy(sys_xy):
     assert added[0].target == make_poly(sys_xy.quiver, QQ, [(1, "xxx")])
     assert done.certified_convergent and done.left_reduced
     # Right-reduced: every rule target is irreducible.
-    assert not any(done.is_reducible(m) for r in done.rules for m in r.target.terms)
+    assert all(done.rightmost_occurrence(m) is None for r in done.rules for m in r.target.terms)
 
 
 def test_completion_pp(sys_pp):
@@ -292,6 +311,29 @@ def test_branchings_match_reference_inclusion_overlap():
     assert_branchings_match_reference(zyz_system())
 
 
+@given(st.integers(min_value=0, max_value=2**32), st.data())
+@settings(max_examples=100, deadline=None)
+def test_rules_added_in_place_match_a_fresh_system(seed, data):
+    """A system grown by add_rules, one rule at a time, has the flags, the
+    reduct templates, the overlap index, the redexes and the critical
+    branchings of the system built on all its rules at once."""
+    P = random_system(random.Random(seed))
+    k = data.draw(st.integers(0, len(P.rules)))
+    grown = Polygraph2(P.quiver, P.field, P.rules[:k], P.order)
+    grown.overlap_index  # built now, so that the rules appended are added to it
+    for rule in P.rules[k:]:
+        nf(monomial_poly(P.field, rule.source), grown)  # builds the templates so far
+        grown.add_rules([rule])
+    for S in (grown, P):
+        nf(monomial_poly(P.field, P.rules[-1].source), S)
+    flags = lambda S: (S.left_reduced, S.homogeneous, S.homogeneity_degree)  # noqa: E731
+    assert flags(grown) == flags(P)
+    assert grown._reducts == P._reducts and grown.overlap_index == P.overlap_index
+    assert enumerate_critical_branchings(grown) == enumerate_critical_branchings(P)
+    words = brute_force.words_up_to(P.quiver, 4)
+    assert [grown.rightmost_occurrence(m) for m in words] == [P.rightmost_occurrence(m) for m in words]
+
+
 def test_check_confluence_replays_no_step(monkeypatch):
     P, _ = lpformat.parse_file(FIXTURES / "pp05.lp")
     done = complete(P, P.order)
@@ -336,3 +378,56 @@ def test_is_confluent_is_the_report_verdict():
         assert decided.convergence_certificate == reported.convergence_certificate
         verdicts.append(verdict)
     assert sum(verdicts) == 78
+
+
+def random_quadratic_system(rng: random.Random):
+    """Two or three generators and one to four rules of degree 2, each with
+    a target of at most two lower words of degree 2 (deglex on one degree
+    is lex)."""
+    gens = "xyz"[: rng.randint(2, 3)]
+    words = [a + b for a in gens for b in gens]
+    rules = []
+    for i, src in enumerate(rng.sample(words, rng.randint(1, 4))):
+        lower = [w for w in words if w < src]
+        picked = rng.sample(lower, min(len(lower), rng.randint(0, 2)))
+        rules.append((f"r{i}", src, [(rng.choice([-2, -1, 1, 2, Fraction(1, 2)]), w) for w in picked]))
+    return deglex_system(gens, rules)
+
+
+def assert_complete_is_the_reference(P, max_degree: int = 12, max_rules: int = 512):
+    """complete, with its memo and pair queue, appends the rules that the
+    memo-free loop of brute_force.reference_completion appends, under the
+    same names and in the same order, and trips the same bound at the same
+    partial rules."""
+    rules, message = brute_force.reference_completion(P, max_degree, max_rules)
+    as_data = lambda rs: [(r.name, r.source, r.target) for r in rs]  # noqa: E731
+    try:
+        done = complete(P, P.order, max_degree=max_degree, max_rules=max_rules)
+    except CompletionBoundExceeded as e:
+        assert (as_data(e.partial.rules), str(e)) == (as_data(rules), message)
+    else:
+        assert message is None and as_data(done.rules) == as_data(rules)
+        assert done.certified_convergent
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.lp")), ids=lambda p: p.stem)
+def test_complete_is_the_reference_fixtures(path):
+    P, _ = lpformat.parse_file(path)
+    if P.order is not None:
+        assert_complete_is_the_reference(P)
+
+
+@pytest.mark.parametrize("system, max_degree, max_rules", [
+    (cubic_system, 12, 512),
+    (cubic_system, 12, 4),
+    (h1_system, 5, 512),
+    (h1_system, 6, 512),
+    (h1_system, 12, 8),
+], ids=["cubic", "cubic-rules-4", "h1-d5", "h1-d6", "h1-rules-8"])
+def test_complete_is_the_reference(system, max_degree, max_rules):
+    assert_complete_is_the_reference(system(), max_degree, max_rules)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_complete_is_the_reference_quadratic(seed):
+    assert_complete_is_the_reference(random_quadratic_system(random.Random(seed)), max_degree=6)

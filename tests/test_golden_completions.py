@@ -31,7 +31,6 @@ from linrew import (
     quotient_dimension,
     standard_basis,
 )
-from linrew import rewriting
 
 from conftest import cubic_system, deglex_system, h1_system
 from test_acceptance import random_system
@@ -111,16 +110,18 @@ def test_shuffled_input_same_basis(outcomes):
 
 
 def test_h1_degree7_rightmost_steps(monkeypatch):
-    """Completion keeps its memo across rounds: the redex searches it
-    makes stay close to the number of monomials it visits."""
+    """Completion keeps its memo across rounds: the redexes it finds stay
+    close to the number of monomials it visits."""
     calls = []
 
-    def counting_redex(m, P):
-        calls.append(m)
-        return rightmost_redex(m, P)
+    def counting_search(self, m):
+        found = rightmost_occurrence(self, m)
+        if found is not None:
+            calls.append(m)
+        return found
 
-    rightmost_redex = rewriting.rightmost_redex
-    monkeypatch.setattr(rewriting, "rightmost_redex", counting_redex)
+    rightmost_occurrence = Polygraph2.rightmost_occurrence
+    monkeypatch.setattr(Polygraph2, "rightmost_occurrence", counting_search)
     with pytest.raises(CompletionBoundExceeded):
         complete(h1_system(), max_degree=7)
     assert 0 < len(calls) <= 1200

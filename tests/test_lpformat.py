@@ -110,6 +110,25 @@ def test_certificate_revalidated(tmp_path):
         parse(bogus)
 
 
+def test_certificate_revalidated_by_order_then_measure(fixtures_dir, tmp_path, capsys):
+    """A 'certified convergent' line is checked as `check` checks
+    termination: by the order, then by the measure.  xyz.lp's rule does not
+    descend in deglex but does under its pattern measure, so the file loads
+    as certified; once its measure fails too, the file exits 2."""
+    xyz = (fixtures_dir / "xyz.lp").read_text() + "certified convergent\n"
+    P, meta = parse(xyz)
+    assert P.certified_convergent and meta["certified"]
+    assert P.termination_certificate.kind == "pattern-measure"
+    path = tmp_path / "xyz.lp"
+    path.write_text(xyz)
+    assert cli.main(["check", str(path)]) == 0
+    capsys.readouterr()
+    path.write_text(xyz.replace("measure pattern x y z 3", "measure pattern x y z 1"))
+    assert cli.main(["check", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert "file claims 'certified convergent' but termination fails" in err
+
+
 def test_measure_lines():
     P, meta = parse(
         "field Q\ngenerators x y z\n"

@@ -215,7 +215,7 @@ def test_rho_star_reads_the_memo_as_fractions(monkeypatch):
     rho_star_rule, linear_combination = resolution._rho_star_rule, RationalField.linear_combination
 
     def recording_rho_star_rule(P, rule, mhat, memo):
-        read.append(P.is_reducible(mhat))
+        read.append(P.rightmost_occurrence(mhat) is not None)
         return rho_star_rule(P, rule, mhat, memo)
 
     def recording_linear_combination(self, pairs):

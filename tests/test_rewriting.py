@@ -182,8 +182,8 @@ def test_normal_form_linear(pairs):
 
 
 def test_nf_builds_no_trace(monkeypatch):
-    """nf builds no rewriting step, and searches for the redex of each
-    reducible monomial it visits at most once."""
+    """nf builds no rewriting step, and finds the redex of each reducible
+    monomial it visits at most once."""
     from linrew import rewriting
 
     Q = Quiver.free("xyz")
@@ -197,15 +197,17 @@ def test_nf_builds_no_trace(monkeypatch):
         built.append(args)
         return RewriteStep(*args)
 
-    def counting_redex(m, P):
-        searched.append(m)
-        return rightmost_redex(m, P)
+    def counting_search(self, m):
+        found = rightmost_occurrence(self, m)
+        if found is not None:
+            searched.append(m)
+        return found
 
-    rightmost_redex = rewriting.rightmost_redex
+    rightmost_occurrence = Polygraph2.rightmost_occurrence
     monkeypatch.setattr(rewriting, "RewriteStep", counting_step)
-    monkeypatch.setattr(rewriting, "rightmost_redex", counting_redex)
+    monkeypatch.setattr(Polygraph2, "rightmost_occurrence", counting_search)
     nf(make_poly(Q, QQ, [(1, "zzzzzyyxx")]), P)
-    reducible = sum(1 for m in P._nf_cache if P.is_reducible(m))
+    reducible = sum(1 for _, redex, _ in P._nf_cache.values() if redex is not None)
     assert not built
     assert 0 < len(searched) <= reducible
 
@@ -263,7 +265,7 @@ def test_trace_replay(sys_xyz):
     f = make_poly(Q, QQ, [(1, "xyzxyz")])
     result, trace = normal_form(f, sys_xyz)
     assert trace.check()
-    assert all(not sys_xyz.is_reducible(m) for m in result.terms)
+    assert all(sys_xyz.rightmost_occurrence(m) is None for m in result.terms)
 
 
 def test_standard_basis_counts(sys_ab):
@@ -299,7 +301,7 @@ def monomial_systems(draw):
 def test_standard_basis_matches_brute_force(P):
     basis = standard_basis(P, 6)
     for d in range(7):
-        brute = [m for m in all_words(P.quiver, d) if not P.is_reducible(m)]
+        brute = [m for m in all_words(P.quiver, d) if P.rightmost_occurrence(m) is None]
         assert basis.by_degree[d] == brute
         assert basis.words[d] == [m.word for m in brute]
         assert basis.text[d] == [str(m) for m in brute]

@@ -101,3 +101,17 @@ def test_linear_combination_returns_a_fresh_dict(F):
     for pairs in ([(F.one, terms)], [(F.one, {}), (F.one, terms)]):
         got = F.linear_combination(pairs)
         assert got == terms and got is not terms
+
+
+@given(nonzero, st.dictionaries(st.sampled_from("abcde"), nonzero, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_rational_sum_forms_of_one_pair(c, terms):
+    """A lone (coefficient, form) pair is scaled without the general sum:
+    the result is still c times the vector, with numerators coprime to
+    their common denominator, and counts the form's terms."""
+    form, _ = QQ.sum_forms([(coeff, QQ.unit_form(t)) for t, coeff in terms.items()])
+    (D, got), summed = QQ.sum_forms([(c, form)])
+    assert summed == len(terms)
+    assert QQ.form_terms((D, got)) == QQ.linear_combination([(c, terms)])
+    assert D > 0 and gcd(D, *got.values()) == 1
+    assert (D, got) == QQ.sum_forms([(c, form), (Fraction(1), (1, {}))])[0]
