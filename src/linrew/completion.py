@@ -1,5 +1,6 @@
-"""Termination certificates, branchings, S-polynomials, confluence decision,
-completion, and interreduction.
+"""Termination certificates, critical branchings, S-polynomials, the
+confluence decision, and completion: one pass that joins every critical
+branching, then one reduction of the convergent rules.
 """
 
 from __future__ import annotations
@@ -204,8 +205,9 @@ def _branchings_from(P: Polygraph2, first: int) -> list[tuple]:
     nonempty proper suffix of source(r1) = a prefix of source(r2), looked
     up in the prefixes of P.overlap_index for r1 = n and in its suffixes
     for r2 = n) and, on a system that is not left-reduced, one per other
-    rule source inside source(r1).  Each comes as (word degree, r1 index,
-    r2 index, word weight, start2, branching)."""
+    rule source inside source(r1), two equal sources giving one branching
+    with r1 the earlier rule and start2 = 0.  Each comes as (word degree,
+    r1 index, r2 index, word weight, start2, branching)."""
     rules, (prefixes, suffixes) = P.rules, P.overlap_index
     found = []
     for n in range(first, len(rules)):
@@ -217,7 +219,7 @@ def _branchings_from(P: Polygraph2, first: int) -> list[tuple]:
                 (i, n, Monomial(rules[i].source.word[:s] + word, rules[i].source.source, src.target, d + src.degree), s)
                 for i, s, d in suffixes.get(word[:cut], ()) if i < n
             ]
-        if not P.left_reduced:  # the sources before n inside source(n), then source(n) inside theirs
+        if not P.left_reduced:  # the sources before n inside source(n), then source(n) inside theirs or equal
             found += [
                 (n, j, src, s) for j, s in P.occurrences(src)
                 if j < n and (s, len(rules[j].source.word)) != (0, k)
@@ -225,7 +227,7 @@ def _branchings_from(P: Polygraph2, first: int) -> list[tuple]:
             for i, w1 in enumerate(r.source.word for r in rules[:n]):
                 found += [
                     (i, n, rules[i].source, s) for s in range(len(w1) - k + 1)
-                    if w1[s : s + k] == word and (s, k) != (0, len(w1))
+                    if w1[s : s + k] == word
                 ]
     return [(w.degree, i, j, len(w.word), s, Branching(w, rules[i], rules[j], s)) for i, j, w, s in found]
 
@@ -317,14 +319,15 @@ def complete(
     when a bound trips, or when nf has summed more than DEFAULT_WORK_BUDGET
     terms into normal forms.
 
-    Each interreduction pass grows one system in place.  Its critical
-    branchings wait on a heap by overlap degree, then in the order of
+    One pass grows one system in place.  Its critical branchings wait on a
+    heap by overlap degree, then in the order of
     enumerate_critical_branchings; the first whose S-polynomial does not
     reduce to 0 gives the next rule, and waits again.  A rule appended
     changes no rightmost step of a monomial its source does not divide, so
     only the memo nodes that can reach a monomial it divides are dropped,
     and a branching whose S-polynomial reduced to 0 waits again only when
-    the node of one of its terms is dropped."""
+    the node of one of its terms is dropped.  Once the heap is empty every
+    critical branching joins, and the system is reduced once."""
     if order is None:
         order = P.order
     if order is None:
@@ -337,60 +340,55 @@ def complete(
             raise RewriteError(f"rule {r.name} is a zero relation; not orientable")
         rules.append(orient(rel, order, r.name))
 
-    work = 0
-    while True:
-        cur = Polygraph2(P.quiver, P.field, rules, order)
-        cur._nf_work = work
-        cur.termination_certificate = cert = certify_termination(cur, order)
-        if not cert.ok:
-            raise RewriteError(f"orientation broke the termination order: {cert.notes}")
-        queue = _branchings_from(cur, 0)
-        heapify(queue)
-        text: dict = {}  # see _drop
-        spolys: dict = {}  # heap key -> S-polynomial
-        users: dict = {}  # monomial -> the queue entries with it as an S-polynomial term
-        joined: set = set()  # heap keys whose S-polynomial reduced to 0 on nodes still in the memo
-        while queue:
-            entry = heappop(queue)
-            key, b = entry[:5], entry[5]
-            sp = spolys.get(key)
-            if sp is None:
-                sp = spolys[key] = s_polynomial(b)
-                for m in sp.terms:
-                    users.setdefault(m, []).append(entry)
-            spnf = nf(sp, cur)
-            if cur._nf_work > DEFAULT_WORK_BUDGET:
-                raise _over_budget(cur, "reducing S-polynomials")
-            if spnf.is_zero():
-                joined.add(key)
-                continue
-            new_rule = orient(spnf, order, f"c{next(fresh)}")
-            if new_rule.degree > max_degree:
-                raise CompletionBoundExceeded(f"completion exceeded max degree {max_degree}", cur)
-            if len(cur.rules) + 1 > max_rules:
-                raise CompletionBoundExceeded(f"completion exceeded max rule count {max_rules}", cur)
-            failure = _order_failure([new_rule], order)
-            if failure:
-                raise RewriteError(f"orientation broke the termination order: {failure}")
-            heappush(queue, entry)
-            for m in _drop(cur, text, new_rule.source.word):
-                for dropped in users.get(m, ()):
-                    if dropped[:5] in joined:
-                        joined.remove(dropped[:5])
-                        heappush(queue, dropped)
-            cur.add_rules([new_rule])
-            for e in _branchings_from(cur, len(cur.rules) - 1):
-                heappush(queue, e)
-        reduced = _interreduce_rules(cur, order)
+    cur = Polygraph2(P.quiver, P.field, rules, order)
+    cur.termination_certificate = cert = certify_termination(cur, order)
+    if not cert.ok:
+        raise RewriteError(f"orientation broke the termination order: {cert.notes}")
+    queue = _branchings_from(cur, 0)
+    heapify(queue)
+    text: dict = {}  # see _drop
+    spolys: dict = {}  # heap key -> S-polynomial
+    users: dict = {}  # monomial -> the queue entries with it as an S-polynomial term
+    joined: set = set()  # heap keys whose S-polynomial reduced to 0 on nodes still in the memo
+    while queue:
+        entry = heappop(queue)
+        key, b = entry[:5], entry[5]
+        sp = spolys.get(key)
+        if sp is None:
+            sp = spolys[key] = s_polynomial(b)
+            for m in sp.terms:
+                users.setdefault(m, []).append(entry)
+        spnf = nf(sp, cur)
         if cur._nf_work > DEFAULT_WORK_BUDGET:
-            raise _over_budget(cur, "interreducing")
-        if [r.relation() for r in reduced.rules] == [r.relation() for r in cur.rules]:
-            # Every S-polynomial reduced to 0 on nodes still in the memo, and
-            # interreduction changed nothing: the system is convergent.
-            cur.convergence_certificate = {"criticals_checked": len(spolys), "rules": tuple(cur.rules)}
-            return cur
-        rules = list(reduced.rules)
-        work = cur._nf_work
+            raise _over_budget(cur, "reducing S-polynomials")
+        if spnf.is_zero():
+            joined.add(key)
+            continue
+        new_rule = orient(spnf, order, f"c{next(fresh)}")
+        if new_rule.degree > max_degree:
+            raise CompletionBoundExceeded(f"completion exceeded max degree {max_degree}", cur)
+        if len(cur.rules) + 1 > max_rules:
+            raise CompletionBoundExceeded(f"completion exceeded max rule count {max_rules}", cur)
+        failure = _order_failure([new_rule], order)
+        if failure:
+            raise RewriteError(f"orientation broke the termination order: {failure}")
+        heappush(queue, entry)
+        for m in _drop(cur, text, new_rule.source.word):
+            for dropped in users.get(m, ()):
+                if dropped[:5] in joined:
+                    joined.remove(dropped[:5])
+                    heappush(queue, dropped)
+        cur.add_rules([new_rule])
+        for e in _branchings_from(cur, len(cur.rules) - 1):
+            heappush(queue, e)
+    done = _interreduce_rules(cur)
+    if cur._nf_work > DEFAULT_WORK_BUDGET:
+        raise _over_budget(cur, "interreducing")
+    if done is not cur:
+        done.termination_certificate = certify_termination(done, order)
+    criticals = len(spolys) if done is cur else len(_branchings_from(done, 0))
+    done.convergence_certificate = {"criticals_checked": criticals, "rules": tuple(done.rules)}
+    return done
 
 
 def _over_budget(partial: Polygraph2, stage: str) -> CompletionBoundExceeded:
@@ -425,36 +423,18 @@ def _drop(P: Polygraph2, text: dict, source: tuple) -> list[Monomial]:
     return dropped
 
 
-def _interreduce_rules(P: Polygraph2, order: MonomialOrder) -> Polygraph2:
-    """Left- and right-reduce a terminating system (Tietze-equivalent,
-    idempotent).  A left-reduced system whose targets are irreducible and
-    lie below their sources in the order is returned as it is."""
-    if P.left_reduced and _order_failure(P.rules, order) is None and all(
-        P.rightmost_occurrence(t) is None for r in P.rules for t in r.target.terms
-    ):
+def _interreduce_rules(P: Polygraph2) -> Polygraph2:
+    """The reduced system of a convergent P: drops each rule whose source
+    contains another rule's source (of equal sources the last stays), and
+    replaces each target by its normal form.  The rules kept have the
+    reducible monomials of P, so they are convergent with P's normal forms,
+    and P's memo reduces the targets.  P itself, when nothing changes."""
+    rules = P.rules
+    kept = [
+        r for j, r in enumerate(rules)
+        if all(i == j or (i < j and rules[i].source == r.source) for i, _ in P.occurrences(r.source))
+    ]
+    reduced = [Rule(r.name, r.source, nf(r.target, P)) for r in kept]
+    if [r.target for r in reduced] == [r.target for r in rules]:
         return P
-    rules = list(P.rules)
-    changed = True
-    while changed:
-        changed = False
-        for i, r in enumerate(rules):
-            others = rules[:i] + rules[i + 1 :]
-            sub = Polygraph2(P.quiver, P.field, others, order)
-            sub.termination_certificate = certify_termination(sub, order)
-            relnf = nf(r.relation(), sub)
-            P._nf_work += sub._nf_work
-            new = orient(relnf, order, r.name) if not relnf.is_zero() else None
-            if new is None:
-                rules = others
-                changed = True
-                break
-            if new.relation() != r.relation():
-                rules = rules[:i] + [new] + rules[i + 1 :]
-                changed = True
-                break
-    # Each source is now irreducible by the other rules, and each target is
-    # normal for them; a rule cannot fire on its own target, whose monomials
-    # lie below its source, so the system is also right-reduced.  Equal
-    # relations share a source, so one of them was dropped above.
-    return Polygraph2(P.quiver, P.field, rules, order)
-
+    return Polygraph2(P.quiver, P.field, reduced, P.order)

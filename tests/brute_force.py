@@ -7,13 +7,12 @@ are meant for the small systems of the tests."""
 import itertools
 
 from linrew.completion import (
-    _interreduce_rules,
     certify_termination,
     enumerate_critical_branchings,
     orient,
     s_polynomial,
 )
-from linrew.rewriting import Polygraph2, RewriteStep, _row, all_words, rightmost_step
+from linrew.rewriting import Polygraph2, RewriteStep, _row, all_words, nf, rightmost_step
 
 
 def words_up_to(quiver, dmax: int) -> list:
@@ -67,8 +66,9 @@ def critical_branchings(P) -> list:
     """The critical branchings of P by a loop over every pair of rules, as
     (str(word), rule1 name, rule2 name, start2): the proper overlaps of
     source(rule1) with source(rule2) and, on a system that is not
-    left-reduced, the inclusions of source(rule2) in source(rule1).  Ordered
-    by rule pair, then by the weight of the word."""
+    left-reduced, the inclusions of source(rule2) in source(rule1), two
+    equal sources counting once, with rule1 the earlier rule.  Ordered by
+    rule pair, then by the weight of the word."""
     out = []
     for i, r1 in enumerate(P.rules):
         w1 = r1.source.word
@@ -83,7 +83,7 @@ def critical_branchings(P) -> list:
                 found += [
                     (w1, start2)
                     for start2 in r1.source.factor_positions(w2)
-                    if not (start2 == 0 and len(w2) == len(w1))
+                    if not (w2 == w1 and i > j)
                 ]
             found.sort(key=lambda t: len(t[0]))
             out += [
@@ -99,9 +99,10 @@ def reference_completion(P, max_degree: int, max_rules: int):
     system on the rules so far, lists every critical branching with
     enumerate_critical_branchings, and appends as a rule the first nonzero
     rightmost_nf of an S-polynomial, in degree then discovery order.  Once
-    every S-polynomial reduces to 0 the rules are interreduced, and the
-    loop starts again unless that changed nothing.  Returns (rules, None)
-    or (partial rules, the bound's message)."""
+    every S-polynomial reduces to 0 the rules are interreduced by
+    interreduce_sweep, and the loop starts again unless that changed
+    nothing.  Returns (rules, None) or (partial rules, the bound's
+    message)."""
     order = P.order
     rules = [orient(r.relation(), order, r.name) for r in P.rules]
     fresh = itertools.count()
@@ -120,7 +121,33 @@ def reference_completion(P, max_degree: int, max_rules: int):
                 return rules, f"completion exceeded max rule count {max_rules}"
             rules = rules + [rule]
             continue
-        reduced = _interreduce_rules(cur, order).rules
+        reduced = interreduce_sweep(cur, order)
         if [r.relation() for r in reduced] == [r.relation() for r in rules]:
             return rules, None
         rules = list(reduced)
+
+
+def interreduce_sweep(P, order) -> list:
+    """P's rules, each in turn rewritten to its relation's normal form
+    under the other rules (a fresh system on them, certified by the order)
+    and oriented again, or dropped when that is 0; the sweep starts again
+    from the first rule after every change, until none changes."""
+    rules = list(P.rules)
+    changed = True
+    while changed:
+        changed = False
+        for i, r in enumerate(rules):
+            others = rules[:i] + rules[i + 1 :]
+            sub = Polygraph2(P.quiver, P.field, others, order)
+            sub.termination_certificate = certify_termination(sub, order)
+            relnf = nf(r.relation(), sub)
+            new = orient(relnf, order, r.name)
+            if new is None:
+                rules = others
+            elif new.relation() != r.relation():
+                rules = rules[:i] + [new] + rules[i + 1 :]
+            else:
+                continue
+            changed = True
+            break
+    return rules

@@ -85,6 +85,14 @@ def deglex_system(gens, rules):
     )
 
 
+# Two rules of one source once oriented under deglex x < y: a critical
+# branching of the source with itself, between the two rules.
+EQUAL_SOURCES = {
+    "yx": "field Q\ngenerators x y\norder deglex x < y\nrule a : y x -> x y\nrule b : y x -> 2 x y\n",
+    "yy": "field Q\ngenerators x y\norder deglex x < y\nrule a : y y -> x x\nrule b : x x -> 2 y y\n",
+}
+
+
 def h1_system():
     """Three quadratic relations whose completion never stops."""
     return deglex_system("xyz", [

@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from linrew import Monomial, Polynomial, lpformat
+from linrew import Monomial, Polynomial, complete, lpformat, quotient_dimension
 from linrew.cli import _emit, main
 from linrew.completion import DEFAULT_WORK_BUDGET, MEASURE_PAIR_BUDGET
 
-from conftest import cubic_system
+from conftest import EQUAL_SOURCES, cubic_system
+from tor_oracle import tor_oracle
 
 
 def run(capsys, *argv):
@@ -503,3 +504,33 @@ def test_non_confluent_without_order_reports_every_branching(capsys, tmp_path):
     ]
     digest = hashlib.sha256(out.replace(str(path), "{F}").encode()).hexdigest()
     assert digest == "68753d969cc727c471c7fd54df9a983d3c92c828e4136175f8ae6b2bdfe4683a"
+
+
+@pytest.mark.parametrize("name", sorted(EQUAL_SOURCES))
+def test_equal_sources_agree_with_brute_force(capsys, tmp_path, name):
+    """Two rules of one source are not confluent when their targets differ:
+    check exits 3 (on y y -> x x, x x -> 2 y y, whose second rule the
+    order does not orient, by termination), and the commands that complete
+    count the algebra as brute force does."""
+    path = tmp_path / f"{name}.lp"
+    path.write_text(EQUAL_SOURCES[name], encoding="utf-8")
+    P = lpformat.parse(EQUAL_SOURCES[name])[0]
+    code, doc = run_json(capsys, "check", str(path))
+    assert code == 3 and not doc["convergent"]
+    if name == "yx":
+        assert [(e["word"], e["rules"], e["joinable"]) for e in doc["confluence"]["entries"]] == [
+            ("y x", ["a", "b"], False)
+        ]
+    code, doc = run_json(capsys, "hilbert", str(path), "--dmax", "4")
+    assert code == 0
+    assert list(doc["counts"].values()) == [quotient_dimension(P, d) for d in range(5)] == [1, 2, 2, 2, 2]
+    code, _ = run(capsys, "chains", str(path), "--kmax", "4", "--dmax", "6")
+    assert code == 0
+    code, doc = run_json(capsys, "tor", str(path), "--kmax", "4", "--dmax", "6")
+    assert code == 0
+    oracle = tor_oracle(complete(P), 4, 6)
+    assert {ki: e["dim"] for ki, e in doc["tor"].items()} == {f"{k},{i}": n for (k, i), n in oracle.items()}
+    # Tor concentrated on the diagonal: k<x, y>/(x^2, y^2) and k<x, y>/(x y, y x) are Koszul.
+    assert all(n == 0 for (k, i), n in oracle.items() if k != i)
+    code, doc = run_json(capsys, "koszul", str(path))
+    assert code == 0 and doc["verdict"]["status"] == "Koszul-certified"

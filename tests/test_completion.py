@@ -29,7 +29,7 @@ from linrew.completion import MEASURE_PAIR_BUDGET, _context_pairs, _interreduce_
 from linrew.rewriting import RewriteStep
 
 import brute_force
-from conftest import FIXTURES, cubic_system, deglex_system, h1_system, make_poly
+from conftest import EQUAL_SOURCES, FIXTURES, cubic_system, deglex_system, h1_system, make_poly
 from test_acceptance import random_system
 
 
@@ -216,9 +216,9 @@ def test_orient():
 
 
 def test_interreduce_idempotent(sys_xy):
+    """A reduced system comes back as the same object, memo included."""
     done = complete(sys_xy, sys_xy.order)
-    again = _interreduce_rules(done, done.order)
-    assert [r.relation() for r in again.rules] == [r.relation() for r in done.rules]
+    assert _interreduce_rules(done) is done
 
 
 def test_confluence_requires_certificate(sys_xy):
@@ -426,6 +426,22 @@ def test_complete_is_the_reference_fixtures(path):
 ], ids=["cubic", "cubic-rules-4", "h1-d5", "h1-d6", "h1-rules-8"])
 def test_complete_is_the_reference(system, max_degree, max_rules):
     assert_complete_is_the_reference(system(), max_degree, max_rules)
+
+
+@pytest.mark.parametrize("name", sorted(EQUAL_SOURCES))
+def test_equal_sources_branch(name):
+    """Two rules of one source branch on it, rule1 the earlier one, and
+    their S-polynomial does not join; completion joins it as the memo-free
+    reference does."""
+    P = lpformat.parse(EQUAL_SOURCES[name])[0]
+    oriented = Polygraph2(P.quiver, P.field, [orient(r.relation(), P.order, r.name) for r in P.rules], P.order)
+    oriented.termination_certificate = certify_termination(oriented)
+    word = {"yx": "y x", "yy": "y^2"}[name]
+    assert [b for b in brute_force.critical_branchings(oriented) if b[3] == 0] == [(word, "a", "b", 0)]
+    assert_branchings_match_reference(oriented)
+    report = check_confluence(oriented)
+    assert (word, ("a", "b"), False) in [(e["word"], e["rules"], e["joinable"]) for e in report["entries"]]
+    assert_complete_is_the_reference(P)
 
 
 @pytest.mark.parametrize("seed", range(50))

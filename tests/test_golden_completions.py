@@ -27,6 +27,7 @@ from linrew import (
     Polygraph2,
     RewriteError,
     complete,
+    is_confluent,
     lpformat,
     quotient_dimension,
     standard_basis,
@@ -105,6 +106,25 @@ def test_shuffled_input_same_basis(outcomes):
         assert "rules" in again, case_id
         pairs = sorted((s, t) for _, s, t in first["rules"])
         assert sorted((s, t) for _, s, t in again["rules"]) == pairs, case_id
+        checked += 1
+    assert checked >= 50
+
+
+def test_certificate_is_a_fresh_check():
+    """complete reduces its rules once and does not check the reduced
+    rules again: a fresh system on the rules it returns, given only its
+    termination certificate, is confluent and checks as many critical
+    branchings as complete's certificate counts."""
+    checked = 0
+    for case_id, P, bounds in corpus():
+        try:
+            done = complete(P, P.order, **bounds)
+        except RewriteError:
+            continue
+        fresh = Polygraph2(P.quiver, P.field, done.rules, P.order)
+        fresh.termination_certificate = done.termination_certificate
+        assert is_confluent(fresh), case_id
+        assert fresh.convergence_certificate == done.convergence_certificate, case_id
         checked += 1
     assert checked >= 50
 
