@@ -22,11 +22,15 @@ stands for the first object; any other boundary must name a declared
 object.  Words are space-separated generator names; ``x^3`` expands to
 ``x x x``.
 Coefficients are integers, fractions, or parenthesized expressions in the
-declared parameters.
+declared parameters.  Expressions in bound parameters only are valued
+exactly in Fractions (see ``_exact_value``); sympy values the others.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
+import re
 from fractions import Fraction
 from typing import Optional
 
@@ -151,6 +155,46 @@ def _measure_weight(tok: str, line: int) -> int:
     return weight
 
 
+_LITERAL = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_ARITHMETIC = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
+_MAX_EXPONENT = 1000  # a larger power is left to sympy, which computes it as it always did
+
+
+def _exact_value(text: str, bound: dict):
+    """The value of a coefficient expression as a Fraction, or None if it
+    leaves this grammar: int and decimal literals (read exactly), names in
+    ``bound``, unary + and -, + - * /, ** or ^ with an integer exponent,
+    and parentheses.  ``^`` is ``**``, as sympify's convert_xor makes it.
+    None also covers a division by zero, where sympy's error text is wanted."""
+    src = text.strip().replace("^", "**")
+    if not src.isascii():  # the parser folds Unicode names; sympy does not
+        return None
+
+    def value(node):
+        if isinstance(node, ast.BinOp):
+            left, right = value(node.left), value(node.right)
+            if isinstance(node.op, ast.Pow):
+                if right.denominator != 1 or abs(right) > _MAX_EXPONENT:
+                    raise ValueError("not a small integer exponent")
+                return left ** int(right)
+            return _ARITHMETIC[type(node.op)](left, right)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            v = value(node.operand)
+            return -v if isinstance(node.op, ast.USub) else v
+        if isinstance(node, ast.Name):
+            return bound[node.id]
+        if isinstance(node, ast.Constant):
+            literal = src[node.col_offset : node.end_col_offset]
+            if _LITERAL.fullmatch(literal):
+                return Fraction(literal)
+        raise ValueError("outside the grammar")
+
+    try:
+        return value(ast.parse(src, mode="eval").body)
+    except (SyntaxError, ValueError, LookupError, ZeroDivisionError, RecursionError):
+        return None
+
+
 class _FieldContext:
     def __init__(self):
         self.gf = None  # the prime field declared, or None for Q
@@ -178,6 +222,10 @@ class _FieldContext:
             if any(c.isalpha() for c in text):
                 if not names:
                     raise ValueError("no parameters declared")
+                if not self.symbolic:
+                    value = _exact_value(text, self.bound)
+                    if value is not None:
+                        return field.coerce(value)
                 import sympy
 
                 syms = {n: sympy.Symbol(n) for n in names}
@@ -226,6 +274,8 @@ def parse(text: str):
     def add_generator(name, src, tgt, degree, lineno):
         if any(g.name == name for g in generators):
             raise LpError(f"duplicate generator {name!r}", lineno, 1)
+        if name in ctx.bound or name in ctx.symbolic:
+            raise LpError(f"{name!r} is declared as a parameter and as a generator", lineno, 1)
         try:
             generators.append(Generator(name, src, tgt, degree))
         except ValueError as e:
@@ -253,17 +303,22 @@ def parse(text: str):
             else:
                 raise LpError(f"unknown field {spec!r}", lineno, 7)
         elif head == "param":
+            if len(parts) < 2:
+                raise LpError("param needs a name", lineno, 1)
+            name = parts[1]
+            if name in ctx.bound or name in ctx.symbolic:
+                raise LpError(f"duplicate parameter {name!r}", lineno, 1)
+            if any(g.name == name for g in generators):
+                raise LpError(f"{name!r} is declared as a parameter and as a generator", lineno, 1)
             if len(parts) >= 4 and parts[2] == "=":
                 try:
-                    ctx.bound[parts[1]] = Fraction("".join(parts[3:]))
-                except ValueError:
+                    ctx.bound[name] = Fraction("".join(parts[3:]))
+                except (ValueError, ZeroDivisionError):
                     raise LpError(f"bad parameter value {' '.join(parts[3:])!r}", lineno, 1)
-            elif len(parts) >= 2:
-                ctx.symbolic.append(parts[1])
-                if "nonzero" in parts[2:]:
-                    ctx.nonvanishing.append(parts[1])
             else:
-                raise LpError("param needs a name", lineno, 1)
+                ctx.symbolic.append(name)
+                if "nonzero" in parts[2:]:
+                    ctx.nonvanishing.append(name)
         elif head == "nonvanishing":
             ctx.nonvanishing.extend(" ".join(parts[1:]).replace(",", " ").split())
         elif head == "objects":

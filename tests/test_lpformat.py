@@ -1,7 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import linrew
 
 from linrew import cli, complete
 from linrew import lpformat
@@ -178,6 +186,11 @@ MALFORMED = {
         "rule r : f g -> f g f g\n", 3,
     ),
     "undeclared-object-no-objects-line": (GEN_XY + "generator f : a -> b\n", 3),
+    "param-zero-denominator": ("field Q\nparam a = 1/0\ngenerators x y\n" + RULE, 2),
+    "param-then-generator": ("field Q\nparam x = 2\ngenerators x y\n" + RULE, 3),
+    "generator-then-param": (GEN_XY + "param y nonzero\n" + RULE, 3),
+    "param-twice": ("field Q\nparam a = 2\nparam a = 3\ngenerators x y\n" + RULE, 3),
+    "param-bound-then-symbolic": ("field Q\nparam a = 2\nparam a nonzero\ngenerators x y\n" + RULE, 3),
 }
 
 
@@ -198,3 +211,173 @@ def test_cli_malformed_order_exits_2(command, tmp_path, capsys):
     path.write_text(MALFORMED["order-missing"][0])
     assert cli.main([command[0], str(path), *command[1:]]) == 2
     assert json.loads(capsys.readouterr().err)["error"].startswith("line 3, ")
+
+
+# Bound-parameter coefficients: lpformat._exact_value against sympy.
+
+BOUND = {"a": Fraction(2), "b": Fraction(-3, 4)}
+
+
+def sympy_value(text: str):
+    """sympy's value of a coefficient text with BOUND substituted, as
+    lpformat's fallback computes it; None unless it is a finite rational."""
+    import sympy
+
+    syms = {n: sympy.Symbol(n) for n in BOUND}
+    expr = sympy.sympify(text, locals=syms, rational=True)
+    expr = sympy.cancel(expr.subs({syms[n]: sympy.Rational(v) for n, v in BOUND.items()}))
+    return Fraction(int(expr.p), int(expr.q)) if expr.is_Rational else None
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1+a^2", 5),
+    ("2^3^2", 512),
+    ("-a^2", -4),
+    ("0.1*a", Fraction(1, 5)),
+    ("1e-3*a", Fraction(1, 500)),
+    ("0.1234567890123456789*a", Fraction("0.2469135780246913578")),
+    ("(-1/a)", Fraction(-1, 2)),
+    ("b^-2 - a**2", Fraction(16, 9) - 4),
+])
+def test_exact_value_is_sympys(text, value):
+    assert lpformat._exact_value(text, BOUND) == value == sympy_value(text)
+
+
+def _rule_with(coefficient, param="a"):
+    return f"field Q\nparam {param} = 2\ngenerators x y\nrule r : y x -> {coefficient} x y\n"
+
+
+@pytest.mark.parametrize("coefficient, value", [("(4^(1/2)*a)", 4), ("(sqrt(4))", 2), ("(7//a)", 3)])
+def test_outside_the_grammar_sympy_values_the_coefficient(coefficient, value):
+    assert lpformat._exact_value(coefficient, BOUND) is None
+    P, _ = parse(_rule_with(coefficient))
+    assert next(iter(P.rules[0].target.terms.values())) == value
+
+
+@pytest.mark.parametrize("param, coefficient, message", [
+    ("a", "(a/(a-2))", "bad coefficient '(a/(a-2))': invalid input: zoo"),
+    ("a", "(4^(1/2))", "bad coefficient '(4^(1/2))': Invalid literal for Fraction: '4^(1/2)'"),
+    # Python folds the ligature to the name fi; sympy keeps it apart.
+    ("fi", "(\ufb01)", "bad coefficient '(\ufb01)': invalid input: \ufb01"),
+])
+def test_coefficient_error_text(param, coefficient, message):
+    with pytest.raises(LpError) as e:
+        parse(_rule_with(coefficient, param))
+    assert str(e.value) == f"line 4, col 17: {message}"
+
+
+PREC_SUM, PREC_PRODUCT, PREC_UNARY, PREC_POWER, PREC_ATOM = range(1, 6)
+
+
+class Expr(NamedTuple):
+    """A coefficient text and what decides whether _exact_value must value
+    it: its undeclared names, and the (divisor,) and (base, exponent) texts
+    of its divisions and powers."""
+
+    text: str
+    prec: int
+    checks: tuple = ()
+    declared: bool = True
+
+
+def _operand(e: Expr, need: int, paren: bool) -> str:
+    return f"({e.text})" if paren or e.prec < need else e.text
+
+
+_leaves = st.one_of(
+    st.integers(0, 50).map(str),
+    st.from_regex(r"[0-9]{1,3}\.[0-9]{0,20}|\.[0-9]{1,3}", fullmatch=True),
+    st.from_regex(r"[0-9]{1,2}(\.[0-9]{1,3})?[eE][+-]?[0-9]", fullmatch=True),
+    st.sampled_from(["a", "b"]),
+).map(lambda t: Expr(t, PREC_ATOM)) | st.just(Expr("c", PREC_ATOM, declared=False))
+
+
+@st.composite
+def _unary(draw, operands):
+    e = draw(operands)
+    text = draw(st.sampled_from("+-")) + _operand(e, PREC_UNARY, draw(st.booleans()))
+    return Expr(text, PREC_UNARY, e.checks, e.declared)
+
+
+@st.composite
+def _binary(draw, operands):
+    left, right, op = draw(operands), draw(operands), draw(st.sampled_from("+-*/"))
+    prec = PREC_SUM if op in "+-" else PREC_PRODUCT
+    space = draw(st.sampled_from(["", " "]))
+    text = space.join([_operand(left, prec, draw(st.booleans())), op,
+                       _operand(right, prec + 1, draw(st.booleans()))])
+    checks = left.checks + right.checks + (((right.text,),) if op == "/" else ())
+    return Expr(text, prec, checks, left.declared and right.declared)
+
+
+# Exponents stay small, so that no power tower outgrows the test.
+_exponents = st.recursive(
+    st.sampled_from(["0", "1", "2", "3", "a", "b", "0.5"]).map(lambda t: Expr(t, PREC_ATOM)),
+    lambda inner: _unary(inner) | _binary(inner),
+    max_leaves=3,
+)
+
+
+@st.composite
+def _power(draw, operands):
+    base, exponent = draw(operands), draw(_exponents | _power(_exponents))
+    op = draw(st.sampled_from(["^", "**"]))
+    text = (_operand(base, PREC_POWER + 1, draw(st.booleans())) + op
+            + _operand(exponent, PREC_UNARY, draw(st.booleans())))
+    checks = base.checks + exponent.checks + ((base.text, exponent.text),)
+    return Expr(text, PREC_POWER, checks, base.declared and exponent.declared)
+
+
+_expressions = st.recursive(
+    _leaves, lambda inner: _unary(inner) | _binary(inner) | _power(inner), max_leaves=8
+)
+
+
+def _in_grammar(e: Expr) -> bool:
+    """Whether _exact_value must value e: every name declared, no division
+    by zero, and every exponent a small integer (negative only on a nonzero
+    base)."""
+    if not e.declared:
+        return False
+    for check in e.checks:
+        if len(check) == 1:
+            if sympy_value(check[0]) == 0:
+                return False
+            continue
+        base, k = sympy_value(check[0]), sympy_value(check[1])
+        if k is None or k.denominator != 1 or abs(k) > lpformat._MAX_EXPONENT or (k < 0 and base == 0):
+            return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(_expressions)
+def test_exact_value_is_sympys_or_declines(e):
+    """_exact_value agrees with sympy on every text of its grammar and
+    declines every other text, which sympy then values as before."""
+    got = lpformat._exact_value(e.text, BOUND)
+    if _in_grammar(e):
+        assert got is not None and got == sympy_value(e.text), e.text
+    else:
+        assert got is None, e.text
+
+
+def test_bound_parameters_do_not_import_sympy():
+    """A fresh process running koszul on a file with bound parameters only
+    never imports sympy; a symbolic parameter still goes through it."""
+    fixtures = Path(__file__).parent / "fixtures"
+    script = f"""
+import contextlib, io, json, sys
+from linrew import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["koszul", {str(fixtures / "pp05.lp")!r}]) == 0
+assert "sympy" not in sys.modules
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert cli.main(["check", {str(fixtures / "pp05_sym.lp")!r}]) == 3
+assert json.loads(out.getvalue())["field"] == "Q(a)"
+assert "sympy" in sys.modules
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(linrew.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
