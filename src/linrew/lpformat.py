@@ -22,8 +22,8 @@ stands for the first object; any other boundary must name a declared
 object.  Words are space-separated generator names; ``x^3`` expands to
 ``x x x``.
 Coefficients are integers, fractions, or parenthesized expressions in the
-declared parameters.  Expressions in bound parameters only are valued
-exactly in Fractions (see ``_exact_value``); sympy values the others.
+declared parameters, valued exactly in the field (see ``_exact_value``);
+sympy values only the texts outside that grammar.
 """
 
 from __future__ import annotations
@@ -156,16 +156,17 @@ def _measure_weight(tok: str, line: int) -> int:
 
 
 _LITERAL = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-_ARITHMETIC = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
-_MAX_EXPONENT = 1000  # a larger power is left to sympy, which computes it as it always did
+# - and / through unary -, + and * and a power, which parameter fields' elements support
+_ARITHMETIC = {ast.Add: operator.add, ast.Sub: lambda x, y: x + -y, ast.Mult: operator.mul, ast.Div: lambda x, y: x * y**-1}
+_MAX_EXPONENT = 1000  # a larger power is left to sympy
 
 
-def _exact_value(text: str, bound: dict):
-    """The value of a coefficient expression as a Fraction, or None if it
-    leaves this grammar: int and decimal literals (read exactly), names in
-    ``bound``, unary + and -, + - * /, ** or ^ with an integer exponent,
-    and parentheses.  ``^`` is ``**``, as sympify's convert_xor makes it.
-    None also covers a division by zero, where sympy's error text is wanted."""
+def _exact_value(text: str, names: dict):
+    """The value of a coefficient expression, or None if it leaves this
+    grammar: int and decimal literals (read exactly), ``names`` (Fractions
+    or parameter field elements), unary + and -, + - * /, ** or ^ with an
+    integer exponent, and parentheses.  ``^`` is ``**``, as sympify's
+    convert_xor makes it.  None also covers a division by zero."""
     src = text.strip().replace("^", "**")
     if not src.isascii():  # the parser folds Unicode names; sympy does not
         return None
@@ -174,7 +175,7 @@ def _exact_value(text: str, bound: dict):
         if isinstance(node, ast.BinOp):
             left, right = value(node.left), value(node.right)
             if isinstance(node.op, ast.Pow):
-                if right.denominator != 1 or abs(right) > _MAX_EXPONENT:
+                if not isinstance(right, Fraction) or right.denominator != 1 or abs(right) > _MAX_EXPONENT:
                     raise ValueError("not a small integer exponent")
                 return left ** int(right)
             return _ARITHMETIC[type(node.op)](left, right)
@@ -182,7 +183,7 @@ def _exact_value(text: str, bound: dict):
             v = value(node.operand)
             return -v if isinstance(node.op, ast.USub) else v
         if isinstance(node, ast.Name):
-            return bound[node.id]
+            return names[node.id]
         if isinstance(node, ast.Constant):
             literal = src[node.col_offset : node.end_col_offset]
             if _LITERAL.fullmatch(literal):
@@ -191,7 +192,7 @@ def _exact_value(text: str, bound: dict):
 
     try:
         return value(ast.parse(src, mode="eval").body)
-    except (SyntaxError, ValueError, LookupError, ZeroDivisionError, RecursionError):
+    except (SyntaxError, ValueError, LookupError, ArithmeticError, RecursionError):
         return None
 
 
@@ -209,7 +210,10 @@ class _FieldContext:
         if self.symbolic:
             if self.gf is not None:
                 raise LpError("parameters require field Q")
-            self.field = ParameterField(tuple(self.symbolic), tuple(self.nonvanishing))
+            try:
+                self.field = ParameterField(tuple(self.symbolic), tuple(self.nonvanishing))
+            except FieldError as e:
+                raise LpError(f"bad nonvanishing expression: {e}")
         else:
             self.field = QQ if self.gf is None else self.gf
         return self.field
@@ -217,30 +221,26 @@ class _FieldContext:
     def coefficient(self, tok: str, line: int, col: int):
         field = self.build()
         text = tok[1:-1] if tok.startswith("(") and tok.endswith(")") else tok
-        names = set(self.symbolic) | set(self.bound)
         try:
-            if any(c.isalpha() for c in text):
+            try:
+                return field.coerce(Fraction(text))
+            except (ValueError, ZeroDivisionError) as e:
+                literal_error = e
+            names = {**self.bound, **(field.gens if self.symbolic else {})}
+            value = _exact_value(text, names)
+            if value is None:
+                if not any(c.isalpha() for c in text):
+                    raise literal_error
                 if not names:
                     raise ValueError("no parameters declared")
-                if not self.symbolic:
-                    value = _exact_value(text, self.bound)
-                    if value is not None:
-                        return field.coerce(value)
                 import sympy
 
-                syms = {n: sympy.Symbol(n) for n in names}
-                expr = sympy.sympify(text, locals=syms, rational=True)
-                if self.bound:
-                    expr = expr.subs(
-                        {syms[n]: sympy.Rational(v) for n, v in self.bound.items()}
-                    )
-                if self.symbolic:
-                    return field.coerce(sympy.cancel(expr))
-                val = sympy.Rational(sympy.cancel(expr))
-                return field.coerce(Fraction(int(val.p), int(val.q)))
-            return field.coerce(Fraction(text))
-        except LpError:
-            raise
+                local = {n: sympy.Rational(self.bound[n]) if n in self.bound else sympy.Symbol(n) for n in names}
+                expr = sympy.cancel(sympy.sympify(text, locals=local, rational=True))
+                value = _exact_value(str(expr), names)  # None unless expr lies in the field
+                if value is None:
+                    raise ValueError(f"invalid input: {expr}")
+            return field.coerce(value)
         except Exception as e:
             raise LpError(f"bad coefficient {tok!r}: {e}", line, col)
 
@@ -320,7 +320,9 @@ def parse(text: str):
                 if "nonzero" in parts[2:]:
                     ctx.nonvanishing.append(name)
         elif head == "nonvanishing":
-            ctx.nonvanishing.extend(" ".join(parts[1:]).replace(",", " ").split())
+            # Comma- or space-separated, but "a + 1" (as printed) is one.
+            exprs = re.sub(r"\s*([-+*/^])\s*", r"\1", " ".join(parts[1:]))
+            ctx.nonvanishing.extend(exprs.replace(",", " ").split())
         elif head == "objects":
             objects = parts[1:]
             if not objects:
@@ -482,7 +484,6 @@ def parse(text: str):
         "measure": measure,
         "params": dict(ctx.bound),
         "symbolic_params": list(ctx.symbolic),
-        "nonvanishing": list(ctx.nonvanishing),
         "certified": want_certified,
     }
     if want_certified:

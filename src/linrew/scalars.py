@@ -1,13 +1,17 @@
 """Exact coefficient fields: rationals, prime fields, and parameter fields.
 
 Coefficients are plain canonical values (Fraction, int mod p, or a
-canonicalized sympy expression); the field object supplies the arithmetic.
-Canonical representation means ``==`` and ``hash`` decide equality.
+RationalFunction in a tower of univariate rational-function fields over Q);
+the field object supplies the arithmetic.  Canonical representation means
+``==`` and ``hash`` decide equality.  No module here imports sympy.
 """
 
 from __future__ import annotations
 
+import operator
+import re
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 from typing import Any
 
@@ -261,97 +265,242 @@ class PrimeField(Field):
         return hash(("GF", self.p))
 
 
-class ParameterField(Field):
-    """Rational functions in named parameters over Q, via sympy.
+def _padd(K, f, g):
+    """f + g for polynomials over K: coefficient tuples, lowest power first."""
+    f, g = (f, g) if len(f) >= len(g) else (g, f)
+    out = [K.add(c, g[i]) if i < len(g) else c for i, c in enumerate(f)]
+    while out and K.is_zero(out[-1]):
+        out.pop()
+    return tuple(out)
 
-    Elements are sympy expressions normalized with ``cancel`` so equality is
-    decidable: every operation returns a cancelled value, so the inherited
-    zero test ``a == zero`` is exact.  Division is only allowed by
-    expressions whose non-constant factors all belong to the declared
-    non-vanishing set.
-    """
+
+def _pmul(K, f, g):
+    out = [K.zero] * (len(f) + len(g) - 1) if f and g else []
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] = K.add(out[i + j], K.mul(x, y))
+    return tuple(out)
+
+
+def _pdiv(K, f, g):
+    """f / g, for g a nonzero divisor of f."""
+    r, n = list(f), len(g) - 1
+    q = [K.zero] * max(len(f) - n, 0)
+    lead = K.generic_inv(g[-1])
+    for k in reversed(range(len(q))):
+        c = q[k] = K.mul(r[k + n], lead)
+        for j, y in enumerate(g):
+            r[k + j] = K.sub(r[k + j], K.mul(c, y))
+    return tuple(q)
+
+
+def _pgcd(K, f, g):
+    """The monic gcd of f and g, not both zero, by the primitive remainder
+    sequence: its remainders stay in Z[params], where Euclid's swell."""
+    f, g = _primitive(K, f), _primitive(K, g)
+    while g:
+        r = f
+        while len(r) >= len(g):  # r lc(g) - lc(r) t^k g has a lower degree
+            r = _padd(K, _pmul(K, r, (g[-1],)), _pmul(K, (K.zero,) * (len(r) - len(g)) + g, (K.neg(r[-1]),)))
+        f, g = g, _primitive(K, r)
+    return _pmul(K, f, (K.generic_inv(f[-1]),))
+
+
+def _primitive(K, f):
+    """f over the content of its coefficients: in Z[params], with gcd 1."""
+    return _pmul(K, f, (K.generic_inv(_content(K, f)),)) if f else f
+
+
+def _content(K, xs):
+    """c in K (QQ or a ParameterField) with the x / c in Z[params], of gcd 1
+    up to sign.  Over K = B(t) it is g / l (the nums' gcd over the dens' lcm)
+    times the content in B of the coefficients of the x * l / g in B[t]."""
+    if K is QQ:
+        return Fraction(gcd(*[x.numerator for x in xs]), lcm(*[x.denominator for x in xs]))
+    B, xs = K.base, [x for x in xs if x.num]
+    g, l = (), (B.one,)
+    for x in xs:
+        g, l = _pgcd(B, g, x.num), _pdiv(B, _pmul(B, l, x.den), _pgcd(B, l, x.den))
+    inner = [c for x in xs for c in _pmul(B, _pdiv(B, x.num, g), _pdiv(B, l, x.den))]
+    return K._make(_pmul(B, g, (_content(B, inner),)), l)
+
+
+class RationalFunction:
+    """An element of a ParameterField.  Its + * - and ** (a negative power
+    inverts generically) take ints and Fractions too, for lpformat's
+    expression evaluator."""
+
+    __slots__ = ("num", "den", "field")
+
+    def __init__(self, num: tuple, den: tuple, field: ParameterField):
+        self.num, self.den, self.field = num, den, field
+
+    def __eq__(self, other):
+        return isinstance(other, RationalFunction) and (self.num, self.den) == (other.num, other.den)
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __str__(self):
+        return self.field.to_str(self)
+
+    def __add__(self, other):
+        return self.field.add(self, self.field.coerce(other))
+
+    def __mul__(self, other):
+        return self.field.mul(self, self.field.coerce(other))
+
+    __radd__, __rmul__, __repr__ = __add__, __mul__, __str__
+
+    def __neg__(self):
+        return self.field.neg(self)
+
+    def __pow__(self, k: int):
+        out = reduce(operator.mul, [self] * abs(k), self.field.one)
+        return out if k >= 0 else self.field.generic_inv(out)
+
+
+class ParameterField(Field):
+    """Q(a1, ..., an) as a tower: K(an) over K = Q(a1, ..., a(n-1)), down to
+    K = Q.  An element is num/den, polynomials in an over K cancelled by
+    their gcd in K[an], with den monic: a unique form, so == is the exact
+    zero test.  Elements print as str(sympy.cancel(e)) does, and read as
+    lpformat reads a coefficient."""
 
     def __init__(self, params: tuple[str, ...], nonvanishing: tuple[str, ...] = ()):
-        import sympy
-
-        self._sympy = sympy
         self.params = tuple(params)
-        self.symbols = {name: sympy.Symbol(name) for name in params}
         self.name = "Q(" + ", ".join(params) + ")"
-        self.zero = sympy.Integer(0)
-        self.one = sympy.Integer(1)
-        self.nonvanishing = tuple(
-            sympy.cancel(sympy.sympify(s, locals=self.symbols)) for s in nonvanishing
-        )
+        self.base = K = ParameterField(self.params[:-1]) if len(self.params) > 1 else QQ
+        self.zero = RationalFunction((), (K.one,), self)
+        self.one = RationalFunction((K.one,), (K.one,), self)
+        self.gens = {n: self.coerce(g) for n, g in (K.gens if K is not QQ else {}).items()}
+        self.gens[self.params[-1]] = RationalFunction((K.zero, K.one), (K.one,), self)
+        self.nonvanishing = tuple(self.coerce(s) for s in nonvanishing)
+        self._declared = self.one  # the product of their numerators and denominators
+        for e in self.nonvanishing:  # a zero one fails here with "division by zero"
+            self._declared = self.mul(self._declared, self.mul(*self._parts(e)))
 
-    def _canon(self, e):
-        return self._sympy.cancel(e)
+    def _make(self, num, den):
+        """num/den cancelled, with den monic; den is nonzero."""
+        K = self.base
+        g = _pgcd(K, num, den) if len(den) > 1 else den
+        if len(g) > 1:
+            num, den = _pdiv(K, num, g), _pdiv(K, den, g)
+        if den[-1] != K.one:
+            lead = (K.generic_inv(den[-1]),)
+            num, den = _pmul(K, num, lead), _pmul(K, den, lead)
+        return RationalFunction(num, den, self)
 
     def add(self, a, b):
-        return self._canon(a + b)
+        K = self.base
+        return self._make(_padd(K, _pmul(K, a.num, b.den), _pmul(K, b.num, a.den)), _pmul(K, a.den, b.den))
 
     def neg(self, a):
-        return self._canon(-a)
+        return RationalFunction(tuple(self.base.neg(c) for c in a.num), a.den, self)
 
     def mul(self, a, b):
-        return self._canon(a * b)
-
-    def _monic(self, poly_expr):
-        sympy = self._sympy
-        syms = sorted(poly_expr.free_symbols, key=str)
-        return sympy.cancel(poly_expr / sympy.LC(poly_expr, syms[0]))
-
-    def _check_invertible(self, a):
-        sympy = self._sympy
-        num, _ = sympy.fraction(sympy.cancel(a))
-        const, factors = sympy.factor_list(num)
-        if const == 0:
-            raise FieldError("division by zero")
-        allowed = set()
-        for nv in self.nonvanishing:
-            _, nvf = sympy.factor_list(nv)
-            for base, _ in nvf:
-                if base.free_symbols:
-                    allowed.add(self._monic(base))
-        for base, _ in factors:
-            if not base.free_symbols:
-                continue
-            if self._monic(base) not in allowed:
-                raise FieldError(
-                    f"division by possibly-vanishing expression {a} "
-                    f"(factor {base} not declared non-vanishing)"
-                )
-
-    def inv(self, a):
-        self._check_invertible(a)
-        return self._canon(1 / a)
+        return self._make(_pmul(self.base, a.num, b.num), _pmul(self.base, a.den, b.den))
 
     def generic_inv(self, a):
-        if self.is_zero(a):
+        if not a.num:
             raise FieldError("division by zero")
-        return self._canon(1 / a)
+        return self._make(a.den, a.num)
+
+    def inv(self, a):
+        """generic_inv, refused unless a's numerator, divided by its gcd with
+        the declared expressions' product until that gcd is 1, is constant."""
+        rest = self._parts(self.generic_inv(a))[1]
+        while (smaller := self._parts(self.mul(rest, self.generic_inv(self._declared)))[0]) not in (rest, -rest):
+            rest = smaller
+        if any(map(any, self._terms(rest))):
+            raise FieldError(f"division by possibly-vanishing expression {a} (factor {rest} not declared non-vanishing)")
+        return self.generic_inv(a)
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
-            return self._sympy.Rational(x.numerator, x.denominator)
-        if isinstance(x, int):
-            return self._sympy.Integer(x)
+        if isinstance(x, RationalFunction) and x.field.params == self.params:
+            return x
         if isinstance(x, str):
-            return self._canon(self._sympy.sympify(x, locals=self.symbols))
-        return self._canon(self._sympy.sympify(x))
+            from .lpformat import _exact_value
+            value = _exact_value(x, self.gens)
+            if value is None:
+                raise FieldError(f"cannot read {x!r} in {self.name}")
+            return self.coerce(value)
+        c = self.base.coerce(x)
+        return RationalFunction(() if self.base.is_zero(c) else (c,), (self.base.one,), self)
+
+    def _parts(self, a):
+        """(p, q): coprime elements of Z[params] with a = p / q, a nonzero."""
+        K = self.base
+        u = K.mul(_content(K, a.num), K.generic_inv(_content(K, a.den)))
+        pu, qu = K._parts(u) if K is not QQ else (Fraction(u.numerator), Fraction(u.denominator))
+        p, q = _pmul(K, _primitive(K, a.num), (pu,)), _pmul(K, _primitive(K, a.den), (qu,))
+        return RationalFunction(p, (K.one,), self), RationalFunction(q, (K.one,), self)
+
+    def _terms(self, p) -> dict:
+        """{exponents of params: int coefficient} of p in Z[params]."""
+        inner = self.base._terms if self.base is not QQ else lambda c: {(): int(c)}
+        return {e + (k,): n for k, c in enumerate(p.num) for e, n in inner(c).items() if n}
+
+    def to_str(self, a) -> str:
+        """a as str(sympy.cancel(a)) prints it."""
+        if not a.num:
+            return "0"
+        P, Q = (self._terms(x) for x in self._parts(a))
+        # sympy keeps positive the lex-leading coefficient of the denominator,
+        # its generators ranked as polys.polyutils._sort_gens ranks them.
+        stems = [re.fullmatch(r"(.*?)(\d*)", name).groups() for name in self.params]
+        letters = {c: (100 if c > "w" else 200 if c > "o" else 300) + ord(c) - 96 for c in "abcdefghijklmnopqrstuvwxyz"}
+        rank = [(letters.get(stem, 1000), stem, int(index or 0)) for stem, index in stems]
+        order = sorted(range(len(rank)), key=rank.__getitem__)
+        if Q[max(Q, key=lambda e: [e[i] for i in order])] < 0:
+            P, Q = ({e: -n for e, n in X.items()} for X in (P, Q))
+        return _sympy_str(self.params, P, Q)
 
     def __repr__(self):
         return self.name
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ParameterField)
-            and other.params == self.params
-            and other.nonvanishing == self.nonvanishing
-        )
+        same = isinstance(other, ParameterField) and other.params == self.params
+        return same and set(other.nonvanishing) == set(self.nonvanishing)
 
     def __hash__(self):
         return hash(("Qparam", self.params))
+
+
+def _sympy_str(names, P: dict, Q: dict) -> str:
+    """What sympy's str printer writes for P/Q, coprime in Z[names] as
+    {exponents: coefficient}; its Add and Mul put names in alphabetical order."""
+    alpha = sorted(range(len(names)), key=names.__getitem__)
+
+    def powers(e):
+        return [names[i] + f"**{e[i]}" * (e[i] > 1) for i in alpha if e[i]]
+
+    def mul(c: Fraction, top: list, bottom: list) -> str:
+        top = [str(abs(c.numerator))] * (abs(c.numerator) != 1) + top
+        bottom = [str(c.denominator)] * (c.denominator != 1) + bottom
+        over = "" if not bottom else "/" + bottom[0] if len(bottom) == 1 else "/(" + "*".join(bottom) + ")"
+        return "-" * (c < 0) + "*".join(top or ["1"]) + over
+
+    def add(P: dict, d: int = 1) -> str:
+        terms = sorted(P.items(), key=lambda t: [t[0][i] for i in alpha], reverse=True)
+        if len(terms) == 2 and terms[0][1] < 0 < terms[1][1] and not any(terms[1][0]) and sum(map(bool, terms[0][0])) == 1:
+            terms.reverse()  # sympy writes 1 - a, not -a + 1
+        out = [mul(Fraction(c, d), powers(e), []) for e, c in terms]
+        return out[0] + "".join(f" - {t[1:]}" if t[0] == "-" else f" + {t}" for t in out[1:])
+
+    zero = (0,) * len(names)
+    if list(Q) == [zero]:
+        return add(P, Q[zero])
+    c, top, bottom = Fraction(1), [f"({add(P)})"], [f"({add(Q)})"]
+    if len(P) == 1:
+        ((e, n),) = P.items()
+        c, top = Fraction(n), powers(e)
+    if len(Q) == 1:
+        ((e, n),) = Q.items()
+        c, bottom = c / n, powers(e)
+        if c == 1 and not top and len(bottom) == 1 and max(e) > 1:
+            return bottom[0].replace("**", "**(-") + ")"  # 1/a**2 prints as a**(-2)
+    return mul(c, top, bottom)
 
 
 QQ = RationalField()

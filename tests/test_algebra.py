@@ -45,10 +45,8 @@ FIELDS = {
 
 
 def polys_over(name, max_size):
-    """Polynomials over FIELDS[name]; sympy arithmetic costs milliseconds
-    an operation, so those over Q(a) have at most two terms."""
+    """Polynomials over FIELDS[name]."""
     field, scalars = FIELDS[name]
-    max_size = min(max_size, 2) if field is QA else max_size
     return st.lists(st.tuples(scalars, words), max_size=max_size).map(
         lambda pairs: Q3.poly(field, [(c, Q3.monomial(w)) for c, w in pairs])
     )

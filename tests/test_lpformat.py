@@ -98,6 +98,23 @@ def test_round_trip_fixtures(fixtures_dir):
         assert [r.target for r in P2.rules] == [r.target for r in P.rules]
 
 
+def test_round_trip_two_parameters(tmp_path):
+    text = (
+        "field Q\nparam a nonzero\nparam b\nnonvanishing a+1, b\ngenerators x y\n"
+        "rule r : y x -> (a/(a+1)/b + 1/(2*a*b)) x y\n"
+    )
+    P, meta = parse(text)
+    assert str(P.rules[0].target) == "((2*a**2 + a + 1)/(2*a**2*b + 2*a*b)) x y"
+    path = tmp_path / "two.lp"
+    lpformat.write_file(str(path), P, meta)
+    written = path.read_text()
+    assert "nonvanishing a + 1\n" in written
+    P2, meta2 = parse_file(str(path))
+    lpformat.write_file(str(path), P2, meta2)
+    assert path.read_text() == written
+    assert P2.rules == P.rules
+
+
 def test_certificate_round_trip(sys_xy, tmp_path):
     done = complete(sys_xy, sys_xy.order)
     path = tmp_path / "done.lp"
@@ -191,6 +208,9 @@ MALFORMED = {
     "generator-then-param": (GEN_XY + "param y nonzero\n" + RULE, 3),
     "param-twice": ("field Q\nparam a = 2\nparam a = 3\ngenerators x y\n" + RULE, 3),
     "param-bound-then-symbolic": ("field Q\nparam a = 2\nparam a nonzero\ngenerators x y\n" + RULE, 3),
+    "coefficient-not-in-field": (
+        "field Q\nparam a nonzero\nparam b\ngenerators x y\nrule r : y x -> (sqrt(a)) x y\n", 5,
+    ),
 }
 
 
@@ -252,6 +272,13 @@ def test_outside_the_grammar_sympy_values_the_coefficient(coefficient, value):
     assert lpformat._exact_value(coefficient, BOUND) is None
     P, _ = parse(_rule_with(coefficient))
     assert next(iter(P.rules[0].target.terms.values())) == value
+
+
+@pytest.mark.parametrize("header", ["", "param a = 2\n", "param a nonzero\n"], ids=["Q", "bound", "symbolic"])
+@pytest.mark.parametrize("coefficient, value", [("(2*3)", 6), ("(2^3^2)", 512), ("(-2^-1)", Fraction(-1, 2))])
+def test_letter_free_coefficient_is_valued_exactly(header, coefficient, value):
+    P, _ = parse(f"field Q\n{header}generators x y\nrule r : y x -> {coefficient} x y\n")
+    assert next(iter(P.rules[0].target.terms.values())) == P.field.coerce(value)
 
 
 @pytest.mark.parametrize("param, coefficient, message", [
@@ -362,20 +389,32 @@ def test_exact_value_is_sympys_or_declines(e):
         assert got is None, e.text
 
 
-def test_bound_parameters_do_not_import_sympy():
-    """A fresh process running koszul on a file with bound parameters only
-    never imports sympy; a symbolic parameter still goes through it."""
+def test_bound_parameters_do_not_import_sympy(tmp_path):
+    """A fresh process running check, tor and koszul on files with bound or
+    symbolic parameters never imports sympy; a coefficient outside the
+    grammar, such as (sqrt(4)), still goes through it."""
     fixtures = Path(__file__).parent / "fixtures"
+    sym = str(fixtures / "pp05_sym.lp")
+    outside = tmp_path / "outside.lp"
+    outside.write_text(
+        "field Q\nparam a nonzero\ngenerators x y\norder deglex x < y\nrule r : y x -> (sqrt(4)*a) x y\n"
+    )
     script = f"""
 import contextlib, io, json, sys
 from linrew import cli
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["koszul", {str(fixtures / "pp05.lp")!r}]) == 0
+    assert cli.main(["tor", {sym!r}, "--kmax", "3", "--dmax", "4"]) == 0
+    assert cli.main(["koszul", {sym!r}]) == 0
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert cli.main(["check", {sym!r}]) == 3
+assert json.loads(out.getvalue())["field"] == "Q(a)"
 assert "sympy" not in sys.modules
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
-    assert cli.main(["check", {str(fixtures / "pp05_sym.lp")!r}]) == 3
-assert json.loads(out.getvalue())["field"] == "Q(a)"
+    assert cli.main(["check", {str(outside)!r}]) == 0
+assert json.loads(out.getvalue())["rules"]["r"]["target"] == "(2*a) x y"
 assert "sympy" in sys.modules
 """
     env = dict(os.environ, PYTHONPATH=str(Path(linrew.__file__).parents[1]))

@@ -24,7 +24,20 @@ from heapq import heapify, heappop, heappush
 from linrew import GF, ParameterField, monomial_poly, nf, standard_basis
 
 PRIME = 2**31 - 1
-PARAMETER_VALUE = 1_000_003  # each parameter of Q(a, ...) in a pass over GF(p)
+PARAMETER_VALUE = Fraction(1_000_003)  # each parameter of Q(a, ...) in a pass over GF(p)
+
+
+def _at(c, value: Fraction) -> Fraction:
+    """c, an element of Q or of a parameter field (num/den, polynomials in
+    its last parameter over the field of the others), with every parameter
+    set to value."""
+    if isinstance(c, Fraction):
+        return c
+
+    def poly(coefficients):
+        return sum((_at(k, value) * value**i for i, k in enumerate(coefficients)), Fraction(0))
+
+    return poly(c.num) / poly(c.den)
 
 
 class _Echelon:
@@ -98,9 +111,7 @@ def tor_oracle(P, kmax: int, dmax: int, F=None) -> dict:
     the parameters of a parameter field take PARAMETER_VALUE; ranks there
     are at most the generic ones, so a disagreement needs the exact count."""
     F = F or GF(PRIME)
-    at = None
-    if F != P.field and isinstance(P.field, ParameterField):
-        at = {s: PARAMETER_VALUE for s in P.field.symbols.values()}
+    at = F != P.field and isinstance(P.field, ParameterField)
     Q = P.quiver
     if len(Q.objects) != 1 or any(g.degree != 1 for g in Q.generators.values()):
         raise ValueError("the oracle needs one object and generators of degree 1")
@@ -115,7 +126,7 @@ def tor_oracle(P, kmax: int, dmax: int, F=None) -> dict:
         if word not in products:
             f = nf(monomial_poly(P.field, Q.monomial(word)), P)
             products[word] = {
-                m.word: F.coerce(Fraction(str(c.subs(at))) if at else c)
+                m.word: F.coerce(_at(c, PARAMETER_VALUE) if at else c)
                 for m, c in f.terms.items()
             }
         return products[word]
