@@ -129,8 +129,9 @@ def _write_json(o, write, indent: str = "") -> None:
     """Write o as json.dump(o, fp, indent=2, default=str) writes it, piece
     by piece.  The type dispatch is json's, in its order: a Monomial is a
     tuple, a bool is not written as an int, and anything json cannot encode
-    is written as its str.  The strings of a list are encoded by one join
-    per chunk of items."""
+    is written as its str.  The strings of a list are written by one join
+    per chunk of items: a chunk of printable ASCII with no quote or
+    backslash, which json writes as is, is quoted by the join itself."""
     if isinstance(o, str):
         write(_encode(o))
     elif o is None or isinstance(o, (int, float)) or isinstance(o, (list, tuple, dict)) and not o:
@@ -140,7 +141,11 @@ def _write_json(o, write, indent: str = "") -> None:
         for start in range(0, len(o), _CHUNK):
             chunk = o[start : start + _CHUNK]
             try:
-                write(lead + sep.join(map(_encode, chunk)))
+                plain = "".join(chunk)
+                if plain.isascii() and plain.isprintable() and '"' not in plain and "\\" not in plain:
+                    write(lead + '"' + ('"' + sep + '"').join(chunk) + '"')  # nothing to escape
+                else:
+                    write(lead + sep.join(map(_encode, chunk)))
             except TypeError:  # not all strings
                 for item in chunk:
                     write(lead)

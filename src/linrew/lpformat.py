@@ -272,6 +272,8 @@ def parse(text: str):
     order_line = 0
 
     def add_generator(name, src, tgt, degree, lineno):
+        if "^" in name or name.split() != [name]:  # ^ writes a run; a space parts words
+            raise LpError(f"bad generator name {name!r}", lineno, 1)
         if any(g.name == name for g in generators):
             raise LpError(f"duplicate generator {name!r}", lineno, 1)
         if name in ctx.bound or name in ctx.symbolic:
@@ -331,8 +333,6 @@ def parse(text: str):
                 raise LpError("duplicate object names", lineno, 1)
         elif head == "generators":
             for name in parts[1:]:
-                if "^" in name:
-                    raise LpError(f"bad generator name {name!r}", lineno, 1)
                 add_generator(name, "*", "*", 1, lineno)
         elif head == "generator":
             # generator f : src -> tgt [degree D]

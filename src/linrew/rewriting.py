@@ -8,10 +8,12 @@ source inside one term: f' = f - lam * m1 (m - h) m2.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .algebra import (
@@ -26,9 +28,10 @@ from .scalars import Field
 from . import linalg
 
 DEFAULT_STEP_BUDGET = 10**6
-# Irreducible words standard_basis may list.  The 1,127,251 words of
-# x y -> x x up to degree 1500 take 1.3 s; the 4.5 million of
-# tests/fixtures/groebner2.lp up to degree 14 took 740 MB.
+# Irreducible words standard_basis may list.  On a 2-core x86-64 machine,
+# `hilbert` lists the 1,127,251 words of x y -> x x up to degree 1500 in
+# 0.6-0.7 s at 133 MB peak RSS; standard_basis alone builds the 4.5 million
+# of tests/fixtures/groebner2.lp up to degree 14 in 1.0 s at 551 MB.
 BASIS_WORD_BUDGET = 2_000_000
 
 
@@ -473,27 +476,42 @@ def standard_basis(P: Polygraph2, dmax: int) -> StandardBasis:
         for obj in objects
     }
     _count_words(moves, objects, dmax)
-    memo, runs = {}, {}  # see _suffixes
-    text = {0: [f"1_{obj}" for obj in objects]}
-    for d in range(1, dmax + 1):
-        text[d] = []
-        for src in objects:
-            texts = _suffixes((0, src, d), memo, moves, runs)[0]
-            if len(objects) > 1:  # by the target of the last letter
-                texts = sorted(texts, key=lambda t: by_name[t.rpartition(" ")[2].partition("^")[0]].target)
-            text[d] += texts
+    memo: dict = {}  # see _suffixes
+    blocks = [
+        (_join_runs(_suffixes((0, src, d), memo, moves), d), d)
+        for d in range(1, dmax + 1)
+        for src in objects
+    ]
+    # Free the memo before the split, so its blocks and the split texts are
+    # never all alive at once.
+    del memo
+    text: dict[int, list[str]] = {0: [f"1_{obj}" for obj in objects]}
+    blocks.reverse()
+    while blocks:  # each block freed once split
+        block, d = blocks.pop()
+        texts = block[1:].split("\n") if block else []
+        if len(objects) > 1:  # by the target of the last letter
+            texts.sort(key=lambda t: by_name[t.rpartition(" ")[2].partition("^")[0]].target)
+        text.setdefault(d, []).extend(texts)
     return StandardBasis(quiver, text)
 
 
-def _suffixes(key: tuple, memo: dict, moves: dict, runs: dict) -> tuple:
+_LETTER = itemgetter(0)  # of a _suffixes segment
+
+
+def _suffixes(key: tuple, memo: dict, moves: dict) -> list:
     """memo[key] for key = (automaton state, object, degree): the texts, in
     lexicographic order, of the words of that degree from that object that
-    complete no rule source when read on from that state; each text's run
-    of its first letter; and the range of texts that begin with each
-    letter.  A key's texts are its children's, one
-    child per generator in name order, with the generator prefixed or the
-    run extended.  runs[name][r] is the text of a run of r letters name.
-    Children are built first, on an explicit stack."""
+    complete no rule source when read on from that state.  They are kept as
+    segments (letter x, its degree, rest, block), in order of x: the texts
+    that begin with the same run of x, whose letters after the run have
+    degree rest, in one string, each text preceded by "\\n" (which no
+    generator name holds) and cut of that run.  A key's texts are its
+    children's, one child per generator in name order.  The child's
+    segments of the generator's own letter are shared, their run one
+    longer; its other segments are joined, each run put back into its
+    texts by one str.replace, and the generator is their new run.  Children
+    are built first, on an explicit stack."""
     stack = [key]
     while stack:
         top = stack[-1]
@@ -508,27 +526,31 @@ def _suffixes(key: tuple, memo: dict, moves: dict, runs: dict) -> tuple:
             stack += missing
             continue
         stack.pop()
-        texts, firsts, blocks = [], [], {}
+        segments = []
         for name, gdeg, target, nstate in out:
-            start = len(texts)
             if gdeg == d:
-                texts.append(name)
-                firsts.append(1)
+                segments.append((name, gdeg, 0, "\n"))
             elif gdeg < d:
-                ctexts, cfirsts, cblocks = memo[nstate, target, d - gdeg]
-                i, j = cblocks.get(name, (0, 0))
-                head = name + " "
-                texts += [head + t for t in ctexts[:i]]
-                if j > i:  # these texts begin with a run of `name`: extend it
-                    run = runs.setdefault(name, ["", name])
-                    run += [f"{name}^{r}" for r in range(len(run), max(cfirsts[i:j]) + 2)]
-                    texts += [run[r + 1] + t[len(run[r]) :] for r, t in zip(cfirsts[i:j], ctexts[i:j])]
-                texts += [head + t for t in ctexts[j:]]
-                firsts += [1] * i + [r + 1 for r in cfirsts[i:j]] + [1] * (len(ctexts) - j)
-            if len(texts) > start:
-                blocks[name] = (start, len(texts))
-        memo[top] = texts, firsts, blocks
+                rest = d - gdeg
+                child = memo[nstate, target, rest]
+                i, j = bisect_left(child, name, key=_LETTER), bisect_right(child, name, key=_LETTER)
+                if i:
+                    segments.append((name, gdeg, rest, _join_runs(child[:i], rest, "\n ")))
+                segments += child[i:j]
+                if j < len(child):
+                    segments.append((name, gdeg, rest, _join_runs(child[j:], rest, "\n ")))
+        memo[top] = segments
     return memo[key]
+
+
+def _join_runs(segments: list, d: int, lead: str = "\n") -> str:
+    """The texts of degree d of segments as one string, each segment's run
+    put back at the start of its texts, after lead."""
+    out = []
+    for x, xdeg, rest, block in segments:
+        r = (d - rest) // xdeg
+        out.append(block.replace("\n", lead + x if r == 1 else f"{lead}{x}^{r}"))
+    return "".join(out)
 
 
 def _count_words(moves: dict, objects: list, dmax: int) -> None:

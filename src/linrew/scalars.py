@@ -306,6 +306,13 @@ def _pgcd(K, f, g):
     return _pmul(K, f, (K.generic_inv(f[-1]),))
 
 
+def _cancel(K, f, g):
+    """f/h and g/h for h the monic gcd of f and g; f and g are nonzero."""
+    if len(f) > 1 and len(g) > 1 and len(h := _pgcd(K, f, g)) > 1:
+        return _pdiv(K, f, h), _pdiv(K, g, h)
+    return f, g
+
+
 def _primitive(K, f):
     """f over the content of its coefficients: in Z[params], with gcd 1."""
     return _pmul(K, f, (K.generic_inv(_content(K, f)),)) if f else f
@@ -382,10 +389,13 @@ class ParameterField(Field):
 
     def _make(self, num, den):
         """num/den cancelled, with den monic; den is nonzero."""
+        if not num:
+            return self.zero
+        return self._monic(*_cancel(self.base, num, den))
+
+    def _monic(self, num, den):
+        """num/den with den made monic; num and den are coprime."""
         K = self.base
-        g = _pgcd(K, num, den) if len(den) > 1 else den
-        if len(g) > 1:
-            num, den = _pdiv(K, num, g), _pdiv(K, den, g)
         if den[-1] != K.one:
             lead = (K.generic_inv(den[-1]),)
             num, den = _pmul(K, num, lead), _pmul(K, den, lead)
@@ -399,7 +409,14 @@ class ParameterField(Field):
         return RationalFunction(tuple(self.base.neg(c) for c in a.num), a.den, self)
 
     def mul(self, a, b):
-        return self._make(_pmul(self.base, a.num, b.num), _pmul(self.base, a.den, b.den))
+        """a.num/a.den times b.num/b.den, each numerator cancelled against
+        the other's denominator: both fractions are in lowest terms, so the
+        product is too."""
+        if not (a.num and b.num):
+            return self.zero
+        K = self.base
+        (p, s), (q, r) = _cancel(K, a.num, b.den), _cancel(K, b.num, a.den)
+        return self._monic(_pmul(K, p, q), _pmul(K, r, s))
 
     def generic_inv(self, a):
         if not a.num:

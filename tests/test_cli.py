@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from linrew import Monomial, Polynomial, complete, lpformat, quotient_dimension
-from linrew.cli import _emit, main
+from linrew.cli import _CHUNK, _emit, main
 from linrew.completion import DEFAULT_WORK_BUDGET, MEASURE_PAIR_BUDGET
 
 from conftest import EQUAL_SOURCES, cubic_system
@@ -405,6 +405,10 @@ def test_reports_deterministic(capsys, fixtures_dir):
     assert a == b
 
 
+_ESCAPED = {"quote": '"', "backslash": "\\", "del": "\x7f", "unit-separator": "\x1f", "e-acute": "\u00e9"}
+_CHUNK_ENDS = (0, _CHUNK - 1, _CHUNK)
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -417,9 +421,16 @@ def test_reports_deterministic(capsys, fixtures_dir):
         {"q": [Fraction(1, 3), Fraction(-2), "1/3"], "f": Fraction(5, 7)},
         {1: "one", 2.5: "float", True: "true", None: "none", "k": ("a", ("b", 3))},
         {"many": [f"w{i}" for i in range(10_000)] + [Fraction(1, 2), 7] + ["t"] * 5_000},
+        {"empty": [""] * _CHUNK + ["", "w", ""] + [""] * 10},
+    ]
+    + [  # one item to escape, at the first or last place of a chunk, among plain strings
+        {"plain": [f"w{i}" if i != at else f"a{c}b" for i in range(_CHUNK + 100)] + ["", "z"]}
+        for at in _CHUNK_ENDS
+        for c in _ESCAPED.values()
     ],
     ids=["empty-dict", "empty-list", "nested-empty", "non-ascii-and-control", "bool-int-none-float",
-         "monomial", "fraction", "non-str-keys", "long-mixed-list"],
+         "monomial", "fraction", "non-str-keys", "long-mixed-list", "empty-strings"]
+    + [f"escape-{name}-at-{at}" for at in _CHUNK_ENDS for name in _ESCAPED],
 )
 def test_emit_writes_what_json_dump_writes(capsys, doc):
     expected = io.StringIO()

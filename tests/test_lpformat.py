@@ -189,6 +189,8 @@ MALFORMED = {
     "gf-superscript": ("field GF(\u00b2)\ngenerators x y\n" + RULE, 1),
     "duplicate-generator": ("field Q\ngenerators x x\n", 2),
     "duplicate-generator-line": (GEN_XY + "generator y : * -> *\n", 3),
+    "generator-caret": (GEN_XY + "generator x^2\norder deglex x < y < x^2\nrule r : y y -> x^2\n", 3),
+    "generator-space": (GEN_XY + "generator u v : * -> *\n", 3),
     "duplicate-object": ("field Q\nobjects a a\n", 2),
     "degree-0": ("field Q\ngenerator z : * -> * degree 0\n", 2),
     "measure-weight": (GEN_XY + "measure letter y z\n" + RULE, 3),
