@@ -125,15 +125,32 @@ def _emit(doc):
 _CHUNK = 4096  # list items encoded by one join
 
 
+class _Lines:
+    """Strings joined by "\n" in one block, written as the JSON list of
+    them; none of them may hold a character that json escapes."""
+
+    __slots__ = ("block",)
+
+    def __init__(self, block: str):
+        self.block = block
+
+
 def _write_json(o, write, indent: str = "") -> None:
     """Write o as json.dump(o, fp, indent=2, default=str) writes it, piece
-    by piece.  The type dispatch is json's, in its order: a Monomial is a
-    tuple, a bool is not written as an int, and anything json cannot encode
-    is written as its str.  The strings of a list are written by one join
-    per chunk of items: a chunk of printable ASCII with no quote or
-    backslash, which json writes as is, is quoted by the join itself."""
+    by piece, _Lines as the list of its strings.  The type dispatch is
+    json's, in its order: a Monomial is a tuple, a bool is not written as
+    an int, and anything json cannot encode is written as its str.  The
+    strings of a list are encoded by one join per chunk of items, and a
+    _Lines block is quoted by one replace."""
     if isinstance(o, str):
         write(_encode(o))
+    elif isinstance(o, _Lines):
+        if o.block:  # three writes, so that no second copy of the block is made
+            write('[\n' + indent + '  "')
+            write(o.block.replace("\n", '",\n' + indent + '  "'))
+            write('"\n' + indent + "]")
+        else:
+            write("[]")
     elif o is None or isinstance(o, (int, float)) or isinstance(o, (list, tuple, dict)) and not o:
         write(json.dumps(o))  # null, true, false, a number, [] or {}
     elif isinstance(o, (list, tuple)):
@@ -141,11 +158,7 @@ def _write_json(o, write, indent: str = "") -> None:
         for start in range(0, len(o), _CHUNK):
             chunk = o[start : start + _CHUNK]
             try:
-                plain = "".join(chunk)
-                if plain.isascii() and plain.isprintable() and '"' not in plain and "\\" not in plain:
-                    write(lead + '"' + ('"' + sep + '"').join(chunk) + '"')  # nothing to escape
-                else:
-                    write(lead + sep.join(map(_encode, chunk)))
+                write(lead + sep.join(map(_encode, chunk)))
             except TypeError:  # not all strings
                 for item in chunk:
                     write(lead)
@@ -282,7 +295,13 @@ def _cmd_hilbert(args, P, meta, doc) -> int:
     basis = standard_basis(_prepare(P, meta, doc), args.dmax)
     doc["dmax"] = args.dmax
     doc["counts"] = {str(d): n for d, n in basis.counts().items()}
-    doc["basis"] = {str(d): texts for d, texts in sorted(basis.text.items())}
+    # A text is names, spaces, digits, "^" and "_": json writes it as it is
+    # when the names are printable ASCII with no quote and no backslash.
+    names = "".join([*basis.quiver.generators, *basis.quiver.objects])
+    if names.isascii() and names.isprintable() and '"' not in names and "\\" not in names:
+        doc["basis"] = {str(d): _Lines(block) for d, block in sorted(basis.block.items())}
+    else:
+        doc["basis"] = {str(d): texts for d, texts in sorted(basis.text.items())}
     _emit(doc)
     return EXIT_OK
 

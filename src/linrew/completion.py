@@ -18,6 +18,7 @@ from .rewriting import (
     Polygraph2,
     RewriteError,
     Rule,
+    _build_nodes,
     nf,
     reduct,
 )
@@ -196,7 +197,10 @@ def enumerate_critical_branchings(P: Polygraph2) -> list[Branching]:
     """The critical branchings of every rule with itself and the rules
     before it (see _branchings_from), ordered by r1, r2, then word weight:
     inclusions first."""
-    return [e[5] for e in sorted(_branchings_from(P, 0), key=itemgetter(1, 2, 3, 4))]
+    return [e[5] for e in sorted(_branchings_from(P, 0), key=_BRANCHING_ORDER)]
+
+
+_BRANCHING_ORDER = itemgetter(1, 2, 3, 4)  # of _branchings_from's tuples
 
 
 def _branchings_from(P: Polygraph2, first: int) -> list[tuple]:
@@ -242,8 +246,8 @@ def _joins(P: Polygraph2):
     """(branching, nf of its first leg, nf of its second leg, their
     difference) per critical branching of P; nf is linear, so the difference
     is the normal form of the S-polynomial.  Once every branching has been
-    met and every difference is 0, attaches a convergence certificate to P,
-    bound to the rules it was proved on."""
+    met and every difference is 0, attaches a convergence certificate to P
+    (see _certify)."""
     if not P.certified_terminating:
         raise NotCertifiedError("confluence check requires a termination certificate")
     branchings = enumerate_critical_branchings(P)
@@ -254,16 +258,43 @@ def _joins(P: Polygraph2):
         convergent = convergent and spnf.is_zero()
         yield b, nf1, nf2, spnf
     if convergent:
-        P.convergence_certificate = {
-            "criticals_checked": len(branchings),
-            "rules": tuple(P.rules),
-        }
+        _certify(P, len(branchings))
+
+
+def _certify(P: Polygraph2, criticals: int) -> None:
+    """Attach a convergence certificate to P, bound to the rules it was
+    proved on."""
+    P.convergence_certificate = {"criticals_checked": criticals, "rules": tuple(P.rules)}
 
 
 def is_confluent(P: Polygraph2) -> bool:
     """check_confluence's verdict without its report: stops at the first
-    branching that is not joinable."""
-    return all(spnf.is_zero() for *_, spnf in _joins(P))
+    branching that is not joinable.  Each leg's terms are sliced from the
+    word by its rule's reduct template, as nf slices them, and the nodes of
+    their monomials are built; the normal forms of the legs are then
+    summed, first leg minus second, as forms: no Polynomial is built."""
+    if not P.certified_terminating:
+        raise NotCertifiedError("confluence check requires a termination certificate")
+    cache, field, reducts, weights, new = P._nf_cache, P.field, P._reducts, P._source_weights, tuple.__new__
+    neg, sum_forms, form_terms = field.neg, field.sum_forms, field.form_terms
+    branchings = sorted(_branchings_from(P, 0), key=_BRANCHING_ORDER)
+    for _, i, j, _, start2, b in branchings:
+        degree, source, target, word = b.word
+        legs = []
+        for idx, start in ((i, 0), (j, start2)):
+            left, right = word[:start], word[start + weights[idx] :]
+            legs.append([
+                (c, new(Monomial, (degree + shift, source, target, left + t + right)))
+                for c, t, shift in reducts[idx]
+            ])
+            _build_nodes(P, legs[-1], b.word)
+        leg1, leg2 = legs
+        form, summed = sum_forms([(c, cache[m][0]) for c, m in leg1] + [(neg(c), cache[m][0]) for c, m in leg2])
+        P._nf_work += summed
+        if form_terms(form):
+            return False
+    _certify(P, len(branchings))
+    return True
 
 
 def check_confluence(P: Polygraph2) -> dict:
@@ -387,7 +418,7 @@ def complete(
     if done is not cur:
         done.termination_certificate = certify_termination(done, order)
     criticals = len(spolys) if done is cur else len(_branchings_from(done, 0))
-    done.convergence_certificate = {"criticals_checked": criticals, "rules": tuple(done.rules)}
+    _certify(done, criticals)
     return done
 
 

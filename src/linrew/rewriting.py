@@ -30,8 +30,8 @@ from . import linalg
 DEFAULT_STEP_BUDGET = 10**6
 # Irreducible words standard_basis may list.  On a 2-core x86-64 machine,
 # `hilbert` lists the 1,127,251 words of x y -> x x up to degree 1500 in
-# 0.6-0.7 s at 133 MB peak RSS; standard_basis alone builds the 4.5 million
-# of tests/fixtures/groebner2.lp up to degree 14 in 1.0 s at 551 MB.
+# 0.3-0.5 s at 55 MB peak RSS; standard_basis alone builds the 4.5 million
+# of tests/fixtures/groebner2.lp up to degree 14 in 0.6-0.9 s at 308 MB.
 BASIS_WORD_BUDGET = 2_000_000
 
 
@@ -192,14 +192,15 @@ class Polygraph2:
         self.add_rules(list(rules))
 
     def add_rules(self, rules: list[Rule]) -> None:
-        """Append rules.  The flags are updated for them alone, the overlap
-        index and the reduct templates on their next use; the automaton is
+        """Append rules.  The flags and the reduct templates are updated for
+        them alone, the overlap index on its next use; the automaton is
         rebuilt."""
         names = [r.name for r in self.rules + rules]
         if len(set(names)) != len(names):
             raise RewriteError("duplicate rule names")
         self.rules += rules
         self._automaton = _Automaton(self.rules)
+        self._reducts += [[(c, t.word, t.degree - r.degree) for c, t in r.target.items()] for r in rules]
         weights = [r.source.weight for r in rules]
         self._source_weights += weights
         # Left-reduced: no rule source is a factor of another's (an equal or
@@ -319,25 +320,39 @@ def reduct(m: Monomial, rule: Rule, start: int) -> Polynomial:
 
 def nf(f: Polynomial, P: Polygraph2) -> Polynomial:
     """Normalize f by the rightmost strategy, monomial by monomial (linear
-    in f), building the missing nodes of P._nf_cache depth first with an
-    explicit stack.  Each monomial rewritten costs its weight from a budget
-    of 10**6, 10x more once termination is certified.  Running out of it,
-    or meeting a monomial again while it is still being normalized (the
-    strategy loops), raises StepBudgetExceeded.  The terms summed into
-    normal forms are added to P._nf_work.  One automaton walk per monomial
-    finds its redex, and each reduct is sliced from the word rewritten by
-    the rule's reduct template: no step or context is built."""
+    in f): the nodes of its monomials are built (see _build_nodes), then
+    their normal forms are summed, and the terms summed are added to
+    P._nf_work."""
+    items = f.items()
+    _build_nodes(P, items, f)
+    cache, field = P._nf_cache, P.field
+    form, summed = field.sum_forms([(coeff, cache[m][0]) for coeff, m in items])
+    P._nf_work += summed
+    # A form that sum_forms builds is fresh, and form_terms copies a form it
+    # keeps: no node shares the result's terms.
+    return Polynomial._unchecked(field, field.form_terms(form), f.source, f.target)
+
+
+def _build_nodes(P: Polygraph2, items: list, of) -> None:
+    """Build the missing nodes of P._nf_cache for the monomials of the
+    (coefficient, monomial) pairs items, depth first with an explicit
+    stack.  Each monomial rewritten costs its weight from a budget of
+    10**6, 10x more once termination is certified.  Running out of it, or
+    meeting a monomial again while it is still being normalized (the
+    strategy loops), raises StepBudgetExceeded, naming `of` as what was
+    being normalized.  The terms summed into the nodes' normal forms are
+    added to P._nf_work.  One automaton walk per monomial finds its redex,
+    and each reduct is sliced from the word rewritten by the rule's reduct
+    template: no step or context is built."""
     cache = P._nf_cache
-    field = P.field
-    sum_forms, unit_form, find = field.sum_forms, field.unit_form, P.rightmost_occurrence
+    stack: list = [m for _, m in reversed(items) if m not in cache]
+    if not stack:
+        return
+    sum_forms, unit_form, find = P.field.sum_forms, P.field.unit_form, P.rightmost_occurrence
     rules, reducts, weights, new = P.rules, P._reducts, P._source_weights, tuple.__new__
-    if len(reducts) < len(rules):  # the reduct templates of the rules added since the last call
-        reducts += [[(c, t.word, t.degree - r.degree) for c, t in r.target.items()] for r in rules[len(reducts) :]]
     budget = DEFAULT_STEP_BUDGET * (10 if P.certified_terminating else 1)
     work = 0
     opened: set[Monomial] = set()  # rewritten, waiting for their reducts' terms
-    items = f.items()
-    stack: list = [m for _, m in reversed(items) if m not in cache]
     while stack:
         m = stack.pop()
         if type(m) is tuple:  # (m, redex, reduct): every term of the reduct is done
@@ -358,7 +373,7 @@ def nf(f: Polynomial, P: Polygraph2) -> Polynomial:
         budget -= len(word)
         if budget < 0:
             raise StepBudgetExceeded(
-                f"step budget exhausted while normalizing {f}"
+                f"step budget exhausted while normalizing {of}"
                 + ("" if P.certified_terminating else " (no termination certificate)")
             )
         idx, start = found
@@ -373,13 +388,9 @@ def nf(f: Polynomial, P: Polygraph2) -> Polynomial:
         for _, n in reversed(reduct):
             if n not in cache:
                 if n in opened:
-                    raise StepBudgetExceeded(f"rightmost rewriting of {n} loops while normalizing {f}")
+                    raise StepBudgetExceeded(f"rightmost rewriting of {n} loops while normalizing {of}")
                 stack.append(n)
-    form, summed = sum_forms([(coeff, cache[m][0]) for coeff, m in items])
-    P._nf_work += work + summed
-    # A form that sum_forms builds is fresh, and form_terms copies a form it
-    # keeps: no node shares the result's terms.
-    return Polynomial._unchecked(field, field.form_terms(form), f.source, f.target)
+    P._nf_work += work
 
 
 def normal_form(f: Polynomial, P: Polygraph2) -> tuple[Polynomial, Trace]:
@@ -412,13 +423,21 @@ class StandardBasis:
     """Irreducible words per internal degree, in canonical order, as text
     (the ``str`` of their Monomial); counts give the Hilbert function of the
     presented algebra when the system is convergent.  Degree 0 holds one
-    empty word per object, in object order."""
+    empty word per object, in object order.  Each degree's texts are kept
+    as one block, joined by "\n", with their number in size."""
 
     quiver: Quiver
-    text: dict[int, list[str]]
+    block: dict[int, str]
+    size: dict[int, int]
 
     def counts(self) -> dict[int, int]:
-        return {d: len(ts) for d, ts in sorted(self.text.items())}
+        return dict(sorted(self.size.items()))
+
+    @cached_property
+    def text(self) -> dict[int, list[str]]:
+        """Each degree's texts as a list, split from its block on first
+        access."""
+        return {d: b.split("\n") if self.size[d] else [] for d, b in self.block.items()}
 
     @cached_property
     def words(self) -> dict[int, list[tuple[str, ...]]]:
@@ -453,12 +472,13 @@ class _Letters(dict):
 
 
 def standard_basis(P: Polygraph2, dmax: int) -> StandardBasis:
-    """The irreducible words of degree <= dmax as text.  The words of degree
-    d from an object are the irreducible suffixes of degree d from the
-    automaton's start state there (see _suffixes), which come out in
-    lexicographic order; quivers with several objects then sort by target.
-    The words are counted first: BasisBudgetExceeded is raised, with no
-    text built, when there are more than BASIS_WORD_BUDGET."""
+    """The irreducible words of degree <= dmax as text, in one block a
+    degree.  The words of degree d from an object are the irreducible
+    suffixes of degree d from the automaton's start state there (see
+    _suffixes), which come out in lexicographic order; quivers with several
+    objects then sort by target.  The words are counted first:
+    BasisBudgetExceeded is raised, with no text built, when there are more
+    than BASIS_WORD_BUDGET."""
     if dmax < 0:
         raise ValueError(f"dmax must be non-negative, got {dmax}")
     quiver, auto = P.quiver, P._automaton
@@ -475,25 +495,24 @@ def standard_basis(P: Polygraph2, dmax: int) -> StandardBasis:
         for state in range(len(auto.delta))
         for obj in objects
     }
-    _count_words(moves, objects, dmax)
+    size = _count_words(moves, objects, dmax)
     memo: dict = {}  # see _suffixes
-    blocks = [
-        (_join_runs(_suffixes((0, src, d), memo, moves), d), d)
+    roots = [
+        (d, [_join_runs(_suffixes((0, src, d), memo, moves), d) for src in objects])
         for d in range(1, dmax + 1)
-        for src in objects
     ]
-    # Free the memo before the split, so its blocks and the split texts are
-    # never all alive at once.
+    # Free the memo before the blocks are joined, so that both are never
+    # alive at once.
     del memo
-    text: dict[int, list[str]] = {0: [f"1_{obj}" for obj in objects]}
-    blocks.reverse()
-    while blocks:  # each block freed once split
-        block, d = blocks.pop()
-        texts = block[1:].split("\n") if block else []
-        if len(objects) > 1:  # by the target of the last letter
-            texts.sort(key=lambda t: by_name[t.rpartition(" ")[2].partition("^")[0]].target)
-        text.setdefault(d, []).extend(texts)
-    return StandardBasis(quiver, text)
+    block = {0: "\n".join(f"1_{obj}" for obj in objects)}
+    target = lambda t: by_name[t.rpartition(" ")[2].partition("^")[0]].target  # noqa: E731 (of a text's last letter)
+    roots.reverse()
+    while roots:  # each degree's roots freed once joined
+        d, parts = roots.pop()
+        if len(objects) > 1:  # by target, within each source object
+            parts = ["\n" + "\n".join(sorted(p[1:].split("\n"), key=target)) if p else "" for p in parts]
+        block[d] = "".join(parts)[1:]
+    return StandardBasis(quiver, block, size)
 
 
 _LETTER = itemgetter(0)  # of a _suffixes segment
@@ -553,12 +572,14 @@ def _join_runs(segments: list, d: int, lead: str = "\n") -> str:
     return "".join(out)
 
 
-def _count_words(moves: dict, objects: list, dmax: int) -> None:
-    """Count the words of standard_basis degree by degree, by _suffixes's
-    recursion over counts: counts[state, obj, d] is the number of texts
-    _suffixes would list for that key.  Raises BasisBudgetExceeded at the
-    first degree where the words so far pass BASIS_WORD_BUDGET."""
+def _count_words(moves: dict, objects: list, dmax: int) -> dict[int, int]:
+    """The number of words of standard_basis per degree, counted degree by
+    degree by _suffixes's recursion over counts: counts[state, obj, d] is
+    the number of texts _suffixes would list for that key.  Raises
+    BasisBudgetExceeded at the first degree where the words so far pass
+    BASIS_WORD_BUDGET."""
     counts: dict = {}
+    size = {0: len(objects)}
     total = len(objects)
     for d in range(1, dmax + 1):
         for (state, obj), out in moves.items():
@@ -567,12 +588,14 @@ def _count_words(moves: dict, objects: list, dmax: int) -> None:
                 for _, gdeg, target, nstate in out
                 if gdeg <= d
             )
-        total += sum(counts[0, obj, d] for obj in objects)
+        size[d] = sum(counts[0, obj, d] for obj in objects)
+        total += size[d]
         if total > BASIS_WORD_BUDGET:
             raise BasisBudgetExceeded(
                 f"standard basis exceeded its budget of {BASIS_WORD_BUDGET} words while "
                 f"counting them: {total} words up to degree {d}"
             )
+    return size
 
 
 def all_words(quiver: Quiver, degree: int) -> list[Monomial]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import gcd, lcm
 from typing import Any
 
@@ -383,6 +383,7 @@ class ParameterField(Field):
         self.gens = {n: self.coerce(g) for n, g in (K.gens if K is not QQ else {}).items()}
         self.gens[self.params[-1]] = RationalFunction((K.zero, K.one), (K.one,), self)
         self.nonvanishing = tuple(self.coerce(s) for s in nonvanishing)
+        self._printed: dict = {}  # element -> its text, see to_str
         self._declared = self.one  # the product of their numerators and denominators
         for e in self.nonvanishing:  # a zero one fails here with "division by zero"
             self._declared = self.mul(self._declared, self.mul(*self._parts(e)))
@@ -459,16 +460,25 @@ class ParameterField(Field):
         return {e + (k,): n for k, c in enumerate(p.num) for e, n in inner(c).items() if n}
 
     def to_str(self, a) -> str:
-        """a as str(sympy.cancel(a)) prints it."""
-        if not a.num:
-            return "0"
-        P, Q = (self._terms(x) for x in self._parts(a))
-        # sympy keeps positive the lex-leading coefficient of the denominator,
-        # its generators ranked as polys.polyutils._sort_gens ranks them.
+        """a as str(sympy.cancel(a)) prints it, kept once printed."""
+        text = self._printed.get(a)
+        if text is None:
+            text = self._printed[a] = self._print(a) if a.num else "0"
+        return text
+
+    @cached_property
+    def _lex_order(self) -> list[int]:
+        """The params' positions, ranked as sympy's polys.polyutils._sort_gens
+        ranks generators."""
         stems = [re.fullmatch(r"(.*?)(\d*)", name).groups() for name in self.params]
         letters = {c: (100 if c > "w" else 200 if c > "o" else 300) + ord(c) - 96 for c in "abcdefghijklmnopqrstuvwxyz"}
         rank = [(letters.get(stem, 1000), stem, int(index or 0)) for stem, index in stems]
-        order = sorted(range(len(rank)), key=rank.__getitem__)
+        return sorted(range(len(rank)), key=rank.__getitem__)
+
+    def _print(self, a) -> str:
+        P, Q = (self._terms(x) for x in self._parts(a))
+        # sympy keeps positive the lex-leading coefficient of the denominator.
+        order = self._lex_order
         if Q[max(Q, key=lambda e: [e[i] for i in order])] < 0:
             P, Q = ({e: -n for e, n in X.items()} for X in (P, Q))
         return _sympy_str(self.params, P, Q)

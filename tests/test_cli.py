@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from linrew import Monomial, Polynomial, complete, lpformat, quotient_dimension
-from linrew.cli import _CHUNK, _emit, main
+from linrew import Monomial, Polynomial, complete, lpformat, quotient_dimension, standard_basis
+from linrew.cli import _CHUNK, _Lines, _emit, main
 from linrew.completion import DEFAULT_WORK_BUDGET, MEASURE_PAIR_BUDGET
 
 from conftest import EQUAL_SOURCES, cubic_system
@@ -422,6 +422,7 @@ _CHUNK_ENDS = (0, _CHUNK - 1, _CHUNK)
         {1: "one", 2.5: "float", True: "true", None: "none", "k": ("a", ("b", 3))},
         {"many": [f"w{i}" for i in range(10_000)] + [Fraction(1, 2), 7] + ["t"] * 5_000},
         {"empty": [""] * _CHUNK + ["", "w", ""] + [""] * 10},
+        {"basis": {"0": _Lines(""), "1": _Lines("1_*"), "2": _Lines("\n".join(["x", "y x^2", "x^10 y"] * 3000))}},
     ]
     + [  # one item to escape, at the first or last place of a chunk, among plain strings
         {"plain": [f"w{i}" if i != at else f"a{c}b" for i in range(_CHUNK + 100)] + ["", "z"]}
@@ -429,14 +430,52 @@ _CHUNK_ENDS = (0, _CHUNK - 1, _CHUNK)
         for c in _ESCAPED.values()
     ],
     ids=["empty-dict", "empty-list", "nested-empty", "non-ascii-and-control", "bool-int-none-float",
-         "monomial", "fraction", "non-str-keys", "long-mixed-list", "empty-strings"]
+         "monomial", "fraction", "non-str-keys", "long-mixed-list", "empty-strings", "lines"]
     + [f"escape-{name}-at-{at}" for at in _CHUNK_ENDS for name in _ESCAPED],
 )
 def test_emit_writes_what_json_dump_writes(capsys, doc):
+    """_Lines is written as json.dump writes the list of its strings."""
     expected = io.StringIO()
-    json.dump(doc, expected, indent=2, default=str)
+    json.dump(doc, expected, indent=2, default=lambda o: _lines_list(o) if isinstance(o, _Lines) else str(o))
     _emit(doc)
     assert capsys.readouterr().out == expected.getvalue() + "\n"
+
+
+_HILBERT_CASES = {
+    "e-acute": ("field Q\ngenerators x \u00e9\norder deglex x < \u00e9\nrule r : \u00e9 x -> x \u00e9\n", 4),
+    "quote": ('field Q\ngenerators x a"b\norder deglex x < a"b\nrule r : a"b x -> x x\n', 4),
+    "backslash": ("field Q\ngenerators x c\\d\norder deglex x < c\\d\nrule r : c\\d c\\d -> x\n", 4),
+    "two-objects": (
+        "field Q\nobjects p q\ngenerator f : p -> q\ngenerator g : q -> p\ngenerator h : p -> p\n"
+        "order deglex f < g < h\nrule r : g f -> 0\nrule s : h h -> 0\n",
+        5,
+    ),
+    "no-words": ("field Q\ngenerators x\norder deglex x\nrule r : x x -> 0\n", 3),
+    "dmax-0": ("field Q\ngenerators x y\norder deglex x < y\nrule r : y x -> x y\n", 0),
+}
+
+
+@pytest.mark.parametrize("text, dmax", _HILBERT_CASES.values(), ids=_HILBERT_CASES)
+def test_hilbert_report_is_what_json_dump_writes(capsys, tmp_path, text, dmax):
+    """The basis is written as json.dump writes the lists of
+    StandardBasis.text, whether its blocks are written whole (plain names)
+    or text by text (names json escapes)."""
+    path = tmp_path / "names.lp"
+    path.write_text(text, encoding="utf-8")
+    code, out = run(capsys, "hilbert", str(path), "--dmax", str(dmax))
+    assert code == 0
+    doc = json.loads(out)
+    P = lpformat.parse_file(str(path))[0]
+    if doc.get("completed"):
+        P = complete(P, P.order)
+    doc["basis"] = {str(d): texts for d, texts in sorted(standard_basis(P, dmax).text.items())}
+    expected = io.StringIO()
+    json.dump(doc, expected, indent=2)
+    assert out == expected.getvalue() + "\n"
+
+
+def _lines_list(lines):
+    return lines.block.split("\n") if lines.block else []
 
 
 def test_tor_json_file_is_the_report_on_stdout(capsys, fixtures_dir, tmp_path):

@@ -24,12 +24,12 @@ from linrew import (
     orient,
     s_polynomial,
 )
-from linrew import completion
+from linrew import algebra, completion
 from linrew.completion import MEASURE_PAIR_BUDGET, _context_pairs, _interreduce_rules
-from linrew.rewriting import RewriteStep
+from linrew.rewriting import NotCertifiedError, RewriteStep, StepBudgetExceeded
 
 import brute_force
-from conftest import EQUAL_SOURCES, FIXTURES, cubic_system, deglex_system, h1_system, make_poly
+from conftest import EQUAL_SOURCES, FIXTURES, cubic_system, deglex_system, h1_system, make_poly, skew_system
 from test_acceptance import random_system
 
 
@@ -378,6 +378,88 @@ def test_is_confluent_is_the_report_verdict():
         assert decided.convergence_certificate == reported.convergence_certificate
         verdicts.append(verdict)
     assert sum(verdicts) == 78
+
+
+_DECIDED = {
+    "equal-sources": EQUAL_SOURCES["yx"],
+    "gf7-h1": "field GF(7)\ngenerators x y z\norder deglex x < y < z\n"
+    "rule a : z y -> y z + x x\nrule b : z x -> x z + 2 y y\nrule c : z z -> y x - x y\n",
+    "gf5-skew": "field GF(5)\ngenerators x y z\norder deglex x < y < z\n"
+    "rule a : z y -> 2 y z\nrule b : z x -> 3 x z\nrule c : y x -> 4 x y\n",
+    "qa-skew": "field Q\nparam a nonzero\ngenerators x y z\norder deglex x < y < z\n"
+    "rule r : z y -> a y z\nrule s : z x -> (1/a) x z\nrule t : y x -> (a + 1) x y\n",
+    "qa-not-joinable": "field Q\nparam a\ngenerators x y\norder deglex x < y\nrule r : y y -> a x y + x x\n",
+}
+
+
+def _decided_cases():
+    cases = {path.stem: (lambda path=path: lpformat.parse_file(str(path))) for path in sorted(FIXTURES.glob("*.lp"))}
+    cases.update({name: (lambda text=text: lpformat.parse(text)) for name, text in _DECIDED.items()})
+    cases["inclusion-overlap"] = lambda: (zyz_system(), {})
+    return cases
+
+
+@pytest.mark.parametrize("name, parsed", _decided_cases().items(), ids=list(_decided_cases()))
+def test_is_confluent_is_the_report_verdict_on_fixtures_and_fields(name, parsed):
+    """Every fixture, two rules of one source, an inclusion overlap, GF(p)
+    and Q(a): is_confluent decides what check_confluence reports, attaches
+    the same certificate, and sums the same terms into normal forms."""
+    (decided, meta), (reported, _) = parsed(), parsed()
+    for P in (decided, reported):
+        P.termination_certificate = completion.certify_declared(P, meta.get("measure"))
+        assert P.certified_terminating, name
+    verdict = is_confluent(decided)
+    assert verdict == check_confluence(reported)["convergent"]
+    assert decided.convergence_certificate == reported.convergence_certificate
+    if verdict:
+        assert decided._nf_work == reported._nf_work and set(decided._nf_cache) == set(reported._nf_cache)
+
+
+def test_is_confluent_builds_no_polynomial(monkeypatch):
+    """The decision slices the legs and sums their normal forms as forms:
+    no Polynomial is built, on the skew system on 8 generators (28 rules,
+    56 critical branchings)."""
+    P = skew_system(8)
+    P.termination_certificate = certify_termination(P)
+    built = []
+    original = algebra._fill
+    monkeypatch.setattr(algebra, "_fill", lambda *args: built.append(None) or original(*args))
+    assert is_confluent(P) and P.certified_convergent
+    assert built == [] and P.convergence_certificate["criticals_checked"] == 56
+
+
+def test_is_confluent_stops_at_the_first_branching_that_does_not_join():
+    """After the first branching that does not join, no node of a later
+    branching's legs is built: the memo is the one nf builds on the legs
+    of the branchings up to it."""
+    decided, reference = (lpformat.parse(_DECIDED["gf7-h1"].replace("GF(7)", "Q"))[0] for _ in range(2))
+    for P in (decided, reference):
+        P.termination_certificate = certify_termination(P)
+    branchings = enumerate_critical_branchings(reference)
+    first = next(k for k, b in enumerate(branchings) if not nf(s_polynomial(b), reference).is_zero())
+    reference._nf_cache.clear()
+    for b in branchings[: first + 1]:
+        for leg in b.legs:
+            nf(leg, reference)
+    later = {m for b in branchings[first + 1 :] for leg in b.legs for m in leg.terms}
+    assert later - set(reference._nf_cache)
+    assert not is_confluent(decided) and decided.convergence_certificate is None
+    assert list(decided._nf_cache) == list(reference._nf_cache)
+
+
+def test_is_confluent_refuses_an_uncertified_system_and_stops_a_loop():
+    P = zyz_system()
+    with pytest.raises(NotCertifiedError):
+        is_confluent(P)
+    # x x -> y and y -> x x: the legs y x and x y of x x x rewrite forever.
+    Q = Quiver.free("xy")
+    loop = Polygraph2(Q, QQ, [
+        Rule("r", Q.monomial(("x", "x")), make_poly(Q, QQ, [(1, "y")])),
+        Rule("s", Q.monomial(("y",)), make_poly(Q, QQ, [(1, "xx")])),
+    ])
+    loop.termination_certificate = completion.TerminationCertificate("user-asserted", True)
+    with pytest.raises(StepBudgetExceeded):
+        is_confluent(loop)
 
 
 def random_quadratic_system(rng: random.Random):

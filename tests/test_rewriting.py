@@ -398,8 +398,10 @@ def test_standard_basis_leaves_no_reference_cycle():
 
 def test_standard_basis_memory():
     """The suffix memo keeps each key's texts as a few joined blocks, not
-    one str per text: the 124,198 words of the completed cubic system
-    through degree 11 peak at about 12-13 MB (17-18 MB one str per text)."""
+    one str per text, and each degree's texts stay one block: the 124,198
+    words of the completed cubic system through degree 11 peak at about
+    6.5 MB (12-13 MB split into one str per text, 17-18 MB with one str
+    per text in the memo)."""
     P = cubic_system()
     done = complete(P, P.order)
     tracemalloc.start()
@@ -408,7 +410,7 @@ def test_standard_basis_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 14_000_000
+    assert peak < 9_000_000
 
 
 def test_standard_basis_at_a_degree_past_the_recursion_limit():

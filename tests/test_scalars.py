@@ -145,6 +145,17 @@ def test_parameter_field_matches_sympy(data):
         assert F.mul(F.inv(x), x) == F.one
 
 
+def test_parameter_field_prints_an_element_once(monkeypatch):
+    """to_str keeps each element's text: printing it again reads no parts."""
+    F = ParameterField(("z", "p", "c"))
+    x = F.mul(F.coerce("(z*p + c)/(z - p*c + 1)"), F.coerce("(z - p*c + 1)*(p + c)/(z*c*c - p)"))
+    calls = []
+    original = ParameterField._parts
+    monkeypatch.setattr(ParameterField, "_parts", lambda self, a: calls.append((self, a)) or original(self, a))
+    assert str(x) == str(x) == str(F.coerce(str(x))) == "(c**2 + c*p*z + c*p + p**2*z)/(c**2*z - p)"
+    assert [a for K, a in calls if K is F] == [x]
+
+
 def test_parameter_field_refuses_an_undeclared_factor():
     F = ParameterField(("a", "b"), ("a", "b - 1"))
     assert str(F.inv(F.coerce("a**2*(b - 1)/(a + 1)"))) == "(a + 1)/(a**2*b - a**2)"
