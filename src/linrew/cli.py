@@ -135,6 +135,17 @@ class _Lines:
         self.block = block
 
 
+def _basis_lists(basis) -> dict:
+    """The texts of a StandardBasis per degree, to write as JSON lists: each
+    degree's block as _Lines when json writes every text as it is.  A text
+    is names, spaces, digits, "^" and "_", so that holds when the names are
+    printable ASCII with no quote and no backslash."""
+    names = "".join([*basis.quiver.generators, *basis.quiver.objects])
+    if names.isascii() and names.isprintable() and '"' not in names and "\\" not in names:
+        return {str(d): _Lines(block) for d, block in sorted(basis.block.items())}
+    return {str(d): texts for d, texts in sorted(basis.text.items())}
+
+
 def _write_json(o, write, indent: str = "") -> None:
     """Write o as json.dump(o, fp, indent=2, default=str) writes it, piece
     by piece, _Lines as the list of its strings.  The type dispatch is
@@ -295,13 +306,7 @@ def _cmd_hilbert(args, P, meta, doc) -> int:
     basis = standard_basis(_prepare(P, meta, doc), args.dmax)
     doc["dmax"] = args.dmax
     doc["counts"] = {str(d): n for d, n in basis.counts().items()}
-    # A text is names, spaces, digits, "^" and "_": json writes it as it is
-    # when the names are printable ASCII with no quote and no backslash.
-    names = "".join([*basis.quiver.generators, *basis.quiver.objects])
-    if names.isascii() and names.isprintable() and '"' not in names and "\\" not in names:
-        doc["basis"] = {str(d): _Lines(block) for d, block in sorted(basis.block.items())}
-    else:
-        doc["basis"] = {str(d): texts for d, texts in sorted(basis.text.items())}
+    doc["basis"] = _basis_lists(basis)
     _emit(doc)
     return EXIT_OK
 

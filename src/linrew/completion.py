@@ -19,6 +19,8 @@ from .rewriting import (
     RewriteError,
     Rule,
     _build_nodes,
+    _node_sum,
+    _reduct_terms,
     nf,
     reduct,
 )
@@ -197,10 +199,7 @@ def enumerate_critical_branchings(P: Polygraph2) -> list[Branching]:
     """The critical branchings of every rule with itself and the rules
     before it (see _branchings_from), ordered by r1, r2, then word weight:
     inclusions first."""
-    return [e[5] for e in sorted(_branchings_from(P, 0), key=_BRANCHING_ORDER)]
-
-
-_BRANCHING_ORDER = itemgetter(1, 2, 3, 4)  # of _branchings_from's tuples
+    return [e[5] for e in sorted(_branchings_from(P, 0), key=itemgetter(1, 2, 3, 4))]
 
 
 def _branchings_from(P: Polygraph2, first: int) -> list[tuple]:
@@ -242,23 +241,19 @@ def s_polynomial(b: Branching) -> Polynomial:
     return leg1 - leg2
 
 
-def _joins(P: Polygraph2):
-    """(branching, nf of its first leg, nf of its second leg, their
-    difference) per critical branching of P; nf is linear, so the difference
-    is the normal form of the S-polynomial.  Once every branching has been
-    met and every difference is 0, attaches a convergence certificate to P
-    (see _certify)."""
+def _legs(P: Polygraph2):
+    """(branching, the terms of its first leg, the terms of its second) per
+    critical branching of P, in enumerate_critical_branchings's order.  Each
+    leg is sliced from the word by its rule's reduct template, as nf slices
+    a reduct, and the nodes of its monomials are built."""
     if not P.certified_terminating:
         raise NotCertifiedError("confluence check requires a termination certificate")
-    branchings = enumerate_critical_branchings(P)
-    convergent = True
-    for b in branchings:
-        nf1, nf2 = (nf(leg, P) for leg in b.legs)
-        spnf = nf1 - nf2
-        convergent = convergent and spnf.is_zero()
-        yield b, nf1, nf2, spnf
-    if convergent:
-        _certify(P, len(branchings))
+    index = {r.name: k for k, r in enumerate(P.rules)}  # names are unique
+    for b in enumerate_critical_branchings(P):
+        legs = _reduct_terms(P, index[b.rule1.name], b.word, 0), _reduct_terms(P, index[b.rule2.name], b.word, b.start2)
+        for leg in legs:
+            _build_nodes(P, leg, b.word)
+        yield b, *legs
 
 
 def _certify(P: Polygraph2, criticals: int) -> None:
@@ -269,39 +264,32 @@ def _certify(P: Polygraph2, criticals: int) -> None:
 
 def is_confluent(P: Polygraph2) -> bool:
     """check_confluence's verdict without its report: stops at the first
-    branching that is not joinable.  Each leg's terms are sliced from the
-    word by its rule's reduct template, as nf slices them, and the nodes of
-    their monomials are built; the normal forms of the legs are then
-    summed, first leg minus second, as forms: no Polynomial is built."""
-    if not P.certified_terminating:
-        raise NotCertifiedError("confluence check requires a termination certificate")
-    cache, field, reducts, weights, new = P._nf_cache, P.field, P._reducts, P._source_weights, tuple.__new__
+    branching that is not joinable.  The normal forms of each branching's
+    legs are summed, first leg minus second, as forms: no Polynomial is
+    built."""
+    cache, field = P._nf_cache, P.field
     neg, sum_forms, form_terms = field.neg, field.sum_forms, field.form_terms
-    branchings = sorted(_branchings_from(P, 0), key=_BRANCHING_ORDER)
-    for _, i, j, _, start2, b in branchings:
-        degree, source, target, word = b.word
-        legs = []
-        for idx, start in ((i, 0), (j, start2)):
-            left, right = word[:start], word[start + weights[idx] :]
-            legs.append([
-                (c, new(Monomial, (degree + shift, source, target, left + t + right)))
-                for c, t, shift in reducts[idx]
-            ])
-            _build_nodes(P, legs[-1], b.word)
-        leg1, leg2 = legs
+    met = 0
+    for _, leg1, leg2 in _legs(P):
+        met += 1
         form, summed = sum_forms([(c, cache[m][0]) for c, m in leg1] + [(neg(c), cache[m][0]) for c, m in leg2])
         P._nf_work += summed
         if form_terms(form):
             return False
-    _certify(P, len(branchings))
+    _certify(P, met)
     return True
 
 
 def check_confluence(P: Polygraph2) -> dict:
     """Convergence report: every critical S-polynomial must normalize to 0.
-    Attaches a convergence certificate to P when convergent."""
-    entries = [
-        {
+    nf is linear, so the normal form of the S-polynomial is the difference
+    of its legs' normal forms.  Attaches a convergence certificate to P
+    when convergent."""
+    entries = []
+    for b, leg1, leg2 in _legs(P):
+        nf1, nf2 = (_node_sum(P, leg, b.word.source, b.word.target) for leg in (leg1, leg2))
+        spnf = nf1 - nf2
+        entries.append({
             "word": str(b.word),
             "rules": (b.rule1.name, b.rule2.name),
             "s_polynomial": str(s_polynomial(b)),
@@ -309,10 +297,10 @@ def check_confluence(P: Polygraph2) -> dict:
             "joinable": spnf.is_zero(),
             "nf1": str(nf1),
             "nf2": str(nf2),
-        }
-        for b, nf1, nf2, spnf in _joins(P)
-    ]
+        })
     convergent = all(e["joinable"] for e in entries)
+    if convergent:
+        _certify(P, len(entries))
     return {"convergent": convergent, "critical_branchings": len(entries), "entries": entries}
 
 

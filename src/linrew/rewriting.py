@@ -185,7 +185,7 @@ class Polygraph2:
         self._nf_work = 0  # terms nf has summed into normal forms
         self.rules: list[Rule] = []
         self._source_weights: list[int] = []
-        self._reducts: list[list[tuple]] = []  # per rule: (coeff, word, degree shift) per target term, see nf
+        self._reducts: list[list[tuple]] = []  # per rule: (coeff, word, degree shift) per target term, see _reduct_terms
         self._overlaps: tuple[dict, dict] = {}, {}  # see overlap_index
         self._overlapped = 0  # the rules in _overlaps
         self.left_reduced = self.homogeneous = True
@@ -325,12 +325,32 @@ def nf(f: Polynomial, P: Polygraph2) -> Polynomial:
     P._nf_work."""
     items = f.items()
     _build_nodes(P, items, f)
+    return _node_sum(P, items, f.source, f.target)
+
+
+def _node_sum(P: Polygraph2, items: list, source, target) -> Polynomial:
+    """The sum of the normal forms in P._nf_cache of the monomials of the
+    (coefficient, monomial) pairs items, as a Polynomial from source to
+    target; the terms summed are added to P._nf_work."""
     cache, field = P._nf_cache, P.field
     form, summed = field.sum_forms([(coeff, cache[m][0]) for coeff, m in items])
     P._nf_work += summed
     # A form that sum_forms builds is fresh, and form_terms copies a form it
     # keeps: no node shares the result's terms.
-    return Polynomial._unchecked(field, field.form_terms(form), f.source, f.target)
+    return Polynomial._unchecked(field, field.form_terms(form), source, target)
+
+
+def _reduct_terms(P: Polygraph2, idx: int, m: Monomial, start: int) -> list:
+    """The (coefficient, monomial) terms of m rewritten by P.rules[idx] at
+    start, sliced from m's word by the rule's reduct template."""
+    degree, source, target, word = m
+    left, right = word[:start], word[start + P._source_weights[idx] :]
+    new = tuple.__new__
+    # Monomial's own fields, in tuple order, with no __new__ call.
+    return [
+        (c, new(Monomial, (degree + shift, source, target, left + t + right)))
+        for c, t, shift in P._reducts[idx]
+    ]
 
 
 def _build_nodes(P: Polygraph2, items: list, of) -> None:
@@ -342,14 +362,14 @@ def _build_nodes(P: Polygraph2, items: list, of) -> None:
     strategy loops), raises StepBudgetExceeded, naming `of` as what was
     being normalized.  The terms summed into the nodes' normal forms are
     added to P._nf_work.  One automaton walk per monomial finds its redex,
-    and each reduct is sliced from the word rewritten by the rule's reduct
-    template: no step or context is built."""
+    and each reduct is sliced from the word rewritten (see _reduct_terms):
+    no step or context is built."""
     cache = P._nf_cache
     stack: list = [m for _, m in reversed(items) if m not in cache]
     if not stack:
         return
     sum_forms, unit_form, find = P.field.sum_forms, P.field.unit_form, P.rightmost_occurrence
-    rules, reducts, weights, new = P.rules, P._reducts, P._source_weights, tuple.__new__
+    rules = P.rules
     budget = DEFAULT_STEP_BUDGET * (10 if P.certified_terminating else 1)
     work = 0
     opened: set[Monomial] = set()  # rewritten, waiting for their reducts' terms
@@ -369,20 +389,14 @@ def _build_nodes(P: Polygraph2, items: list, of) -> None:
         if found is None:
             cache[m] = (unit_form(m), None, ())
             continue
-        degree, source, target, word = m
-        budget -= len(word)
+        budget -= len(m.word)
         if budget < 0:
             raise StepBudgetExceeded(
                 f"step budget exhausted while normalizing {of}"
                 + ("" if P.certified_terminating else " (no termination certificate)")
             )
         idx, start = found
-        left, right = word[:start], word[start + weights[idx] :]
-        # Monomial's own fields, in tuple order, with no __new__ call.
-        reduct = [
-            (c, new(Monomial, (degree + shift, source, target, left + t + right)))
-            for c, t, shift in reducts[idx]
-        ]
+        reduct = _reduct_terms(P, idx, m, start)
         opened.add(m)
         stack.append((m, (rules[idx], start, m), reduct))
         for _, n in reversed(reduct):

@@ -402,14 +402,16 @@ def _decided_cases():
 @pytest.mark.parametrize("name, parsed", _decided_cases().items(), ids=list(_decided_cases()))
 def test_is_confluent_is_the_report_verdict_on_fixtures_and_fields(name, parsed):
     """Every fixture, two rules of one source, an inclusion overlap, GF(p)
-    and Q(a): is_confluent decides what check_confluence reports, attaches
-    the same certificate, and sums the same terms into normal forms."""
-    (decided, meta), (reported, _) = parsed(), parsed()
-    for P in (decided, reported):
+    and Q(a): is_confluent decides what check_confluence reports, and what
+    nf says of every S-polynomial, attaches the same certificate, and sums
+    the same terms into normal forms."""
+    (decided, meta), (reported, _), (normalized, _) = parsed(), parsed(), parsed()
+    for P in (decided, reported, normalized):
         P.termination_certificate = completion.certify_declared(P, meta.get("measure"))
         assert P.certified_terminating, name
     verdict = is_confluent(decided)
     assert verdict == check_confluence(reported)["convergent"]
+    assert verdict == all(nf(s_polynomial(b), normalized).is_zero() for b in enumerate_critical_branchings(normalized))
     assert decided.convergence_certificate == reported.convergence_certificate
     if verdict:
         assert decided._nf_work == reported._nf_work and set(decided._nf_cache) == set(reported._nf_cache)
