@@ -12,7 +12,6 @@ from .algebra import (
     monomial_poly,
 )
 from .rewriting import (
-    NoStepError,
     NotCertifiedError,
     Polygraph2,
     RewriteError,
@@ -20,12 +19,10 @@ from .rewriting import (
     Rule,
     StepBudgetExceeded,
     Trace,
-    ideal_member,
     nf,
     normal_form,
     pbw_check,
     quotient_dimension,
-    rightmost_step,
     standard_basis,
 )
 from .completion import (

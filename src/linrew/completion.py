@@ -22,7 +22,6 @@ from .rewriting import (
     _node_sum,
     _reduct_terms,
     nf,
-    reduct,
 )
 
 DEFAULT_CONTEXT_BOUND = 3
@@ -97,11 +96,6 @@ class Branching:
     rule1: Rule
     rule2: Rule
     start2: int
-
-    @cached_property
-    def legs(self) -> tuple[Polynomial, Polynomial]:
-        """The reducts of word by its two redexes."""
-        return reduct(self.word, self.rule1, 0), reduct(self.word, self.rule2, self.start2)
 
 
 def certify_termination(P: Polygraph2, hint=None) -> TerminationCertificate:
@@ -235,22 +229,36 @@ def _branchings_from(P: Polygraph2, first: int) -> list[tuple]:
     return [(w.degree, i, j, len(w.word), s, Branching(w, rules[i], rules[j], s)) for i, j, w, s in found]
 
 
-def s_polynomial(b: Branching) -> Polynomial:
-    """t1(leftmost leg) - t1(rightmost leg) of a critical branching."""
-    leg1, leg2 = b.legs
-    return leg1 - leg2
+def s_polynomial(P: Polygraph2, b: Branching) -> Polynomial:
+    """t1(leftmost leg) - t1(rightmost leg) of a critical branching of P."""
+    return _difference(P, b, *_leg_terms(P, b))
+
+
+def _leg_terms(P: Polygraph2, b: Branching) -> tuple[list, list]:
+    """The terms of b's two legs, sliced from its word by their rules'
+    reduct templates (see _reduct_terms), as nf slices a reduct."""
+    index = P.rule_index
+    return _reduct_terms(P, index[b.rule1.name], b.word, 0), _reduct_terms(P, index[b.rule2.name], b.word, b.start2)
+
+
+def _difference(P: Polygraph2, b: Branching, leg1: list, leg2: list) -> Polynomial:
+    """The terms leg1 minus the terms leg2, as a Polynomial parallel to b's
+    word."""
+    field = P.field
+    terms = field.linear_combination([
+        (field.one, {m: c for c, m in leg1}), (field.neg(field.one), {m: c for c, m in leg2}),
+    ])
+    return Polynomial._unchecked(field, terms, b.word.source, b.word.target)
 
 
 def _legs(P: Polygraph2):
     """(branching, the terms of its first leg, the terms of its second) per
-    critical branching of P, in enumerate_critical_branchings's order.  Each
-    leg is sliced from the word by its rule's reduct template, as nf slices
-    a reduct, and the nodes of its monomials are built."""
+    critical branching of P, in enumerate_critical_branchings's order, with
+    the nodes of the legs' monomials built."""
     if not P.certified_terminating:
         raise NotCertifiedError("confluence check requires a termination certificate")
-    index = {r.name: k for k, r in enumerate(P.rules)}  # names are unique
     for b in enumerate_critical_branchings(P):
-        legs = _reduct_terms(P, index[b.rule1.name], b.word, 0), _reduct_terms(P, index[b.rule2.name], b.word, b.start2)
+        legs = _leg_terms(P, b)
         for leg in legs:
             _build_nodes(P, leg, b.word)
         yield b, *legs
@@ -292,7 +300,7 @@ def check_confluence(P: Polygraph2) -> dict:
         entries.append({
             "word": str(b.word),
             "rules": (b.rule1.name, b.rule2.name),
-            "s_polynomial": str(s_polynomial(b)),
+            "s_polynomial": str(_difference(P, b, leg1, leg2)),
             "s_polynomial_nf": str(spnf),
             "joinable": spnf.is_zero(),
             "nf1": str(nf1),
@@ -374,7 +382,7 @@ def complete(
         key, b = entry[:5], entry[5]
         sp = spolys.get(key)
         if sp is None:
-            sp = spolys[key] = s_polynomial(b)
+            sp = spolys[key] = s_polynomial(cur, b)
             for m in sp.terms:
                 users.setdefault(m, []).append(entry)
         spnf = nf(sp, cur)

@@ -160,7 +160,6 @@ def build_complex(P: Polygraph2, cells: Iterable[ChainCell]) -> ReducedComplex:
     for obj in P.quiver.objects:
         cx.add_cell(0, obj, 0)
     cells = list(cells)
-    rules_by_name = {r.name: r for r in P.rules}
     for c in cells:
         if c.dim == 1:
             cx.add_cell(1, c.word.word[0], c.degree)
@@ -172,7 +171,7 @@ def build_complex(P: Polygraph2, cells: Iterable[ChainCell]) -> ReducedComplex:
     cx.delta[0] = {g: {} for g in cx.cells.get(1, {})}
     # delta[1]: the weight-1 terms of each rule's relation source - target.
     cx.delta[1] = {
-        name: {m.word[0]: c for m, c in rules_by_name[name].relation().terms.items() if m.weight == 1}
+        name: {m.word[0]: c for m, c in P.rules[P.rule_index[name]].relation().terms.items() if m.weight == 1}
         for name in cx.cells.get(2, {})
     }
 

@@ -12,14 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .algebra import Monomial, Polynomial, monomial_poly
+from .algebra import Monomial
 from .rewriting import (
     NotCertifiedError,
     Polygraph2,
     RewriteError,
     Rule,
-    nf,
-    reduct,
+    _build_nodes,
+    _reduct_terms,
 )
 
 
@@ -43,13 +43,6 @@ def _require_usable(P: Polygraph2):
         raise RewriteError("chain enumeration needs a left-reduced system")
     if not P.certified_convergent:
         raise NotCertifiedError("chain enumeration needs a certified-convergent system")
-
-
-def _rule_by_name(P: Polygraph2, name: str) -> Rule:
-    for r in P.rules:
-        if r.name == name:
-            return r
-    raise KeyError(name)
 
 
 def enumerate_chains(P: Polygraph2, kmax: int, dmax: int) -> list[ChainCell]:
@@ -114,18 +107,19 @@ def ell(N: int, k: int) -> int:
 # -- the walk of the rightmost rewriting DAG ---------------------------------
 
 
-def _walk(P: Polygraph2, k: int, f: Polynomial, right: Monomial, memo: dict) -> dict:
-    """The column of rho*_k along the rightmost normalisation of f, each
-    step whiskered on the right by `right`: every node of P._nf_cache met
-    whose redex starts at 0 adds rho*_k(rule, step's right context . right),
-    scaled by the coefficients on its path from f.  A redex with a
-    nontrivial left context adds nothing itself (whiskers only grow, so
-    every cell below it vanishes), but its reducts are walked."""
+def _walk(P: Polygraph2, k: int, items: list, right: Monomial, memo: dict, of: Monomial) -> dict:
+    """The column of rho*_k along the rightmost normalisation of the
+    (coefficient, monomial) pairs items, each step whiskered on the right by
+    `right`: every node of P._nf_cache met whose redex starts at 0 adds
+    rho*_k(rule, step's right context . right), scaled by the coefficients
+    on its path from items.  A redex with a nontrivial left context adds
+    nothing itself (whiskers only grow, so every cell below it vanishes),
+    but its reducts are walked.  The missing nodes are built first, naming
+    `of` as what is being normalized (see _build_nodes)."""
     cache = P._nf_cache
-    if any(m not in cache for m in f.terms):
-        nf(f, P)  # builds the missing nodes
+    _build_nodes(P, items, of)
     return P.field.linear_combination(
-        [(c, _walk_node(P, k, cache[m], right, memo)) for m, c in f.terms.items()]
+        [(c, _walk_node(P, k, cache[m], right, memo)) for c, m in items]
     )
 
 
@@ -167,14 +161,15 @@ def generating_confluence(b: ChainCell, P: Polygraph2, memo: Optional[dict] = No
     _require_usable(P)
     if b.dim != 3:
         raise RewriteError("generating confluences are indexed by 3-chains")
-    mid = reduct(b.word, _rule_by_name(P, b.redexes[0][0]), 0)
+    w = b.word
+    mid = _reduct_terms(P, P.rule_index[b.redexes[0][0]], w, 0)
     if memo is None:
         memo = {}
     field = P.field
-    one = P.quiver.identity(b.word.target)
+    one = P.quiver.identity(w.target)
     return field.linear_combination([
-        (field.one, _walk(P, 2, mid, one, memo)),
-        (field.neg(field.one), _walk(P, 2, monomial_poly(field, b.word), one, memo)),
+        (field.one, _walk(P, 2, mid, one, memo, w)),
+        (field.neg(field.one), _walk(P, 2, [(field.one, w)], one, memo, w)),
     ])
 
 
@@ -189,15 +184,15 @@ def _rho_star_rule(P: Polygraph2, rule: Rule, mhat: Monomial, memo: dict) -> dic
     source(rule).mhat is that of mhat, disjoint from source(rule): the
     Peiffer exchange of the two steps adds no cell, so rho*_3 is linear
     along the rewriting of mhat and sums rho*_3(rule, n) over the terms n
-    of nf(mhat).  On an irreducible mhat the rightmost redex overlaps
-    source(rule), or is source(rule) itself (the identity 3-cell)."""
+    of the normal form of mhat.  On an irreducible mhat the rightmost redex
+    overlaps source(rule), or is source(rule) itself (the identity
+    3-cell)."""
     key = (rule.name, mhat)
     if key in memo:
         return memo[key]
     field = P.field
     cache = P._nf_cache
-    if mhat not in cache:
-        nf(monomial_poly(field, mhat), P)
+    _build_nodes(P, [(field.one, mhat)], mhat)
     form, redex, _ = cache[mhat]
     pairs = []
     if redex is not None:
@@ -210,9 +205,10 @@ def _rho_star_rule(P: Polygraph2, rule: Rule, mhat: Monomial, memo: dict) -> dic
             assert e > 0, "inclusion overlap on a left-reduced system"
             m2 = P.quiver.monomial(mhat.word[:e])
             m3 = P.quiver.monomial(mhat.word[e:], at=m2.target)
+            w = rule.source * m2
             pairs = [
-                (field.one, _walk(P, 3, monomial_poly(field, rule.source * m2), m3, memo)),
-                (field.neg(field.one), _walk(P, 3, rule.target.whisker(None, m2), m3, memo)),
+                (field.one, _walk(P, 3, [(field.one, w)], m3, memo, w)),
+                (field.neg(field.one), _walk(P, 3, _reduct_terms(P, P.rule_index[rule.name], w, 0), m3, memo, w)),
             ]
             if m3.is_identity():
                 pairs.append((field.one, {((rule.name, 0), (psi.name, start)): field.one}))
@@ -230,20 +226,19 @@ def boundary4(b: ChainCell, P: Polygraph2, memo: Optional[dict] = None) -> dict:
     if memo is None:
         memo = {}
     field = P.field
-    (r1n, s1), (r2n, s2), (r3n, s3) = b.redexes
-    rule1 = _rule_by_name(P, r1n)
-    rule2 = _rule_by_name(P, r2n)
-    e2 = s2 + rule2.source.weight
+    (r1n, _), (r2n, s2), _ = b.redexes
+    idx1 = P.rule_index[r1n]
+    rule1 = P.rules[idx1]
+    e2 = s2 + P.rules[P.rule_index[r2n]].source.weight
     w2 = P.quiver.monomial(b.word.word[:e2], at=b.word.source)
     mhat = P.quiver.monomial(b.word.word[e2:])
-
-    m2p_only = P.quiver.monomial(b.word.word[rule1.source.weight : e2])
-    m2p = P.quiver.monomial(m2p_only.word + mhat.word)
+    m2p = P.quiver.monomial(b.word.word[rule1.source.weight :])
     minus = field.neg(field.one)
     return field.linear_combination([
         # Source: the 3-chain (rule1, rule2) whiskered by mhat, which the third
         # redex makes nonempty, so it vanishes; then rho* along rho(w2) . mhat.
-        (field.one, _walk(P, 3, monomial_poly(field, w2), mhat, memo)),
+        (field.one, _walk(P, 3, [(field.one, w2)], mhat, memo, w2)),
         (minus, _rho_star_rule(P, rule1, m2p, memo)),
-        (minus, _walk(P, 3, rule1.target.whisker(None, m2p_only), mhat, memo)),
+        # Target: rule1 at 0 on w2, then rho* along its reduct . mhat.
+        (minus, _walk(P, 3, _reduct_terms(P, idx1, w2, 0), mhat, memo, w2)),
     ])

@@ -39,10 +39,6 @@ class RewriteError(ValueError):
     pass
 
 
-class NoStepError(RewriteError):
-    pass
-
-
 class NotCertifiedError(RewriteError):
     pass
 
@@ -184,6 +180,7 @@ class Polygraph2:
         self._nf_cache: dict[Monomial, tuple] = {}
         self._nf_work = 0  # terms nf has summed into normal forms
         self.rules: list[Rule] = []
+        self.rule_index: dict[str, int] = {}  # rule name -> its position in rules
         self._source_weights: list[int] = []
         self._reducts: list[list[tuple]] = []  # per rule: (coeff, word, degree shift) per target term, see _reduct_terms
         self._overlaps: tuple[dict, dict] = {}, {}  # see overlap_index
@@ -195,9 +192,10 @@ class Polygraph2:
         """Append rules.  The flags and the reduct templates are updated for
         them alone, the overlap index on its next use; the automaton is
         rebuilt."""
-        names = [r.name for r in self.rules + rules]
-        if len(set(names)) != len(names):
+        index = {r.name: k for k, r in enumerate(rules, len(self.rules))}
+        if len(index) != len(rules) or not index.keys().isdisjoint(self.rule_index):
             raise RewriteError("duplicate rule names")
+        self.rule_index.update(index)
         self.rules += rules
         self._automaton = _Automaton(self.rules)
         self._reducts += [[(c, t.word, t.degree - r.degree) for c, t in r.target.items()] for r in rules]
@@ -293,31 +291,6 @@ class Polygraph2:
 # -- operations --------------------------------------------------------------
 
 
-def rightmost_step(m: Monomial, P: Polygraph2) -> RewriteStep:
-    """The step on m whose left context has maximal length; NoStepError
-    when m is irreducible."""
-    found = P.rightmost_occurrence(m)
-    if found is None:
-        raise NoStepError(f"{m} is irreducible")
-    idx, start = found
-    rule = P.rules[idx]
-    left, right = P.contexts(m, rule, start)
-    return RewriteStep(P.field.one, left, rule, right)
-
-
-def reduct(m: Monomial, rule: Rule, start: int) -> Polynomial:
-    """m with the occurrence of rule's source at start replaced by rule's
-    target: each target monomial is sliced into m's word, as nf slices its
-    reducts."""
-    word, shift = m.word, m.degree - rule.source.degree
-    left, right = word[:start], word[start + rule.source.weight :]
-    terms = {
-        Monomial(left + t.word + right, m.source, m.target, shift + t.degree): c
-        for t, c in rule.target.terms.items()
-    }
-    return Polynomial._unchecked(rule.target.field, terms, m.source, m.target)
-
-
 def nf(f: Polynomial, P: Polygraph2) -> Polynomial:
     """Normalize f by the rightmost strategy, monomial by monomial (linear
     in f): the nodes of its monomials are built (see _build_nodes), then
@@ -342,7 +315,8 @@ def _node_sum(P: Polygraph2, items: list, source, target) -> Polynomial:
 
 def _reduct_terms(P: Polygraph2, idx: int, m: Monomial, start: int) -> list:
     """The (coefficient, monomial) terms of m rewritten by P.rules[idx] at
-    start, sliced from m's word by the rule's reduct template."""
+    start, sliced from m's word by the rule's reduct template: the one place
+    a reduct is formed."""
     degree, source, target, word = m
     left, right = word[:start], word[start + P._source_weights[idx] :]
     new = tuple.__new__
@@ -424,12 +398,6 @@ def normal_form(f: Polynomial, P: Polygraph2) -> tuple[Polynomial, Trace]:
             steps.append(RewriteStep(c, left, rule, right))
             todo.extend((mul(c, d), node) for d, node in reversed(children) if node[1] is not None)
     return result, Trace(f, tuple(steps), result)
-
-
-def ideal_member(f: Polynomial, P: Polygraph2) -> bool:
-    if not P.certified_convergent:
-        raise NotCertifiedError("ideal membership requires a certified-convergent system")
-    return nf(f, P).is_zero()
 
 
 @dataclass
@@ -764,6 +732,7 @@ def _build_xi(P: Polygraph2, cand: list[Monomial], N: int) -> dict:
     field = P.field
     rows, index = ideal_rows_in_degree(P, N)
     cand_n = [m for m in cand if m.degree == N]
+    cand_n_set = set(cand_n)
     rules = []
     k = 0
     for u in cand:
@@ -771,7 +740,7 @@ def _build_xi(P: Polygraph2, cand: list[Monomial], N: int) -> dict:
             if u.is_identity() or v.is_identity() or u.target != v.source:
                 continue
             uv = u * v
-            if uv.degree != N or uv in set(cand_n):
+            if uv.degree != N or uv in cand_n_set:
                 continue
             coeffs = _decompose_mod_ideal(uv, cand_n, rows, index, field)
             if coeffs is None:

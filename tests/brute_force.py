@@ -1,18 +1,15 @@
 """Brute-force reference oracles: every word up to a degree, the spanning
-set of the relation ideal over those words, normal forms with no memo, the
-critical branchings of every pair of rules, and completion with no memo and
-no pair queue.  They enumerate all contexts or pairs of all rules, so they
-are meant for the small systems of the tests."""
+set of the relation ideal over those words, normal forms with no memo,
+S-polynomials by replaying rewriting steps, the critical branchings of
+every pair of rules, and completion with no memo and no pair queue.  They
+enumerate all contexts or pairs of all rules, so they are meant for the
+small systems of the tests."""
 
 import itertools
 
-from linrew.completion import (
-    certify_termination,
-    enumerate_critical_branchings,
-    orient,
-    s_polynomial,
-)
-from linrew.rewriting import Polygraph2, RewriteStep, _row, all_words, nf, rightmost_step
+from linrew.algebra import monomial_poly
+from linrew.completion import certify_termination, enumerate_critical_branchings, orient
+from linrew.rewriting import Polygraph2, _row, all_words, nf
 
 
 def words_up_to(quiver, dmax: int) -> list:
@@ -48,18 +45,37 @@ def ideal_spanning(P, dmax: int):
     return rows, index
 
 
+def step(P, f, c, m, rule, start: int):
+    """f rewritten once, at the occurrence of rule's source at start in its
+    term c m: f - c u (source - target) v, for u and v the contexts of that
+    occurrence."""
+    return f - rule.relation().whisker(*P.contexts(m, rule, start)).scale(c)
+
+
 def rightmost_nf(f, P):
     """nf with Polynomial arithmetic and no memo: apply the rightmost step
     of the last reducible term, in canonical order, until no term is
     reducible.  A rightmost step leaves nf's value unchanged, so the
     order in which terms are rewritten does not change the result."""
     while True:
-        reducible = [(c, m) for c, m in f.items() if P.rightmost_occurrence(m) is not None]
+        reducible = [(c, m, found) for c, m in f.items() if (found := P.rightmost_occurrence(m)) is not None]
         if not reducible:
             return f
-        c, m = reducible[-1]
-        step = rightmost_step(m, P)
-        f = RewriteStep(c, step.left, step.rule, step.right).apply(f)
+        c, m, (idx, start) = reducible[-1]
+        f = step(P, f, c, m, P.rules[idx], start)
+
+
+def replayed_legs(P, b) -> tuple:
+    """The two legs of the critical branching b, each one step replayed on
+    its word: no reduct is sliced."""
+    w = monomial_poly(P.field, b.word)
+    return tuple(step(P, w, P.field.one, b.word, rule, start) for rule, start in ((b.rule1, 0), (b.rule2, b.start2)))
+
+
+def s_polynomial(P, b):
+    """The S-polynomial of b, first leg minus second, by step replay."""
+    leg1, leg2 = replayed_legs(P, b)
+    return leg1 - leg2
 
 
 def critical_branchings(P) -> list:
@@ -111,7 +127,7 @@ def reference_completion(P, max_degree: int, max_rules: int):
         cur.termination_certificate = certify_termination(cur, order)
         assert cur.termination_certificate.ok
         branchings = sorted(enumerate(enumerate_critical_branchings(cur)), key=lambda t: (t[1].word.degree, t[0]))
-        normal_forms = (rightmost_nf(s_polynomial(b), cur) for _, b in branchings)
+        normal_forms = (rightmost_nf(s_polynomial(cur, b), cur) for _, b in branchings)
         spnf = next((f for f in normal_forms if not f.is_zero()), None)
         if spnf is not None:
             rule = orient(spnf, order, f"c{next(fresh)}")

@@ -171,7 +171,7 @@ def test_s_polynomial_sign(sys_xy):
         b for b in enumerate_critical_branchings(sys_xy) if str(b.word) == "x y^2"
     )
     # Convention: one-step target of the leftmost leg minus the rightmost's.
-    assert s_polynomial(b) == make_poly(sys_xy.quiver, QQ, [(1, "xxy"), (-1, "xxx")])
+    assert s_polynomial(sys_xy, b) == make_poly(sys_xy.quiver, QQ, [(1, "xxy"), (-1, "xxx")])
 
 
 def test_completion_xy(sys_xy):
@@ -196,6 +196,9 @@ def test_completion_pp(sys_pp):
         sys_pp.quiver, QQ, [(Fraction(1, 2), "xxz")]
     )
     assert len(enumerate_critical_branchings(done)) == 4
+    # complete appends rules and interreduces: its index still names each
+    # rule's position.
+    assert done.rule_index == {r.name: k for k, r in enumerate(done.rules)}
 
 
 def test_completed_system_confluent(sys_pp):
@@ -232,18 +235,14 @@ def test_sys_xyz_no_criticals(sys_xyz):
 
 
 def assert_legs_are_step_replays(P):
-    """Each branching's legs, and its S-polynomial, equal replaying its two
-    rewriting steps, built from the contexts of its redexes, on the overlap
-    word."""
+    """Each branching's sliced legs, and its S-polynomial, equal replaying
+    its two rewriting steps, built from the contexts of its redexes, on the
+    overlap word (brute_force.replayed_legs)."""
     for b in enumerate_critical_branchings(P):
-        w = monomial_poly(P.field, b.word)
-        t1, t2 = (
-            RewriteStep(P.field.one, left, rule, right).apply(w)
-            for rule, start in ((b.rule1, 0), (b.rule2, b.start2))
-            for left, right in [P.contexts(b.word, rule, start)]
-        )
-        assert b.legs == (t1, t2)
-        assert s_polynomial(b) == t1 - t2
+        t1, t2 = brute_force.replayed_legs(P, b)
+        legs = completion._leg_terms(P, b)
+        assert tuple(P.quiver.poly(P.field, leg, b.word.source, b.word.target) for leg in legs) == (t1, t2)
+        assert s_polynomial(P, b) == t1 - t2 == brute_force.s_polynomial(P, b)
 
 
 def assert_branchings_match_reference(P):
@@ -329,6 +328,7 @@ def test_rules_added_in_place_match_a_fresh_system(seed, data):
     flags = lambda S: (S.left_reduced, S.homogeneous, S.homogeneity_degree)  # noqa: E731
     assert flags(grown) == flags(P)
     assert grown._reducts == P._reducts and grown.overlap_index == P.overlap_index
+    assert grown.rule_index == P.rule_index
     assert enumerate_critical_branchings(grown) == enumerate_critical_branchings(P)
     words = brute_force.words_up_to(P.quiver, 4)
     assert [grown.rightmost_occurrence(m) for m in words] == [P.rightmost_occurrence(m) for m in words]
@@ -367,17 +367,29 @@ def test_convergence_certificate_is_bound_to_its_rules(sys_pp):
     assert not done.certified_convergent
 
 
+def assert_report_s_polynomials_are_step_replays(P, report):
+    """Each entry of P's check report prints the S-polynomial that replaying
+    its branching's two steps gives (brute_force.s_polynomial)."""
+    replays = [str(brute_force.s_polynomial(P, b)) for b in enumerate_critical_branchings(P)]
+    assert [e["s_polynomial"] for e in report["entries"]] == replays
+
+
 def test_is_confluent_is_the_report_verdict():
     """is_confluent decides what check_confluence reports and attaches the
-    same certificate, on 200 random systems (78 of them confluent)."""
-    verdicts = []
+    same certificate, on 200 random systems (78 of them confluent, 1002
+    critical branchings), whose reports print the step-replay
+    S-polynomials."""
+    verdicts, entries = [], 0
     for seed in range(200):
         decided, reported = random_system(random.Random(seed)), random_system(random.Random(seed))
         verdict = is_confluent(decided)
-        assert verdict == check_confluence(reported)["convergent"]
+        report = check_confluence(reported)
+        assert verdict == report["convergent"]
         assert decided.convergence_certificate == reported.convergence_certificate
+        assert_report_s_polynomials_are_step_replays(reported, report)
         verdicts.append(verdict)
-    assert sum(verdicts) == 78
+        entries += len(report["entries"])
+    assert sum(verdicts) == 78 and entries == 1002
 
 
 _DECIDED = {
@@ -404,14 +416,20 @@ def test_is_confluent_is_the_report_verdict_on_fixtures_and_fields(name, parsed)
     """Every fixture, two rules of one source, an inclusion overlap, GF(p)
     and Q(a): is_confluent decides what check_confluence reports, and what
     nf says of every S-polynomial, attaches the same certificate, and sums
-    the same terms into normal forms."""
+    the same terms into normal forms; the report prints the step-replay
+    S-polynomials."""
     (decided, meta), (reported, _), (normalized, _) = parsed(), parsed(), parsed()
     for P in (decided, reported, normalized):
         P.termination_certificate = completion.certify_declared(P, meta.get("measure"))
         assert P.certified_terminating, name
     verdict = is_confluent(decided)
-    assert verdict == check_confluence(reported)["convergent"]
-    assert verdict == all(nf(s_polynomial(b), normalized).is_zero() for b in enumerate_critical_branchings(normalized))
+    report = check_confluence(reported)
+    assert verdict == report["convergent"]
+    assert_report_s_polynomials_are_step_replays(reported, report)
+    assert verdict == all(
+        nf(brute_force.s_polynomial(normalized, b), normalized).is_zero()
+        for b in enumerate_critical_branchings(normalized)
+    )
     assert decided.convergence_certificate == reported.convergence_certificate
     if verdict:
         assert decided._nf_work == reported._nf_work and set(decided._nf_cache) == set(reported._nf_cache)
@@ -438,12 +456,12 @@ def test_is_confluent_stops_at_the_first_branching_that_does_not_join():
     for P in (decided, reference):
         P.termination_certificate = certify_termination(P)
     branchings = enumerate_critical_branchings(reference)
-    first = next(k for k, b in enumerate(branchings) if not nf(s_polynomial(b), reference).is_zero())
+    first = next(k for k, b in enumerate(branchings) if not nf(brute_force.s_polynomial(reference, b), reference).is_zero())
     reference._nf_cache.clear()
     for b in branchings[: first + 1]:
-        for leg in b.legs:
+        for leg in brute_force.replayed_legs(reference, b):
             nf(leg, reference)
-    later = {m for b in branchings[first + 1 :] for leg in b.legs for m in leg.terms}
+    later = {m for b in branchings[first + 1 :] for leg in brute_force.replayed_legs(reference, b) for m in leg.terms}
     assert later - set(reference._nf_cache)
     assert not is_confluent(decided) and decided.convergence_certificate is None
     assert list(decided._nf_cache) == list(reference._nf_cache)

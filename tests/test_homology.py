@@ -17,7 +17,6 @@ from linrew import (
     complete,
     enumerate_chains,
     koszul_verdict,
-    monomial_poly,
     tor_table,
 )
 from linrew import completion, homology, linalg
@@ -47,12 +46,11 @@ def tor_dims(table):
 def test_rho2_walk_whole_word_only(pp_done):
     Q = pp_done.quiver
     one = Q.identity("*")
-    f = monomial_poly(QQ, Q.monomial(tuple("yz")))
-    assert _walk(pp_done, 2, f, one, {}) == {"alpha": Fraction(1)}
+    yz, xyz = Q.monomial(tuple("yz")), Q.monomial(tuple("xyz"))
+    assert _walk(pp_done, 2, [(QQ.one, yz)], one, {}, yz) == {"alpha": Fraction(1)}
     # Whiskered steps vanish under the augmentation.
-    g = monomial_poly(QQ, Q.monomial(tuple("xyz")))
-    assert _walk(pp_done, 2, g, one, {}) == {}
-    assert _walk(pp_done, 2, f, Q.monomial(("x",)), {}) == {}
+    assert _walk(pp_done, 2, [(QQ.one, xyz)], one, {}, xyz) == {}
+    assert _walk(pp_done, 2, [(QQ.one, yz)], Q.monomial(("x",)), {}, yz) == {}
 
 
 def test_complex_shape(pp_done):

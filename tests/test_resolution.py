@@ -23,8 +23,10 @@ from linrew import (
     lpformat,
     nf,
     resolution,
+    rewriting,
     standard_basis,
 )
+from linrew.rewriting import StepBudgetExceeded
 from linrew.scalars import RationalField
 
 from conftest import FIXTURES, cubic_system, deglex_system, skew_system
@@ -181,15 +183,18 @@ def test_build_complex_checks_legs_of_pruned_chains(pp_done, sys_pp):
 
 def test_build_complex_trusts_the_certificate_on_skew(monkeypatch):
     """Once is_confluent has certified skew q6, build_complex normalises
-    nothing: no nf call and no new memo node for its (all pruned) 3- and
-    4-chains."""
+    nothing: no node is missing when its walks ask for one, and no memo
+    node is new, for its (all pruned) 3- and 4-chains."""
     P = skew_system(6)
     P.termination_certificate = certify_termination(P, P.order)
     assert is_confluent(P) and P.certified_convergent
     cells = enumerate_chains(P, 4, 5)
     nodes = len(P._nf_cache)
     calls = []
-    monkeypatch.setattr(resolution, "nf", lambda f, P: calls.append(f) or nf(f, P))
+    build_nodes = resolution._build_nodes
+    monkeypatch.setattr(resolution, "_build_nodes", lambda P, items, of: calls.extend(
+        m for _, m in items if m not in P._nf_cache
+    ) or build_nodes(P, items, of))
     cx = build_complex(P, cells)
     assert len(cx.delta[2]) == 20 and len(cx.delta[3]) == 15
     assert calls == [] and len(P._nf_cache) == nodes
@@ -205,6 +210,24 @@ def test_boundary4_instances(pp_done):
         assert set(col) <= keys3
         assert not any(QQ.is_zero(v) for v in col.values())
         assert col == cx.delta[3][key]
+
+
+def test_step_budget_in_a_walk_names_the_word(pp_done, monkeypatch):
+    """A step budget that runs out inside a delta walk names the word whose
+    legs are walked: the 3-chain's word for generating_confluence, the
+    prefix of the 4-chain's word up to its second redex for boundary4."""
+    cells = enumerate_chains(pp_done, 4, 6)
+    monkeypatch.setattr(rewriting, "DEFAULT_STEP_BUDGET", 0)
+    for c in cells:
+        if c.dim not in (3, 4):
+            continue
+        pp_done._nf_cache.clear()
+        with pytest.raises(StepBudgetExceeded) as caught:
+            (generating_confluence if c.dim == 3 else boundary4)(c, pp_done)
+        (name, _), (second, start) = c.redexes[:2]
+        end = start + pp_done.rules[pp_done.rule_index[second]].source.weight
+        word = c.word if c.dim == 3 else pp_done.quiver.monomial(c.word.word[:end])
+        assert str(caught.value) == f"step budget exhausted while normalizing {word}"
 
 
 def test_rho_star_reads_the_memo_as_fractions(monkeypatch):
@@ -275,6 +298,19 @@ def test_delta_columns_unchanged(group):
         ))
     assert sum(map(len, cols)) == n_columns
     assert hashlib.sha256(repr(cols).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("group", sorted(DELTA_CASES))
+def test_delta_squares_to_zero_on_augmented_systems(group):
+    """delta2 . delta3 = 0 on every system of the group whose rule targets
+    have no constant term: a check of delta3 that no digest holds.  A
+    target with a constant term leaves the algebra with no augmentation,
+    where the reduced complex is not claimed (tor refuses it)."""
+    systems, dmax, _, _ = DELTA_CASES[group]
+    augmented = [P for P in systems() if not any(m.is_identity() for r in P.rules for m in r.target.terms)]
+    assert augmented
+    for P in augmented:
+        assert build_complex(P, enumerate_chains(P, 4, dmax)).check_dd_zero(), [str(r) for r in P.rules]
 
 
 def _counting(monkeypatch, name):

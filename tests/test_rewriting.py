@@ -9,7 +9,6 @@ from linrew import (
     Generator,
     Monomial,
     MonomialOrder,
-    NoStepError,
     Polygraph2,
     QQ,
     Quiver,
@@ -20,14 +19,12 @@ from linrew import (
     check_confluence,
     complete,
     completion,
-    ideal_member,
     is_confluent,
     monomial_poly,
     nf,
     normal_form,
     pbw_check,
     quotient_dimension,
-    rightmost_step,
     standard_basis,
 )
 
@@ -59,6 +56,24 @@ def test_rule_validation():
         Rule("r", Q.monomial(("x", "y")), make_poly(Q, QQ, [(1, "xy")]))
     with pytest.raises(RewriteError):
         Rule("r", Q.identity("*"), make_poly(Q, QQ, [(1, "xy")]))
+
+
+def test_rule_index_refuses_a_name_twice():
+    """Two rules of one name raise, given together or one after the other;
+    a refused add_rules leaves the rules and the index as they were."""
+    Q = Quiver.free("xy")
+    r = Rule("r", Q.monomial(("y", "x")), make_poly(Q, QQ, [(1, "xy")]))
+    again = Rule("r", Q.monomial(("y", "y")), make_poly(Q, QQ, [(1, "xx")]))
+    s = Rule("s", Q.monomial(("y", "y", "y")), make_poly(Q, QQ, [(1, "xxx")]))
+    with pytest.raises(RewriteError, match="duplicate rule names"):
+        Polygraph2(Q, QQ, [r, again])
+    P = Polygraph2(Q, QQ, [r])
+    for rules in ([again], [s, again], [s, s]):
+        with pytest.raises(RewriteError, match="duplicate rule names"):
+            P.add_rules(rules)
+        assert P.rules == [r] and P.rule_index == {"r": 0}
+    P.add_rules([s])
+    assert P.rule_index == {"r": 0, "s": 1}
 
 
 def test_occurrences_overlapping(sys_ab):
@@ -135,17 +150,20 @@ def test_rightmost_occurrence_ties_go_to_the_lowest_rule_index():
 def test_step_soundness(sys_ab):
     Q = sys_ab.quiver
     f = make_poly(Q, QQ, [(2, "bab")])
-    step = rightmost_step(Q.monomial(tuple("bab")), sys_ab)
-    g = RewriteStep(Fraction(2), step.left, step.rule, step.right).apply(f)
+    bab = Q.monomial(tuple("bab"))
+    idx, start = sys_ab.rightmost_occurrence(bab)
+    rule = sys_ab.rules[idx]
+    left, right = sys_ab.contexts(bab, rule, start)
+    g = RewriteStep(Fraction(2), left, rule, right).apply(f)
     # f' = f - lam * u (source - target) v
     assert g == make_poly(Q, QQ, [(2, "abb")])
 
 
 def test_rightmost_vs_leftmost(sys_ab):
     m = sys_ab.quiver.monomial(tuple("baba"))
-    assert rightmost_step(m, sys_ab).left.weight == 2
-    with pytest.raises(NoStepError):
-        rightmost_step(sys_ab.quiver.monomial(tuple("aab")), sys_ab)
+    assert sys_ab.occurrences(m) == [(0, 0), (0, 2)]
+    assert sys_ab.rightmost_occurrence(m) == (0, 2)
+    assert sys_ab.rightmost_occurrence(sys_ab.quiver.monomial(tuple("aab"))) is None
 
 
 def test_normal_form_sorts_letters(sys_ab):
@@ -429,17 +447,14 @@ def test_quotient_dimension_matches_standard_basis(sys_ab):
 
 
 def test_ideal_member(sys_ab):
+    """On a convergent system, f is in the ideal iff its normal form is 0."""
     Q = sys_ab.quiver
+    assert sys_ab.certified_convergent
     rel = make_poly(Q, QQ, [(1, "ba"), (-1, "ab")])
     emb = rel.whisker(Q.monomial(("a",)), Q.monomial(("b",)))
-    assert ideal_member(rel + emb.scale(Fraction(3)), sys_ab)
-    assert not ideal_member(make_poly(Q, QQ, [(1, "ab")]), sys_ab)
-    assert ideal_member(Q.zero(QQ), sys_ab)
-
-
-def test_ideal_member_needs_certificate(sys_xy):
-    with pytest.raises(RewriteError):
-        ideal_member(make_poly(sys_xy.quiver, QQ, [(1, "xy")]), sys_xy)
+    assert nf(rel + emb.scale(Fraction(3)), sys_ab).is_zero()
+    assert not nf(make_poly(Q, QQ, [(1, "ab")]), sys_ab).is_zero()
+    assert nf(Q.zero(QQ), sys_ab).is_zero()
 
 
 def test_pbw_xy_example():
