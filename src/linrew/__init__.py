@@ -28,6 +28,7 @@ from .rewriting import (
 from .completion import (
     Branching,
     CompletionBoundExceeded,
+    DegreeBoundExceeded,
     PatternMeasure,
     TerminationCertificate,
     certify_termination,

@@ -333,6 +333,10 @@ class CompletionBoundExceeded(RewriteError):
         self.partial = partial
 
 
+class DegreeBoundExceeded(CompletionBoundExceeded):
+    """Completion met a rule above its max degree."""
+
+
 def complete(
     P: Polygraph2,
     order: Optional[MonomialOrder] = None,
@@ -343,8 +347,8 @@ def complete(
     polygraph presenting the same algebra, carrying order-compatible
     termination and convergence certificates.  Raises
     CompletionBoundExceeded (carrying the partial, non-certified system)
-    when a bound trips, or when nf has summed more than DEFAULT_WORK_BUDGET
-    terms into normal forms.
+    when a bound trips, DegreeBoundExceeded for the degree bound, or when
+    nf has summed more than DEFAULT_WORK_BUDGET terms into normal forms.
 
     One pass grows one system in place.  Its critical branchings wait on a
     heap by overlap degree, then in the order of
@@ -393,7 +397,7 @@ def complete(
             continue
         new_rule = orient(spnf, order, f"c{next(fresh)}")
         if new_rule.degree > max_degree:
-            raise CompletionBoundExceeded(f"completion exceeded max degree {max_degree}", cur)
+            raise DegreeBoundExceeded(f"completion exceeded max degree {max_degree}", cur)
         if len(cur.rules) + 1 > max_rules:
             raise CompletionBoundExceeded(f"completion exceeded max rule count {max_rules}", cur)
         failure = _order_failure([new_rule], order)

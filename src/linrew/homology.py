@@ -146,14 +146,27 @@ def collapse_saturate(complexdata: ReducedComplex) -> ReducedComplex:
     return cx
 
 
+def _require_augmented(P: Polygraph2) -> None:
+    """Refuse a system whose algebra has no augmentation, where K is no
+    module and the reduced complex is not claimed: a rule target with a
+    constant term."""
+    for r in P.rules:
+        if any(m.is_identity() for m in r.target.terms):
+            raise NotCertifiedError(
+                f"Tor needs an augmented algebra, but the target of rule {r.name} has a constant term"
+            )
+
+
 def build_complex(P: Polygraph2, cells: Iterable[ChainCell]) -> ReducedComplex:
     """Assemble the reduced complex: delta[2] and delta[3] from one walk of
     the rightmost rewriting DAG, sharing one memo.  On a homogeneous system
     the column of a (k+1)-chain is walked only when C_k has cells of the
     chain's degree, and is empty otherwise; an inhomogeneous system has
     every column walked.  P's certificate, bound to its rules, makes the
-    legs of every 3-chain's generating confluence meet, walked or not."""
+    legs of every 3-chain's generating confluence meet, walked or not.
+    Refuses a system whose algebra has no augmentation."""
     _require_usable(P)
+    _require_augmented(P)
     field = P.field
     N = P.homogeneity_degree if P.homogeneous else None
     cx = ReducedComplex(field, N)
@@ -230,13 +243,9 @@ def _chains_for_table(P: Polygraph2, kmax: int, dmax: int):
 def tor_table(P: Polygraph2, kmax: int, dmax: int, cells=None, cx: Optional[ReducedComplex] = None) -> TorTable:
     """Exact Tor dimensions for homological degree <= 3, intervals at 4,
     counts-only bounds beyond; hard zeros below the Koszul degree pattern.
-    Refuses a system whose algebra has no augmentation, where K is no
-    module: a rule target with a constant term."""
-    for r in P.rules:
-        if any(m.is_identity() for m in r.target.terms):
-            raise NotCertifiedError(
-                f"Tor needs an augmented algebra, but the target of rule {r.name} has a constant term"
-            )
+    Refuses a system whose algebra has no augmentation (see
+    _require_augmented)."""
+    _require_augmented(P)
     if cells is None:
         cells = _chains_for_table(P, kmax, dmax)
     if cx is None:

@@ -3,7 +3,10 @@ standard bases and PBW verification.
 
 A rule is a monic oriented relation m => h with monomial source and
 polynomial target.  A rewriting step replaces one occurrence of a rule
-source inside one term: f' = f - lam * m1 (m - h) m2.
+source inside one term: f' = f - lam * m1 (m - h) m2.  The algebra in a
+degree is seen only through normal forms: quotient dimensions and the PBW
+conditions read the normal words and forms of a system exact through that
+degree (see _exact_through).
 """
 
 from __future__ import annotations
@@ -580,102 +583,74 @@ def _count_words(moves: dict, objects: list, dmax: int) -> dict[int, int]:
     return size
 
 
-def all_words(quiver: Quiver, degree: int) -> list[Monomial]:
-    """All composable words of the given internal degree."""
-    out = []
-    frontier = [quiver.identity(obj) for obj in quiver.objects]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            if m.degree == degree:
-                out.append(m)
-                continue
-            for g in quiver.generators.values():
-                if g.source == m.target and m.degree + g.degree <= degree:
-                    nxt.append(Monomial(m.word + (g.name,), m.source, g.target, m.degree + g.degree))
-        frontier = nxt
-    return sorted(out)
+def _exact_through(P: Polygraph2, d: int) -> Polygraph2:
+    """A system presenting the homogeneous P's algebra whose normal forms
+    are exact through degree d: P itself when it is certified convergent,
+    else its completion under P's order (deglex in declaration order when
+    P has none) up to degree d.  Completion joins branchings by degree and
+    stops on the degree bound only at a rule above d, so the partial system
+    it stops with has joined every branching up to d and is returned."""
+    from .completion import DegreeBoundExceeded, complete  # local import; completion depends on this module
 
-
-def _row(f: Polynomial, index: dict[Monomial, int], field: Field) -> list:
-    row = [field.zero] * len(index)
-    for m, c in f.terms.items():
-        row[index[m]] = c
-    return row
-
-
-def ideal_rows_in_degree(P: Polygraph2, degree: int):
-    """Homogeneous-degree slice of the relation ideal spanning set.
-    Requires homogeneous rules.  Returns (rows, index over words of that
-    degree)."""
-    if not P.homogeneous:
-        raise RewriteError("degreewise ideal slices need homogeneous rules")
-    field = P.field
-    words = all_words(P.quiver, degree)
-    index = {m: i for i, m in enumerate(words)}
-    rows = []
-    for rule in P.rules:
-        rest = degree - rule.degree
-        if rest < 0:
-            continue
-        for du in range(rest + 1):
-            for u in all_words(P.quiver, du):
-                if u.target != rule.source.source:
-                    continue
-                for v in all_words(P.quiver, rest - du):
-                    if v.source != rule.source.target:
-                        continue
-                    emb = rule.relation().whisker(u, v)
-                    if not emb.is_zero():
-                        rows.append(_row(emb, index, field))
-    return rows, index
+    if P.certified_convergent:
+        return P
+    order = P.order if P.order is not None else MonomialOrder("deglex", P.quiver.generators)
+    try:
+        return complete(P, order, max_degree=d)
+    except DegreeBoundExceeded as e:
+        return e.partial
 
 
 def quotient_dimension(P: Polygraph2, degree: int) -> int:
-    """dim of the presented algebra in one degree, by brute-force row
-    reduction of the relation ideal slice."""
-    rows, index = ideal_rows_in_degree(P, degree)
-    return len(index) - linalg.rank(rows, P.field)
+    """dim of the homogeneous P's algebra in one degree: the number of
+    normal words of that degree under _exact_through(P, degree)."""
+    if not P.homogeneous:
+        raise RewriteError("quotient dimensions need homogeneous rules")
+    return standard_basis(_exact_through(P, degree), degree).size[degree]
+
+
+def _nf_rows(C: Polygraph2, monomials: list[Monomial]) -> tuple[list, list]:
+    """(rows, columns): the normal forms under C of monomials, as dense rows
+    over the normal words they hold, in the order first met."""
+    forms = [nf(monomial_poly(C.field, m), C).terms for m in monomials]
+    columns = list(dict.fromkeys(chain.from_iterable(forms)))
+    return [[f.get(w, C.field.zero) for w in columns] for f in forms], columns
 
 
 def pbw_check(P: Polygraph2, candidate: Iterable[Monomial], dmax: int, build_xi: bool = False) -> dict:
     """Verify the three PBW-basis conditions degree by degree up to dmax.
 
-    (i) candidate is a linear basis of the algebra per degree (brute-force
-        quotient by the relation ideal);
-    (ii) composites of candidates are candidates or reducible;
+    (i) candidate is a linear basis of the algebra per degree: as many
+        candidates as normal words, with independent normal forms, under a
+        system exact through dmax (see _exact_through);
+    (ii) composites of candidates are candidates or reducible by P's rules;
     (iii) a word is a candidate iff all its N-letter windows are.
     The check is bounded by dmax; the report records the bound.
     """
     if not P.homogeneous or P.homogeneity_degree is None:
         raise RewriteError("PBW check needs an N-homogeneous system")
     N = P.homogeneity_degree
-    field = P.field
+    quiver = P.quiver
     cand = sorted(set(candidate))
     for m in cand:
-        P.quiver.monomial(m.word, at=m.source)  # re-validate composability
+        quiver.monomial(m.word, at=m.source)  # re-validate composability
     cand_set = set(cand)
     by_degree: dict[int, list[Monomial]] = {}
     for m in cand:
         by_degree.setdefault(m.degree, []).append(m)
     if 0 not in by_degree:
-        for obj in P.quiver.objects:
-            by_degree.setdefault(0, []).append(P.quiver.identity(obj))
-            cand_set.add(P.quiver.identity(obj))
+        cand_set.update(quiver.identity(obj) for obj in quiver.objects)
+    C = _exact_through(P, max(dmax, N))
+    dims = standard_basis(C, dmax).counts()
     failures: list[dict] = []
 
     for d in range(1, dmax + 1):
-        rows, index = ideal_rows_in_degree(P, d)
-        rank_ideal = linalg.rank(rows, field)
-        dim_a = len(index) - rank_ideal
         cd = by_degree.get(d, [])
-        if len(cd) != dim_a:
+        if len(cd) != dims[d]:
             failures.append(
-                {"condition": "i", "degree": d, "detail": f"{len(cd)} candidates vs dim {dim_a}"}
+                {"condition": "i", "degree": d, "detail": f"{len(cd)} candidates vs dim {dims[d]}"}
             )
-            continue
-        cand_rows = [_row(monomial_poly(field, m), index, field) for m in cd]
-        if linalg.rank(rows + cand_rows, field) != rank_ideal + len(cd):
+        elif linalg.rank(_nf_rows(C, cd)[0], P.field) != len(cd):
             failures.append(
                 {"condition": "i", "degree": d, "detail": "candidates linearly dependent mod ideal"}
             )
@@ -694,24 +669,22 @@ def pbw_check(P: Polygraph2, candidate: Iterable[Monomial], dmax: int, build_xi:
                     {"condition": "ii", "degree": uv.degree, "detail": f"{uv} neither candidate nor reducible"}
                 )
 
-    for d in range(N, dmax + 1):
-        for w in all_words(P.quiver, d):
-            if w.weight < N:
-                continue
-            windows_ok = all(
-                Monomial(
-                    w.word[k : k + N],
-                    P.quiver.generators[w.word[k]].source,
-                    P.quiver.generators[w.word[k + N - 1]].target,
-                    sum(P.quiver.generators[g].degree for g in w.word[k : k + N]),
-                )
-                in cand_set
-                for k in range(w.weight - N + 1)
-            )
-            if (w in cand_set) != windows_ok:
-                failures.append(
-                    {"condition": "iii", "degree": d, "detail": f"window condition fails on {w}"}
-                )
+    # (iii): the candidates with an N-letter window that is not one, then
+    # the words that are not, grown letter by letter from candidates of N
+    # letters while each new window is a candidate.
+    def windows_ok(w: Monomial) -> bool:
+        return all(quiver.monomial(w.word[k : k + N]) in cand_set for k in range(w.weight - N + 1))
+
+    wrong = [w for w in cand if N <= w.degree <= dmax and w.weight >= N and not windows_ok(w)]
+    letters = [quiver.monomial((g,)) for g in quiver.generators]
+    grown = [w for w in cand if w.weight == N]
+    while grown:
+        grown = [w * g for w in grown for g in letters if g.source == w.target and w.degree + g.degree <= dmax]
+        grown = [w for w in grown if quiver.monomial(w.word[-N:]) in cand_set]
+        wrong += [w for w in grown if w not in cand_set]
+    failures += [
+        {"condition": "iii", "degree": w.degree, "detail": f"window condition fails on {w}"} for w in sorted(wrong)
+    ]
 
     report = {
         "passed": not failures,
@@ -720,21 +693,22 @@ def pbw_check(P: Polygraph2, candidate: Iterable[Monomial], dmax: int, build_xi:
         "failures": failures,
     }
     if build_xi and not failures:
-        report["xi"] = _build_xi(P, cand, N)
+        report["xi"] = _build_xi(P, C, cand, N)
     return report
 
 
-def _build_xi(P: Polygraph2, cand: list[Monomial], N: int) -> dict:
-    """Construct the polygraph with rules uv => [uv] over the candidate basis
-    and report its convergence under the ambient order, if any."""
+def _build_xi(P: Polygraph2, C: Polygraph2, cand: list[Monomial], N: int) -> dict:
+    """Construct the polygraph with rules uv => [uv] over the candidate basis,
+    [uv] solved from nf(uv) under C in the normal forms of the degree-N
+    candidates, and report its convergence under P's order, if any."""
     from . import completion  # local import; completion depends on this module
 
     field = P.field
-    rows, index = ideal_rows_in_degree(P, N)
     cand_n = [m for m in cand if m.degree == N]
     cand_n_set = set(cand_n)
+    rows, columns = _nf_rows(C, cand_n)
+    spanned = set(columns)
     rules = []
-    k = 0
     for u in cand:
         for v in cand:
             if u.is_identity() or v.is_identity() or u.target != v.source:
@@ -742,14 +716,14 @@ def _build_xi(P: Polygraph2, cand: list[Monomial], N: int) -> dict:
             uv = u * v
             if uv.degree != N or uv in cand_n_set:
                 continue
-            coeffs = _decompose_mod_ideal(uv, cand_n, rows, index, field)
+            form = nf(monomial_poly(field, uv), C).terms
+            if not form.keys() <= spanned:
+                continue  # a normal word no candidate's normal form holds
+            coeffs = linalg.solve_rows(rows, [form.get(w, field.zero) for w in columns], field)
             if coeffs is None:
                 continue
-            target = P.quiver.poly(
-                field, [(c, b) for c, b in zip(coeffs, cand_n)], uv.source, uv.target
-            )
-            rules.append(Rule(f"xi{k}", uv, target))
-            k += 1
+            target = P.quiver.poly(field, zip(coeffs, cand_n), uv.source, uv.target)
+            rules.append(Rule(f"xi{len(rules)}", uv, target))
     xi = Polygraph2(P.quiver, field, rules, P.order)
     result = {"rules": [str(r) for r in rules], "convergent": None}
     if P.order is not None:
@@ -758,15 +732,3 @@ def _build_xi(P: Polygraph2, cand: list[Monomial], N: int) -> dict:
         if cert.ok:
             result["convergent"] = completion.is_confluent(xi)
     return result
-
-
-def _decompose_mod_ideal(m: Monomial, basis: list[Monomial], ideal_rows, index, field):
-    """Coefficients of m in the candidate basis modulo the ideal, or None."""
-    cols = list(ideal_rows) + [
-        _row(monomial_poly(field, b), index, field) for b in basis
-    ]
-    target = _row(monomial_poly(field, m), index, field)
-    sol = linalg.solve_rows(cols, target, field)
-    if sol is None:
-        return None
-    return sol[len(ideal_rows) :]

@@ -1,15 +1,164 @@
 """Brute-force reference oracles: every word up to a degree, the spanning
-set of the relation ideal over those words, normal forms with no memo,
-S-polynomials by replaying rewriting steps, the critical branchings of
-every pair of rules, and completion with no memo and no pair queue.  They
-enumerate all contexts or pairs of all rules, so they are meant for the
-small systems of the tests."""
+set of the relation ideal over those words, dimensions and the PBW
+conditions by dense row reduction of its slices, normal forms with no
+memo, S-polynomials by replaying rewriting steps, the critical branchings
+of every pair of rules, and completion with no memo and no pair queue.
+They enumerate all contexts or pairs of all rules, so they are meant for
+the small systems of the tests."""
 
 import itertools
 
-from linrew.algebra import monomial_poly
-from linrew.completion import certify_termination, enumerate_critical_branchings, orient
-from linrew.rewriting import Polygraph2, _row, all_words, nf
+from linrew import linalg
+from linrew.algebra import Monomial, monomial_poly
+from linrew.completion import certify_termination, enumerate_critical_branchings, is_confluent, orient
+from linrew.rewriting import Polygraph2, RewriteError, Rule, nf
+
+
+def all_words(quiver, degree: int) -> list:
+    """All composable words of the given internal degree, sorted."""
+    out = []
+    frontier = [quiver.identity(obj) for obj in quiver.objects]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            if m.degree == degree:
+                out.append(m)
+                continue
+            for g in quiver.generators.values():
+                if g.source == m.target and m.degree + g.degree <= degree:
+                    nxt.append(Monomial(m.word + (g.name,), m.source, g.target, m.degree + g.degree))
+        frontier = nxt
+    return sorted(out)
+
+
+def row(f, index: dict, field) -> list:
+    """The coefficients of f as a dense row over index, {monomial: column}."""
+    out = [field.zero] * len(index)
+    for m, c in f.terms.items():
+        out[index[m]] = c
+    return out
+
+
+def ideal_rows_in_degree(P, degree: int):
+    """The u (source - target) v of every rule and word contexts u, v in
+    one degree, as rows over all words of that degree; the rules must be
+    homogeneous.  Returns (rows, index)."""
+    if not P.homogeneous:
+        raise RewriteError("degreewise ideal slices need homogeneous rules")
+    field = P.field
+    words = all_words(P.quiver, degree)
+    index = {m: i for i, m in enumerate(words)}
+    rows = []
+    for rule in P.rules:
+        rest = degree - rule.degree
+        if rest < 0:
+            continue
+        for du in range(rest + 1):
+            for u in all_words(P.quiver, du):
+                if u.target != rule.source.source:
+                    continue
+                for v in all_words(P.quiver, rest - du):
+                    if v.source != rule.source.target:
+                        continue
+                    emb = rule.relation().whisker(u, v)
+                    if not emb.is_zero():
+                        rows.append(row(emb, index, field))
+    return rows, index
+
+
+def dense_quotient_dimension(P, degree: int) -> int:
+    """dim of the presented algebra in one degree: all words of that degree
+    less the rank of the ideal slice."""
+    rows, index = ideal_rows_in_degree(P, degree)
+    return len(index) - linalg.rank(rows, P.field)
+
+
+def dense_pbw_check(P, candidate, dmax: int, build_xi: bool = False) -> dict:
+    """rewriting.pbw_check's report by dense linear algebra on the ideal
+    slices and by listing every word: (i) by the rank of the slice with and
+    without the candidates' rows, (iii) by the windows of every word, and
+    xi by solving uv in the candidates' rows modulo the slice."""
+    if not P.homogeneous or P.homogeneity_degree is None:
+        raise RewriteError("PBW check needs an N-homogeneous system")
+    N = P.homogeneity_degree
+    field = P.field
+    cand = sorted(set(candidate))
+    for m in cand:
+        P.quiver.monomial(m.word, at=m.source)
+    cand_set = set(cand)
+    by_degree: dict = {}
+    for m in cand:
+        by_degree.setdefault(m.degree, []).append(m)
+    if 0 not in by_degree:
+        cand_set.update(P.quiver.identity(obj) for obj in P.quiver.objects)
+    failures = []
+
+    for d in range(1, dmax + 1):
+        rows, index = ideal_rows_in_degree(P, d)
+        rank_ideal = linalg.rank(rows, field)
+        dim_a = len(index) - rank_ideal
+        cd = by_degree.get(d, [])
+        if len(cd) != dim_a:
+            failures.append({"condition": "i", "degree": d, "detail": f"{len(cd)} candidates vs dim {dim_a}"})
+            continue
+        cand_rows = [row(monomial_poly(field, m), index, field) for m in cd]
+        if linalg.rank(rows + cand_rows, field) != rank_ideal + len(cd):
+            failures.append({"condition": "i", "degree": d, "detail": "candidates linearly dependent mod ideal"})
+
+    for u in cand:
+        for v in cand:
+            if u.is_identity() or v.is_identity() or u.target != v.source:
+                continue
+            uv = u * v
+            if uv.degree <= dmax and uv not in cand_set and P.rightmost_occurrence(uv) is None:
+                failures.append(
+                    {"condition": "ii", "degree": uv.degree, "detail": f"{uv} neither candidate nor reducible"}
+                )
+
+    for d in range(N, dmax + 1):
+        for w in all_words(P.quiver, d):
+            if w.weight < N:
+                continue
+            windows_ok = all(
+                P.quiver.monomial(w.word[k : k + N]) in cand_set for k in range(w.weight - N + 1)
+            )
+            if (w in cand_set) != windows_ok:
+                failures.append({"condition": "iii", "degree": d, "detail": f"window condition fails on {w}"})
+
+    report = {"passed": not failures, "dmax": dmax, "N": N, "failures": failures}
+    if build_xi and not failures:
+        report["xi"] = _dense_xi(P, cand, N)
+    return report
+
+
+def _dense_xi(P, cand, N: int) -> dict:
+    """The rules uv => [uv] of degree N, [uv] the coefficients of uv on the
+    degree-N candidates modulo the ideal slice, and their convergence
+    under P's order, if any."""
+    field = P.field
+    rows, index = ideal_rows_in_degree(P, N)
+    cand_n = [m for m in cand if m.degree == N]
+    columns = rows + [row(monomial_poly(field, b), index, field) for b in cand_n]
+    rules = []
+    for u in cand:
+        for v in cand:
+            if u.is_identity() or v.is_identity() or u.target != v.source:
+                continue
+            uv = u * v
+            if uv.degree != N or uv in cand_n:
+                continue
+            sol = linalg.solve_rows(columns, row(monomial_poly(field, uv), index, field), field)
+            if sol is None:
+                continue
+            target = P.quiver.poly(field, zip(sol[len(rows) :], cand_n), uv.source, uv.target)
+            rules.append(Rule(f"xi{len(rules)}", uv, target))
+    xi = Polygraph2(P.quiver, field, rules, P.order)
+    result = {"rules": [str(r) for r in rules], "convergent": None}
+    if P.order is not None:
+        xi.termination_certificate = cert = certify_termination(xi, hint=P.order)
+        if cert.ok:
+            result["convergent"] = is_confluent(xi)
+    return result
 
 
 def words_up_to(quiver, dmax: int) -> list:
@@ -41,7 +190,7 @@ def ideal_spanning(P, dmax: int):
                 emb = rel.whisker(u, v)
                 if any(m.degree > dmax for m in emb.terms):
                     continue
-                rows.append(_row(emb, index, field))
+                rows.append(row(emb, index, field))
     return rows, index
 
 

@@ -1,3 +1,4 @@
+import itertools
 import os
 from fractions import Fraction
 from pathlib import Path
@@ -122,3 +123,50 @@ def skew_system(n):
         (f"s{x}{y}", y + x, [(SKEW_COEFFS[i % len(SKEW_COEFFS)], x + y)])
         for i, (x, y) in enumerate(pairs)
     ])
+
+
+def plactic_system(n):
+    """The plactic algebra P_n on the first n of a..l, a < b < ...: Knuth's
+    relations x z y = z x y for x <= y < z and y x z = y z x for x < y <= z,
+    each oriented deglex."""
+    gens = "abcdefghijkl"[:n]
+    triples = itertools.product(range(n), repeat=3)
+    relations = [
+        pair for x, y, z in triples for pair, holds in (
+            (((x, z, y), (z, x, y)), x <= y < z),
+            (((y, x, z), (y, z, x)), x < y <= z),
+        ) if holds
+    ]
+    rules = []
+    for i, pair in enumerate(relations):
+        low, high = sorted("".join(gens[k] for k in w) for w in pair)
+        rules.append((f"k{i}", high, [(1, low)]))
+    return deglex_system(gens, rules)
+
+
+def tableau_count(n: int, d: int) -> int:
+    """The semistandard Young tableaux of size d with entries <= n, by the
+    hook-content formula: the sum over partitions of d into at most n parts
+    of the product over boxes of (n + content) / hook."""
+    total = Fraction(0)
+    for shape in _partitions(d, d):
+        if len(shape) > n:
+            continue
+        columns = [sum(1 for row in shape if row > j) for j in range(shape[0])] if shape else []
+        product = Fraction(1)
+        for i, row in enumerate(shape):
+            for j in range(row):
+                product *= Fraction(n + j - i, (row - j - 1) + (columns[j] - i - 1) + 1)
+        total += product
+    return int(total)
+
+
+def _partitions(d: int, largest: int):
+    """The partitions of d into parts of at most largest, as tuples in
+    decreasing order."""
+    if d == 0:
+        yield ()
+        return
+    for part in range(min(d, largest), 0, -1):
+        for rest in _partitions(d - part, part):
+            yield (part,) + rest

@@ -1,16 +1,18 @@
 import hashlib
 import io
+import itertools
 import json
 import time
 from fractions import Fraction
 
 import pytest
 
-from linrew import Monomial, Polynomial, complete, lpformat, quotient_dimension, standard_basis
+from linrew import Monomial, Polynomial, complete, lpformat, standard_basis
 from linrew.cli import _CHUNK, _Lines, _emit, main
 from linrew.completion import DEFAULT_WORK_BUDGET, MEASURE_PAIR_BUDGET
 
-from conftest import EQUAL_SOURCES, cubic_system
+from brute_force import dense_quotient_dimension
+from conftest import EQUAL_SOURCES, cubic_system, h1_system, plactic_system, tableau_count
 from tor_oracle import tor_oracle
 
 
@@ -169,6 +171,31 @@ def test_complete_work_budget_exits_3(capsys, tmp_path):
         "into normal forms while reducing S-polynomials, at "
     )
     assert len(doc["partial_rules"]) > 3
+
+
+def test_pbw_h1_work_budget_exits_3(capsys, tmp_path):
+    """pbw reads dim A_d off the normal forms of H1's completion through
+    --dmax; at degree 10 that completion runs out of its work budget, and
+    pbw exits 3 naming the stage."""
+    path, basis = tmp_path / "h1.lp", tmp_path / "basis.txt"
+    lpformat.write_file(str(path), h1_system())
+    words = (w for d in range(1, 11) for w in itertools.combinations_with_replacement("xyz", d))
+    basis.write_text("\n".join(" ".join(w) for w in words) + "\n", encoding="utf-8")
+    assert main(["pbw", str(path), "--basis-file", str(basis), "--dmax", "10"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"].startswith(
+        f"completion exceeded its work budget of {DEFAULT_WORK_BUDGET} terms summed "
+        "into normal forms while reducing S-polynomials, at "
+    )
+
+
+def test_hilbert_plactic_p3_counts_tableaux(capsys, tmp_path):
+    path = tmp_path / "p3.lp"
+    lpformat.write_file(str(path), plactic_system(3))
+    code, doc = run_json(capsys, "hilbert", str(path), "--dmax", "9")
+    assert code == 0 and doc["completed"]
+    assert list(doc["counts"].values()) == [tableau_count(3, d) for d in range(10)]
 
 
 def test_branchings(capsys, fixtures_dir):
@@ -573,7 +600,7 @@ def test_equal_sources_agree_with_brute_force(capsys, tmp_path, name):
         ]
     code, doc = run_json(capsys, "hilbert", str(path), "--dmax", "4")
     assert code == 0
-    assert list(doc["counts"].values()) == [quotient_dimension(P, d) for d in range(5)] == [1, 2, 2, 2, 2]
+    assert list(doc["counts"].values()) == [dense_quotient_dimension(P, d) for d in range(5)] == [1, 2, 2, 2, 2]
     code, _ = run(capsys, "chains", str(path), "--kmax", "4", "--dmax", "6")
     assert code == 0
     code, doc = run_json(capsys, "tor", str(path), "--kmax", "4", "--dmax", "6")

@@ -1,4 +1,6 @@
 import gc
+import itertools
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -20,6 +22,7 @@ from linrew import (
     complete,
     completion,
     is_confluent,
+    lpformat,
     monomial_poly,
     nf,
     normal_form,
@@ -28,10 +31,19 @@ from linrew import (
     standard_basis,
 )
 
-from linrew.rewriting import all_words
+from linrew.completion import DegreeBoundExceeded
 
-from brute_force import rightmost_nf
-from conftest import cubic_system, make_poly
+from brute_force import all_words, dense_pbw_check, dense_quotient_dimension, rightmost_nf
+from conftest import (
+    FIXTURES,
+    cubic_system,
+    deglex_system,
+    h1_system,
+    make_poly,
+    plactic_system,
+    skew_system,
+    tableau_count,
+)
 
 
 def certified(P):
@@ -443,7 +455,7 @@ def test_standard_basis_at_a_degree_past_the_recursion_limit():
 
 def test_quotient_dimension_matches_standard_basis(sys_ab):
     for d in range(5):
-        assert quotient_dimension(sys_ab, d) == d + 1
+        assert quotient_dimension(sys_ab, d) == dense_quotient_dimension(sys_ab, d) == d + 1
 
 
 def test_ideal_member(sys_ab):
@@ -495,3 +507,119 @@ def test_pbw_builds_quadratic_polygraph(monkeypatch):
     assert report["xi"]["rules"] == ["xi0 : x y => x^2"]
     assert report["xi"]["convergent"]
     assert [xi.certified_convergent for xi in decided] == [True]
+
+
+def _ordered_words(P, dmax, reverse=False):
+    """The words up to degree dmax whose letters never decrease in P's
+    generator order (never increase with reverse): a PBW basis of the skew
+    systems, one that fails the window condition when reversed."""
+    gens = list(P.quiver.generators)
+    rank = {g: -i if reverse else i for i, g in enumerate(gens)}
+    return [
+        P.quiver.monomial(w) for d in range(1, dmax + 1) for w in itertools.product(gens, repeat=d)
+        if list(w) == sorted(w, key=rank.get)
+    ]
+
+
+def _normal_words(P, dmax):
+    """The normal words of degree 1 to dmax of P's completion to degree
+    dmax, or of the partial system when it stops on that bound."""
+    try:
+        done = complete(P, P.order, max_degree=dmax)
+    except DegreeBoundExceeded as e:
+        done = e.partial
+    basis = standard_basis(done, dmax)
+    return [m for d in range(1, dmax + 1) for m in basis.by_degree[d]]
+
+
+def _homogeneous_a6_systems(count):
+    """Seeded homogeneous systems on 2-3 letters: 1-3 rules of one degree,
+    2 or 3, each source rewritten to 0-2 smaller words of its degree."""
+    rng = random.Random(6)
+    for _ in range(count):
+        gens = "xyz"[: rng.randint(2, 3)]
+        words = ["".join(w) for w in itertools.product(gens, repeat=rng.choice([2, 2, 3]))]
+        rules = []
+        for i, source in enumerate(rng.sample(words, rng.randint(1, 3))):
+            lower = [w for w in words if w < source]
+            targets = rng.sample(lower, min(len(lower), rng.randint(0, 2)))
+            rules.append((f"r{i}", source, [(rng.choice([-2, -1, 1, 2]), w) for w in targets]))
+        yield deglex_system(gens, rules)
+
+
+def _pbw_cases():
+    """(system, candidates, dmax) on which pbw_check is compared with the
+    dense reference."""
+    xy = [Quiver.free("xy").monomial(tuple("y" * i + "x" * (d - i))) for d in range(1, 5) for i in range(d + 1)]
+    for path in sorted(FIXTURES.glob("*.lp")):
+        P = lpformat.parse_file(path)[0]
+        if P.homogeneous:
+            yield P, [m for m in xy if set(m.word) <= set(P.quiver.generators)], 4
+            yield P, _normal_words(P, 4), 4
+    for n, dmax in ((3, 4), (4, 4), (5, 3)):
+        yield skew_system(n), _ordered_words(skew_system(n), dmax), dmax
+        yield skew_system(n), _ordered_words(skew_system(n), dmax, reverse=True), dmax - 1
+    # a^2 swapped for b a: as many candidates as normal words in degree 2,
+    # but b a = 2 a b, and a^2 is a window of the candidate a^2 b.
+    Q = skew_system(3).quiver
+    swapped = [m for m in _ordered_words(skew_system(3), 4) if m.word != ("a", "a")] + [Q.monomial("ba")]
+    yield skew_system(3), swapped, 4
+    for system in (h1_system, cubic_system):
+        yield system(), _ordered_words(system(), 5), 5
+        yield system(), _ordered_words(system(), 5, reverse=True), 4
+        yield system(), _normal_words(system(), 5), 4
+    for P in _homogeneous_a6_systems(40):
+        yield P, (_normal_words(P, 4) if len(P.rules) % 2 else _ordered_words(P, 4)), 4
+    measured = lpformat.parse(
+        "field Q\ngenerators a b\nmeasure pattern b a 1\nmeasure bound 2\nrule r : b a -> 2 a b\n"
+    )[0]
+    yield measured, _ordered_words(measured, 4), 4
+
+
+def test_pbw_check_is_the_dense_reference():
+    """pbw_check reads normal forms under a completion; the reference ranks
+    dense ideal slices over every word and lists every word's windows.  The
+    reports are equal, failure lists and xi included, on the fixtures, skew
+    q3-q5, H1, the cubic system, seeded homogeneous systems and an input
+    with a measure and no order."""
+    seen = set()
+    for P, cand, dmax in _pbw_cases():
+        report = pbw_check(P, cand, dmax, build_xi=True)
+        assert report == dense_pbw_check(P, cand, dmax, build_xi=True), [str(r) for r in P.rules]
+        words = {str(m) for m in cand}
+        for f in report["failures"]:
+            if f["condition"] == "iii":
+                seen.add(("iii", f["detail"].rpartition(" on ")[2] in words))
+            else:
+                seen.add((f["condition"], "dependent" in f["detail"]))
+        seen.update([("xi", True)] if "xi" in report else [])
+    # both kinds of failure of (i) and of (iii): a wrong count or dependent
+    # candidates, a candidate with a bad window or a word that is not one
+    assert seen == {("i", False), ("i", True), ("ii", False), ("iii", False), ("iii", True), ("xi", True)}
+
+
+def test_pbw_on_a_certified_system_reads_it_directly(monkeypatch):
+    """A certified-convergent input is its own exact system: no completion."""
+    P = certified(skew_system(3))
+    monkeypatch.setattr(completion, "complete", None)
+    cand = _ordered_words(P, 4)
+    assert pbw_check(P, cand, 4, build_xi=True) == dense_pbw_check(P, cand, 4, build_xi=True)
+
+
+def test_plactic_p3_counts_and_pbw():
+    """P_3: the Hilbert function is the count of semistandard tableaux with
+    entries <= 3 through degree 9.  Its normal words up to degree 6 pass
+    the PBW conditions through degree 3, where Knuth's cubic rules are the
+    Groebner basis; at degree 4 completion adds c b a b => b c b a, whose
+    source no cubic rule reduces and whose 3-windows are all normal, so
+    conditions (ii) and (iii) fail on it."""
+    P = plactic_system(3)
+    tableaux = [tableau_count(3, d) for d in range(10)]
+    assert tableaux == [1, 3, 9, 19, 39, 69, 119, 189, 294, 434]
+    assert [quotient_dimension(P, d) for d in range(10)] == tableaux
+    cand = _normal_words(P, 6)
+    assert pbw_check(P, cand, 3)["passed"]
+    failures = pbw_check(P, cand, 4)["failures"]
+    assert {(f["condition"], f["detail"]) for f in failures} == {
+        ("ii", "c b a b neither candidate nor reducible"), ("iii", "window condition fails on c b a b"),
+    }
