@@ -7,6 +7,7 @@ immutable after construction.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Mapping
@@ -288,27 +289,8 @@ class Polynomial:
         return self._hash
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         f = self.field
-        parts = []
-        for c, m in self.items():
-            cs = f.to_str(c)
-            ms = str(m)
-            if m.is_identity():
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(ms)
-            elif cs == "-1":
-                parts.append(f"-{ms}")
-            else:
-                if any(op in cs for op in "+-*/") and not _is_simple_neg(cs):
-                    cs = f"({cs})"
-                parts.append(f"{cs} {ms}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:].lstrip()}" if p.startswith("-") else f" + {p}"
-        return out
+        return terms_text([(m, f.to_str(c)) for c, m in self.items()])
 
     __repr__ = __str__
 
@@ -321,8 +303,35 @@ def _fill(p: Polynomial, field: Field, terms: dict, source: str, target: str) ->
     object.__setattr__(p, "_hash", None)
 
 
-def _is_simple_neg(s: str) -> bool:
-    return s.startswith("-") and not any(op in s[1:] for op in "+-*/")
+# An operator in a coefficient text, other than a leading minus: the text
+# is put in parentheses before its monomial.
+_COMPOUND = re.compile(r"(?!^-)[-+*/]").search
+
+
+def terms_text(pairs: list) -> str:
+    """The text of a sum of terms from its (monomial, coefficient text)
+    pairs in canonical order, as Polynomial prints itself: a unit
+    coefficient is left out, an identity monomial is left out, and a
+    negative term is subtracted."""
+    if not pairs:
+        return "0"
+    parts = []
+    for m, cs in pairs:
+        if not m.word:
+            part = cs
+        elif cs == "1":
+            part = str(m)
+        elif cs == "-1":
+            part = f"-{m}"
+        else:
+            part = f"({cs}) {m}" if _COMPOUND(cs) else f"{cs} {m}"
+        if not parts:
+            parts.append(part)
+        elif part.startswith("-"):
+            parts.append(f" - {part[1:].lstrip()}")
+        else:
+            parts.append(f" + {part}")
+    return "".join(parts)
 
 
 def monomial_poly(field: Field, m: Monomial, coeff=None) -> Polynomial:

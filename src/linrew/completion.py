@@ -12,14 +12,14 @@ from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import Optional
 
-from .algebra import Monomial, MonomialOrder, Polynomial, leading_data, monomial_poly
+from .algebra import Monomial, MonomialOrder, Polynomial, leading_data, monomial_poly, terms_text
 from .rewriting import (
     NotCertifiedError,
     Polygraph2,
     RewriteError,
     Rule,
     _build_nodes,
-    _node_sum,
+    _node_form,
     _reduct_terms,
     nf,
 )
@@ -275,14 +275,11 @@ def is_confluent(P: Polygraph2) -> bool:
     branching that is not joinable.  The normal forms of each branching's
     legs are summed, first leg minus second, as forms: no Polynomial is
     built."""
-    cache, field = P._nf_cache, P.field
-    neg, sum_forms, form_terms = field.neg, field.sum_forms, field.form_terms
+    neg, form_terms = P.field.neg, P.field.form_terms
     met = 0
     for _, leg1, leg2 in _legs(P):
         met += 1
-        form, summed = sum_forms([(c, cache[m][0]) for c, m in leg1] + [(neg(c), cache[m][0]) for c, m in leg2])
-        P._nf_work += summed
-        if form_terms(form):
+        if form_terms(_node_form(P, leg1 + [(neg(c), m) for c, m in leg2]), P._leaves):
             return False
     _certify(P, met)
     return True
@@ -291,20 +288,24 @@ def is_confluent(P: Polygraph2) -> bool:
 def check_confluence(P: Polygraph2) -> dict:
     """Convergence report: every critical S-polynomial must normalize to 0.
     nf is linear, so the normal form of the S-polynomial is the difference
-    of its legs' normal forms.  Attaches a convergence certificate to P
-    when convergent."""
+    of its legs' normal forms, each summed as a form and printed from it.
+    Attaches a convergence certificate to P when convergent."""
+    field, leaves = P.field, P._leaves
+    one, minus_one, texts = field.one, field.neg(field.one), field.form_texts
     entries = []
     for b, leg1, leg2 in _legs(P):
-        nf1, nf2 = (_node_sum(P, leg, b.word.source, b.word.target) for leg in (leg1, leg2))
-        spnf = nf1 - nf2
+        f1, f2 = _node_form(P, leg1), _node_form(P, leg2)
+        spnf = texts(field.sum_forms([(one, f1), (minus_one, f2)])[0], leaves)
+        # A joinable branching has nf1 == nf2, printed once.
+        nf1 = terms_text(texts(f1, leaves))
         entries.append({
             "word": str(b.word),
             "rules": (b.rule1.name, b.rule2.name),
             "s_polynomial": str(_difference(P, b, leg1, leg2)),
-            "s_polynomial_nf": str(spnf),
-            "joinable": spnf.is_zero(),
-            "nf1": str(nf1),
-            "nf2": str(nf2),
+            "s_polynomial_nf": terms_text(spnf),
+            "joinable": not spnf,
+            "nf1": nf1,
+            "nf2": terms_text(texts(f2, leaves)) if spnf else nf1,
         })
     convergent = all(e["joinable"] for e in entries)
     if convergent:

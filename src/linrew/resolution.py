@@ -196,7 +196,7 @@ def _rho_star_rule(P: Polygraph2, rule: Rule, mhat: Monomial, memo: dict) -> dic
     form, redex, _ = cache[mhat]
     pairs = []
     if redex is not None:
-        pairs = [(c, _rho_star_rule(P, rule, n, memo)) for n, c in field.form_terms(form).items()]
+        pairs = [(c, _rho_star_rule(P, rule, n, memo)) for n, c in field.form_terms(form, P._leaves).items()]
     else:
         idx, start = P.rightmost_occurrence(rule.source * mhat)
         if start > 0:

@@ -179,8 +179,10 @@ class Polygraph2:
         # field form.  The redex of a reducible m is (rule, start, m), with
         # one (coefficient, node) child per term of its reduct, in canonical
         # order; an irreducible m has redex None and no children.  Every
-        # node is inserted after its children.
+        # node is inserted after its children.  A form's keys are leaf
+        # numbers: an irreducible m is numbered when its node is built.
         self._nf_cache: dict[Monomial, tuple] = {}
+        self._leaves: list[Monomial] = []  # leaf number -> its irreducible monomial
         self._nf_work = 0  # terms nf has summed into normal forms
         self.rules: list[Rule] = []
         self.rule_index: dict[str, int] = {}  # rule name -> its position in rules
@@ -301,19 +303,19 @@ def nf(f: Polynomial, P: Polygraph2) -> Polynomial:
     P._nf_work."""
     items = f.items()
     _build_nodes(P, items, f)
-    return _node_sum(P, items, f.source, f.target)
+    # form_terms decodes into a fresh dict: no node shares the result's terms.
+    terms = P.field.form_terms(_node_form(P, items), P._leaves)
+    return Polynomial._unchecked(P.field, terms, f.source, f.target)
 
 
-def _node_sum(P: Polygraph2, items: list, source, target) -> Polynomial:
+def _node_form(P: Polygraph2, items: list):
     """The sum of the normal forms in P._nf_cache of the monomials of the
-    (coefficient, monomial) pairs items, as a Polynomial from source to
-    target; the terms summed are added to P._nf_work."""
-    cache, field = P._nf_cache, P.field
-    form, summed = field.sum_forms([(coeff, cache[m][0]) for coeff, m in items])
+    (coefficient, monomial) pairs items, as a form; the terms summed are
+    added to P._nf_work."""
+    cache = P._nf_cache
+    form, summed = P.field.sum_forms([(coeff, cache[m][0]) for coeff, m in items])
     P._nf_work += summed
-    # A form that sum_forms builds is fresh, and form_terms copies a form it
-    # keeps: no node shares the result's terms.
-    return Polynomial._unchecked(field, field.form_terms(form), source, target)
+    return form
 
 
 def _reduct_terms(P: Polygraph2, idx: int, m: Monomial, start: int) -> list:
@@ -346,7 +348,7 @@ def _build_nodes(P: Polygraph2, items: list, of) -> None:
     if not stack:
         return
     sum_forms, unit_form, find = P.field.sum_forms, P.field.unit_form, P.rightmost_occurrence
-    rules = P.rules
+    rules, leaves = P.rules, P._leaves
     budget = DEFAULT_STEP_BUDGET * (10 if P.certified_terminating else 1)
     work = 0
     opened: set[Monomial] = set()  # rewritten, waiting for their reducts' terms
@@ -364,7 +366,8 @@ def _build_nodes(P: Polygraph2, items: list, of) -> None:
             continue
         found = find(m)
         if found is None:
-            cache[m] = (unit_form(m), None, ())
+            cache[m] = (unit_form(len(leaves)), None, ())
+            leaves.append(m)
             continue
         budget -= len(m.word)
         if budget < 0:
@@ -661,9 +664,9 @@ def pbw_check(P: Polygraph2, candidate: Iterable[Monomial], dmax: int, build_xi:
         for v in cand:
             if v.is_identity() or u.target != v.source:
                 continue
-            uv = u * v
-            if uv.degree > dmax:
+            if u.degree + v.degree > dmax:
                 continue
+            uv = u * v
             if uv not in cand_set and P.rightmost_occurrence(uv) is None:
                 failures.append(
                     {"condition": "ii", "degree": uv.degree, "detail": f"{uv} neither candidate nor reducible"}

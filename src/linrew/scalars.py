@@ -82,17 +82,23 @@ class Field:
                     acc[t] = s
         return acc
 
-    # A form is how rewriting.nf keeps a normal form in its memo.  Here it is
-    # the sparse vector itself; RationalField keeps integers instead.
+    # A form is how rewriting.nf keeps a normal form in its memo: a vector
+    # over the memo's leaf numbers, which the list keys maps to monomials.
+    # Here it is the sparse vector itself; RationalField keeps integers.
 
     def unit_form(self, key):
         """The form of the vector {key: one}."""
         return {key: self.one}
 
-    def form_terms(self, form) -> dict:
-        """The sparse vector {key: coefficient} of a form.  It may be the
-        form's own dict: the caller must not change it."""
-        return form
+    def form_terms(self, form, keys) -> dict:
+        """The sparse vector {keys[key]: coefficient} of a form, as a fresh
+        dict."""
+        return {keys[t]: c for t, c in form.items()}
+
+    def form_texts(self, form, keys) -> list:
+        """The (keys[key], coefficient text) pairs of a form, sorted by
+        key: a sum of terms to print (see algebra.terms_text)."""
+        return sorted([(keys[t], self.to_str(c)) for t, c in form.items()])
 
     def sum_forms(self, pairs: list) -> tuple:
         """(the form of sum(coeff * vector of form), the number of terms of
@@ -154,11 +160,22 @@ class RationalField(Field):
         numerators over it, whose gcd with D is 1."""
         return 1, {key: 1}
 
-    def form_terms(self, form: tuple) -> dict:
+    def form_terms(self, form: tuple, keys) -> dict:
         D, terms = form
         if D == 1:  # Fraction(n) skips the gcd that Fraction(n, 1) computes
-            return {t: Fraction(n) for t, n in terms.items()}
-        return {t: Fraction(n, D) for t, n in terms.items()}
+            return {keys[t]: Fraction(n) for t, n in terms.items()}
+        return {keys[t]: Fraction(n, D) for t, n in terms.items()}
+
+    def form_texts(self, form: tuple, keys) -> list:
+        """Field.form_texts from the integers, as str of a Fraction prints
+        n/D in lowest terms: no Fraction is built."""
+        D, terms = form
+        texts = []
+        for t, n in terms.items():
+            g = gcd(n, D)
+            texts.append((keys[t], str(n // g) if g == D else f"{n // g}/{D // g}"))
+        texts.sort()
+        return texts
 
     def sum_forms(self, pairs: list) -> tuple:
         """Field.sum_forms in ints: each form is scaled to the lcm of the

@@ -401,6 +401,9 @@ _DECIDED = {
     "qa-skew": "field Q\nparam a nonzero\ngenerators x y z\norder deglex x < y < z\n"
     "rule r : z y -> a y z\nrule s : z x -> (1/a) x z\nrule t : y x -> (a + 1) x y\n",
     "qa-not-joinable": "field Q\nparam a\ngenerators x y\norder deglex x < y\nrule r : y y -> a x y + x x\n",
+    # Normal forms with constant terms and negative fractions.
+    "q-inhomogeneous": "field Q\ngenerators x y\norder deglex x < y\n"
+    "rule r : y x -> (-1/2) x y + (3/4) x + (-2/3)\nrule s : y y -> (-5/3) x y + (1/2) y + (-1)\n",
 }
 
 
@@ -417,7 +420,8 @@ def test_is_confluent_is_the_report_verdict_on_fixtures_and_fields(name, parsed)
     and Q(a): is_confluent decides what check_confluence reports, and what
     nf says of every S-polynomial, attaches the same certificate, and sums
     the same terms into normal forms; the report prints the step-replay
-    S-polynomials."""
+    S-polynomials, and the normal forms that nf gives their legs as
+    Polynomials print."""
     (decided, meta), (reported, _), (normalized, _) = parsed(), parsed(), parsed()
     for P in (decided, reported, normalized):
         P.termination_certificate = completion.certify_declared(P, meta.get("measure"))
@@ -426,9 +430,13 @@ def test_is_confluent_is_the_report_verdict_on_fixtures_and_fields(name, parsed)
     report = check_confluence(reported)
     assert verdict == report["convergent"]
     assert_report_s_polynomials_are_step_replays(reported, report)
+    branchings = enumerate_critical_branchings(normalized)
+    assert len(branchings) == len(report["entries"])
+    for b, entry in zip(branchings, report["entries"]):
+        nf1, nf2 = (nf(leg, normalized) for leg in brute_force.replayed_legs(normalized, b))
+        assert (entry["nf1"], entry["nf2"], entry["s_polynomial_nf"]) == (str(nf1), str(nf2), str(nf1 - nf2))
     assert verdict == all(
-        nf(brute_force.s_polynomial(normalized, b), normalized).is_zero()
-        for b in enumerate_critical_branchings(normalized)
+        nf(brute_force.s_polynomial(normalized, b), normalized).is_zero() for b in branchings
     )
     assert decided.convergence_certificate == reported.convergence_certificate
     if verdict:

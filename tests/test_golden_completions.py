@@ -27,6 +27,7 @@ from linrew import (
     Polygraph2,
     RewriteError,
     complete,
+    completion,
     is_confluent,
     lpformat,
     standard_basis,
@@ -153,6 +154,39 @@ def test_h1_degree7_nf_work():
     with pytest.raises(CompletionBoundExceeded) as trip:
         complete(h1_system(), max_degree=7)
     assert trip.value.partial._nf_work == 25_110
+
+
+@pytest.mark.parametrize("case, drops", [("h1-d7", 306), ("cubic", 8)])
+def test_memo_forms_name_leaves_still_in_the_memo(case, drops, monkeypatch):
+    """After completions that drop memo nodes, every key of every form in
+    the nf memo decodes through P._leaves to a monomial whose node is
+    still in the memo, is that key's unit form, and is irreducible under
+    the current rules: no form names a dropped leaf."""
+    dropped, systems = [], []
+    drop, interreduce = completion._drop, completion._interreduce_rules
+
+    def counted_drop(*args):
+        gone = drop(*args)
+        dropped.extend(gone)
+        return gone
+
+    monkeypatch.setattr(completion, "_drop", counted_drop)
+    monkeypatch.setattr(completion, "_interreduce_rules", lambda P: systems.append(P) or interreduce(P))
+    if case == "h1-d7":
+        with pytest.raises(CompletionBoundExceeded) as trip:
+            complete(h1_system(), max_degree=7)
+        systems.append(trip.value.partial)
+    else:
+        complete(cubic_system())
+    (P,) = systems  # the system whose memo the completion grew
+    assert len(dropped) == drops
+    cache, leaves = P._nf_cache, P._leaves
+    keys = {t for form, _, _ in cache.values() for t in form[1]}  # a form over Q is (D, {key: numerator})
+    assert keys and len(keys) < len(leaves)  # some leaves were dropped
+    for t in keys:
+        m = leaves[t]
+        assert m in cache and cache[m] == ((1, {t: 1}), None, ())
+        assert P.rightmost_occurrence(m) is None
 
 
 WORDS = {2: ["xx", "xy", "yx", "yy"]}

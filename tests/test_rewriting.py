@@ -280,7 +280,8 @@ def test_nf_matches_the_memo_free_reducer(P, pairs):
 @pytest.mark.parametrize("sign, expected", [(1, [(1, "a")]), (-1, [])])
 def test_nf_memo_sums_over_one_denominator(sign, expected):
     """c -> a/2 +- b/2 and b -> a: the halves make a whole or cancel, and the
-    memo keeps the normal form of c over the denominator 1."""
+    memo keeps the normal form of c over the denominator 1, keyed by the
+    leaf numbers that P._leaves decodes."""
     Q = Quiver.free(LETTERS)
     P = Polygraph2(Q, QQ, [
         Rule("c", Q.monomial("c"), make_poly(Q, QQ, [(Fraction(1, 2), "a"), (Fraction(sign, 2), "b")])),
@@ -288,7 +289,8 @@ def test_nf_memo_sums_over_one_denominator(sign, expected):
     ], DEGLEX)
     c = Q.monomial("c")
     assert nf(monomial_poly(QQ, c), P) == make_poly(Q, QQ, expected)
-    assert P._nf_cache[c][0] == (1, {Q.monomial(w): n for n, w in expected})
+    D, terms = P._nf_cache[c][0]
+    assert (D, {P._leaves[t]: n for t, n in terms.items()}) == (1, {Q.monomial(w): n for n, w in expected})
 
 
 def test_trace_replay(sys_xyz):

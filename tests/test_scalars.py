@@ -211,6 +211,6 @@ def test_rational_sum_forms_of_one_pair(c, terms):
     form, _ = QQ.sum_forms([(coeff, QQ.unit_form(t)) for t, coeff in terms.items()])
     (D, got), summed = QQ.sum_forms([(c, form)])
     assert summed == len(terms)
-    assert QQ.form_terms((D, got)) == QQ.linear_combination([(c, terms)])
+    assert QQ.form_terms((D, got), {t: t for t in terms}) == QQ.linear_combination([(c, terms)])
     assert D > 0 and gcd(D, *got.values()) == 1
     assert (D, got) == QQ.sum_forms([(c, form), (Fraction(1), (1, {}))])[0]
