@@ -54,27 +54,20 @@ class ReducedComplex:
             return list(cells)
         return [c for c, d in cells.items() if d == degree]
 
-    def matrix(self, k: int, degree: int):
-        """Rows over C_k(degree), one row per C_{k+1}(degree) column cell."""
-        rows_basis = self.basis(k, degree)
-        index = {c: i for i, c in enumerate(rows_basis)}
-        f = self.field
-        rows = []
-        for col_cell in self.basis(k + 1, degree):
-            col = self.delta.get(k, {}).get(col_cell, {})
-            row = [f.zero] * len(rows_basis)
-            for r, c in col.items():
-                if r in index:
-                    row[index[r]] = c
-            rows.append(row)
-        return rows, rows_basis
+    def columns(self, k: int, degree: int) -> list[dict]:
+        """delta[k]'s columns on C_{k+1}(degree), each keeping only its
+        entries in C_k(degree)."""
+        cols, degrees = self.delta.get(k, {}), self.cells.get(k, {})
+        return [
+            {r: c for r, c in cols.get(cell, {}).items() if degrees.get(r) == degree}
+            for cell in self.basis(k + 1, degree)
+        ]
 
     def rank(self, k: int, degree: int) -> int:
         """rank of delta[k] in one internal degree, each matrix ranked once
         until the next collapse."""
         if (k, degree) not in self._ranks:
-            rows, _ = self.matrix(k, degree)
-            self._ranks[(k, degree)] = linalg.rank(rows, self.field)
+            self._ranks[(k, degree)] = linalg.rank(self.columns(k, degree), self.field)
         return self._ranks[(k, degree)]
 
     def kernel_dim(self, k: int, degree: int) -> int:

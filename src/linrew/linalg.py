@@ -1,109 +1,64 @@
-"""Exact dense linear algebra at desk scale.
+"""Exact sparse linear algebra over any field.
 
-Rationals go through fraction-free Bareiss elimination on denominator-cleared
-integer rows; other fields use plain Gaussian elimination with exact field
-arithmetic.
+A vector is a dict {key: nonzero coefficient}, as Field.linear_combination
+takes it: a delta column, a normal form's terms.  rank and solve share one
+reduced-echelon builder, and every sum goes through linear_combination.
+No input vector is mutated.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from dataclasses import dataclass
 
-from .scalars import Field, RationalField
-
-
-def _cleared_int_rows(rows):
-    out = []
-    for row in rows:
-        denom = 1
-        for x in row:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        ints = [int(x * denom) for x in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
+from .scalars import Field
 
 
-def _rank_bareiss(rows) -> int:
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    prev = 1
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            col += 1
+@dataclass(frozen=True)
+class _Input:  # solve's bookkeeping key for its i-th vector: equal to no other key
+    index: int
+
+
+def _reduce(v: dict, basis: dict, field: Field) -> dict:
+    """v less its components on the basis: 0 at every pivot."""
+    neg = field.neg
+    return field.linear_combination([(field.one, v)] + [(neg(c), basis[p]) for p, c in v.items() if p in basis])
+
+
+def _echelon(vectors, field: Field) -> dict:
+    """{pivot: basis vector} spanning the vectors: each basis vector is 1 at
+    its pivot and 0 at every other pivot.  A vector that adds nothing to the
+    span of those before it adds no basis vector.  _Input keys are never
+    pivots."""
+    one, neg = field.one, field.neg
+    basis: dict = {}
+    for v in filter(None, vectors):
+        r = _reduce(v, basis, field)
+        p = next((k for k in r if not isinstance(k, _Input)), None)
+        if p is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        p = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            ri = rows[i]
-            rp = rows[rank]
-            f = ri[col]
-            for j in range(col, ncols):
-                ri[j] = (p * ri[j] - f * rp[j]) // prev
-        prev = p
-        rank += 1
-        col += 1
-    return rank
+        if r[p] != one:
+            r = field.linear_combination([(field.generic_inv(r[p]), r)])
+        for q, b in basis.items():
+            c = b.get(p)
+            if c is not None:
+                basis[q] = field.linear_combination([(one, b), (neg(c), r)])
+        basis[p] = r
+    return basis
 
 
-def row_reduce(rows, field: Field):
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in rows]
-    pivots: list[int] = []
-    if not rows:
-        return rows, pivots
-    ncols = len(rows[0])
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if not field.is_zero(rows[i][col])), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.generic_inv(rows[r][col])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not field.is_zero(rows[i][col]):
-                f = rows[i][col]
-                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+def rank(vectors: list, field: Field) -> int:
+    return len(_echelon(vectors, field))
 
 
-def rank(rows, field: Field) -> int:
-    rows = [r for r in rows if any(not field.is_zero(x) for x in r)]
-    if not rows:
-        return 0
-    if isinstance(field, RationalField):
-        return _rank_bareiss(_cleared_int_rows([[Fraction(x) for x in r] for r in rows]))
-    _, pivots = row_reduce(rows, field)
-    return len(pivots)
-
-
-def solve_rows(rows, target, field: Field):
-    """Coefficients x with sum x_i rows[i] = target, or None if unsolvable."""
-    n = len(rows)
-    if n == 0:
-        return [] if all(field.is_zero(t) for t in target) else None
-    ncols = len(target)
-    # Augmented system on the transpose: columns are the rows, then target.
-    aug = [[rows[i][j] for i in range(n)] + [target[j]] for j in range(ncols)]
-    reduced, pivots = row_reduce(aug, field)
-    if n in pivots:
+def solve(vectors: list, target: dict, field: Field):
+    """Coefficients x, one per vector, with sum x_i vectors[i] = target, or
+    None if there are none.  A vector that adds nothing to the span of those
+    before it gets 0."""
+    tags = [_Input(i) for i in range(len(vectors))]
+    basis = _echelon([{**v, t: field.one} for v, t in zip(vectors, tags)], field)
+    r = _reduce(target, basis, field)
+    if any(not isinstance(k, _Input) for k in r):
         return None
-    sol = [field.zero] * n
-    for r, col in enumerate(pivots):
-        sol[col] = reduced[r][n]
-    return sol
+    # Each basis vector is sum c_i (vectors[i] + tag_i), so r's tag_i
+    # coefficient is -x_i.
+    return [field.neg(r[t]) if t in r else field.zero for t in tags]

@@ -612,14 +612,6 @@ def quotient_dimension(P: Polygraph2, degree: int) -> int:
     return standard_basis(_exact_through(P, degree), degree).size[degree]
 
 
-def _nf_rows(C: Polygraph2, monomials: list[Monomial]) -> tuple[list, list]:
-    """(rows, columns): the normal forms under C of monomials, as dense rows
-    over the normal words they hold, in the order first met."""
-    forms = [nf(monomial_poly(C.field, m), C).terms for m in monomials]
-    columns = list(dict.fromkeys(chain.from_iterable(forms)))
-    return [[f.get(w, C.field.zero) for w in columns] for f in forms], columns
-
-
 def pbw_check(P: Polygraph2, candidate: Iterable[Monomial], dmax: int, build_xi: bool = False) -> dict:
     """Verify the three PBW-basis conditions degree by degree up to dmax.
 
@@ -653,7 +645,7 @@ def pbw_check(P: Polygraph2, candidate: Iterable[Monomial], dmax: int, build_xi:
             failures.append(
                 {"condition": "i", "degree": d, "detail": f"{len(cd)} candidates vs dim {dims[d]}"}
             )
-        elif linalg.rank(_nf_rows(C, cd)[0], P.field) != len(cd):
+        elif linalg.rank([nf(monomial_poly(C.field, m), C).terms for m in cd], P.field) != len(cd):
             failures.append(
                 {"condition": "i", "degree": d, "detail": "candidates linearly dependent mod ideal"}
             )
@@ -701,32 +693,28 @@ def pbw_check(P: Polygraph2, candidate: Iterable[Monomial], dmax: int, build_xi:
 
 
 def _build_xi(P: Polygraph2, C: Polygraph2, cand: list[Monomial], N: int) -> dict:
-    """Construct the polygraph with rules uv => [uv] over the candidate basis,
-    [uv] solved from nf(uv) under C in the normal forms of the degree-N
-    candidates, and report its convergence under P's order, if any."""
+    """Construct the polygraph with one rule uv => [uv] over the candidate
+    basis for each word uv of degree N that is a product of two candidates
+    and not one itself (a word of degree N >= 3 has several such
+    factorisations), [uv] solved from nf(uv) under C in the normal forms of
+    the degree-N candidates, and report its convergence under P's order, if
+    any."""
     from . import completion  # local import; completion depends on this module
 
     field = P.field
     cand_n = [m for m in cand if m.degree == N]
     cand_n_set = set(cand_n)
-    rows, columns = _nf_rows(C, cand_n)
-    spanned = set(columns)
+    forms = [nf(monomial_poly(field, m), C).terms for m in cand_n]
+    words = dict.fromkeys(u * v for u in cand for v in cand if u.target == v.source and u.degree + v.degree == N)
     rules = []
-    for u in cand:
-        for v in cand:
-            if u.is_identity() or v.is_identity() or u.target != v.source:
-                continue
-            uv = u * v
-            if uv.degree != N or uv in cand_n_set:
-                continue
-            form = nf(monomial_poly(field, uv), C).terms
-            if not form.keys() <= spanned:
-                continue  # a normal word no candidate's normal form holds
-            coeffs = linalg.solve_rows(rows, [form.get(w, field.zero) for w in columns], field)
-            if coeffs is None:
-                continue
-            target = P.quiver.poly(field, zip(coeffs, cand_n), uv.source, uv.target)
-            rules.append(Rule(f"xi{len(rules)}", uv, target))
+    for uv in words:
+        if uv in cand_n_set:
+            continue
+        coeffs = linalg.solve(forms, nf(monomial_poly(field, uv), C).terms, field)
+        if coeffs is None:
+            continue
+        target = P.quiver.poly(field, zip(coeffs, cand_n), uv.source, uv.target)
+        rules.append(Rule(f"xi{len(rules)}", uv, target))
     xi = Polygraph2(P.quiver, field, rules, P.order)
     result = {"rules": [str(r) for r in rules], "convergent": None}
     if P.order is not None:

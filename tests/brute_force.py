@@ -8,7 +8,7 @@ the small systems of the tests."""
 
 import itertools
 
-from linrew import linalg
+import dense_linalg
 from linrew.algebra import Monomial, monomial_poly
 from linrew.completion import certify_termination, enumerate_critical_branchings, is_confluent, orient
 from linrew.rewriting import Polygraph2, RewriteError, Rule, nf
@@ -70,7 +70,7 @@ def dense_quotient_dimension(P, degree: int) -> int:
     """dim of the presented algebra in one degree: all words of that degree
     less the rank of the ideal slice."""
     rows, index = ideal_rows_in_degree(P, degree)
-    return len(index) - linalg.rank(rows, P.field)
+    return len(index) - dense_linalg.rank(rows, P.field)
 
 
 def dense_pbw_check(P, candidate, dmax: int, build_xi: bool = False) -> dict:
@@ -95,14 +95,14 @@ def dense_pbw_check(P, candidate, dmax: int, build_xi: bool = False) -> dict:
 
     for d in range(1, dmax + 1):
         rows, index = ideal_rows_in_degree(P, d)
-        rank_ideal = linalg.rank(rows, field)
+        rank_ideal = dense_linalg.rank(rows, field)
         dim_a = len(index) - rank_ideal
         cd = by_degree.get(d, [])
         if len(cd) != dim_a:
             failures.append({"condition": "i", "degree": d, "detail": f"{len(cd)} candidates vs dim {dim_a}"})
             continue
         cand_rows = [row(monomial_poly(field, m), index, field) for m in cd]
-        if linalg.rank(rows + cand_rows, field) != rank_ideal + len(cd):
+        if dense_linalg.rank(rows + cand_rows, field) != rank_ideal + len(cd):
             failures.append({"condition": "i", "degree": d, "detail": "candidates linearly dependent mod ideal"})
 
     for u in cand:
@@ -132,9 +132,9 @@ def dense_pbw_check(P, candidate, dmax: int, build_xi: bool = False) -> dict:
 
 
 def _dense_xi(P, cand, N: int) -> dict:
-    """The rules uv => [uv] of degree N, [uv] the coefficients of uv on the
-    degree-N candidates modulo the ideal slice, and their convergence
-    under P's order, if any."""
+    """The rules uv => [uv] of degree N, one per word uv, [uv] the
+    coefficients of uv on the degree-N candidates modulo the ideal slice,
+    and their convergence under P's order, if any."""
     field = P.field
     rows, index = ideal_rows_in_degree(P, N)
     cand_n = [m for m in cand if m.degree == N]
@@ -145,9 +145,9 @@ def _dense_xi(P, cand, N: int) -> dict:
             if u.is_identity() or v.is_identity() or u.target != v.source:
                 continue
             uv = u * v
-            if uv.degree != N or uv in cand_n:
+            if uv.degree != N or uv in cand_n or any(r.source == uv for r in rules):
                 continue
-            sol = linalg.solve_rows(columns, row(monomial_poly(field, uv), index, field), field)
+            sol = dense_linalg.solve_rows(columns, row(monomial_poly(field, uv), index, field), field)
             if sol is None:
                 continue
             target = P.quiver.poly(field, zip(sol[len(rows) :], cand_n), uv.source, uv.target)

@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from linrew import CompletionBoundExceeded, certify_termination, complete, monomial_poly, nf
+from linrew import CompletionBoundExceeded, certify_termination, cli, complete, monomial_poly, nf
 
-from conftest import cubic_system, h1_system
+from conftest import FIXTURES, cubic_system, h1_system
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -34,16 +34,39 @@ def test_perfbench_import_resolves(module, name):
     assert hasattr(__import__(module, fromlist=[name]), name)
 
 
-def test_traced_layers_are_callable():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_layers_are_callable():
     missing = [
         f"linrew.{mod}.{fname}"
-        for mod, fname in tracing.LAYERS
+        for mod, fname in _tracing().LAYERS
         if not callable(getattr(importlib.import_module(f"linrew.{mod}"), fname, None))
     ]
     assert missing == []
+
+
+def test_traced_invariants_commands_run(capsys):
+    """tor, koszul and hilbert on pp05 under the installed tracer, as a
+    traced benchmark pass runs them: the counts the tracer takes from each
+    layer's arguments and result, what linalg.rank receives among them,
+    raise nothing, and rank is called."""
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        codes = [
+            cli.main([command, str(FIXTURES / "pp05.lp"), *bounds])
+            for command, bounds in (("tor", ["--kmax", "4", "--dmax", "5"]), ("koszul", []), ("hilbert", ["--dmax", "6"]))
+        ]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [0, 0, 0]
+    assert tracer.counts["linalg.rank_calls"] > 0
 
 
 def test_complete_leaves_its_input_untouched():

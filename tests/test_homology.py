@@ -108,17 +108,17 @@ def test_tor_table_bounds_high_dimensions(xy_done):
 
 def test_tor_table_ranks_each_matrix_once(pp_done, monkeypatch):
     built, ranked = [], []
-    matrix, rank = ReducedComplex.matrix, linalg.rank
+    columns, rank = ReducedComplex.columns, linalg.rank
 
-    def counting_matrix(self, k, degree):
+    def counting_columns(self, k, degree):
         built.append((k, degree))
-        return matrix(self, k, degree)
+        return columns(self, k, degree)
 
-    def counting_rank(rows, field):
-        ranked.append(len(rows))
-        return rank(rows, field)
+    def counting_rank(vectors, field):
+        ranked.append(len(vectors))
+        return rank(vectors, field)
 
-    monkeypatch.setattr(ReducedComplex, "matrix", counting_matrix)
+    monkeypatch.setattr(ReducedComplex, "columns", counting_columns)
     monkeypatch.setattr(linalg, "rank", counting_rank)
     tor_table(pp_done, 4, 6)
     assert built and len(ranked) == len(built) == len(set(built))

@@ -608,6 +608,19 @@ def test_pbw_on_a_certified_system_reads_it_directly(monkeypatch):
     assert pbw_check(P, cand, 4, build_xi=True) == dense_pbw_check(P, cand, 4, build_xi=True)
 
 
+def test_xi_gives_each_word_one_rule():
+    """A cubic word of P_3 that is not normal, such as b a a, is a product
+    of candidates in two ways, b·(a a) and (b a)·a; xi gives it one rule.
+    The 8 such words give 8 rules with distinct sources, and the report
+    equals the dense reference's, verdict included."""
+    P = plactic_system(3)
+    cand = _normal_words(P, 3)
+    report = pbw_check(P, cand, 3, build_xi=True)
+    sources = [r.split(" : ")[1].split(" => ")[0] for r in report["xi"]["rules"]]
+    assert len(sources) == len(set(sources)) == 8
+    assert report == dense_pbw_check(P, cand, 3, build_xi=True)
+
+
 def test_plactic_p3_counts_and_pbw():
     """P_3: the Hilbert function is the count of semistandard tableaux with
     entries <= 3 through degree 9.  Its normal words up to degree 6 pass
