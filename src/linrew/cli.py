@@ -117,83 +117,34 @@ def _prepare(P, meta, doc):
     return done
 
 
-def _emit(doc):
-    _write_json(doc, sys.stdout.write)
-    sys.stdout.write("\n")
-
-
-_CHUNK = 4096  # list items encoded by one join
-
-
-class _Lines:
-    """Strings joined by "\n" in one block, written as the JSON list of
-    them; none of them may hold a character that json escapes."""
-
-    __slots__ = ("block",)
-
-    def __init__(self, block: str):
-        self.block = block
-
-
-def _basis_lists(basis) -> dict:
-    """The texts of a StandardBasis per degree, to write as JSON lists: each
-    degree's block as _Lines when json writes every text as it is.  A text
-    is names, spaces, digits, "^" and "_", so that holds when the names are
-    printable ASCII with no quote and no backslash."""
+def _emit(doc, basis=None) -> None:
+    """Print doc as json.dumps(doc, indent=2, default=str) writes it.  A
+    StandardBasis is written as the report's last key, "basis", the list
+    of each degree's texts, as json.dumps writes them, a degree at a time:
+    no text of the whole basis is ever built."""
+    text = json.dumps(doc, indent=2, default=str)
+    if basis is None:
+        print(text)
+        return
+    write = sys.stdout.write
+    write(text[:-2] + ',\n  "basis": {')  # text ends with the doc's "\n}"
+    # A text is names, spaces, digits, "^" and "_": json writes it as it
+    # is when the names are printable ASCII with no quote and no backslash.
     names = "".join([*basis.quiver.generators, *basis.quiver.objects])
-    if names.isascii() and names.isprintable() and '"' not in names and "\\" not in names:
-        return {str(d): _Lines(block) for d, block in sorted(basis.block.items())}
-    return {str(d): texts for d, texts in sorted(basis.text.items())}
-
-
-def _write_json(o, write, indent: str = "") -> None:
-    """Write o as json.dump(o, fp, indent=2, default=str) writes it, piece
-    by piece, _Lines as the list of its strings.  The type dispatch is
-    json's, in its order: a Monomial is a tuple, a bool is not written as
-    an int, and anything json cannot encode is written as its str.  The
-    strings of a list are encoded by one join per chunk of items, and a
-    _Lines block is quoted by one replace."""
-    if isinstance(o, str):
-        write(_encode(o))
-    elif isinstance(o, _Lines):
-        if o.block:  # three writes, so that no second copy of the block is made
-            write('[\n' + indent + '  "')
-            write(o.block.replace("\n", '",\n' + indent + '  "'))
-            write('"\n' + indent + "]")
-        else:
+    plain = names.isascii() and names.isprintable() and '"' not in names and "\\" not in names
+    lead = "\n"
+    for d, block in sorted(basis.block.items()):
+        write(f'{lead}    "{d}": ')
+        if not block:
             write("[]")
-    elif o is None or isinstance(o, (int, float)) or isinstance(o, (list, tuple, dict)) and not o:
-        write(json.dumps(o))  # null, true, false, a number, [] or {}
-    elif isinstance(o, (list, tuple)):
-        lead, sep = "[\n" + indent + "  ", ",\n" + indent + "  "
-        for start in range(0, len(o), _CHUNK):
-            chunk = o[start : start + _CHUNK]
-            try:
-                write(lead + sep.join(map(_encode, chunk)))
-            except TypeError:  # not all strings
-                for item in chunk:
-                    write(lead)
-                    _write_json(item, write, indent + "  ")
-                    lead = sep
-            lead = sep
-        write("\n" + indent + "]")
-    elif isinstance(o, dict):
-        lead, sep = "{\n" + indent + "  ", ",\n" + indent + "  "
-        for key, value in o.items():
-            write(lead + _encode(_key(key)) + ": ")
-            _write_json(value, write, indent + "  ")
-            lead = sep
-        write("\n" + indent + "}")
-    else:
-        write(_encode(str(o)))
-
-
-def _key(key) -> str:
-    """A dict key as json converts it: a str as is; an int, float, bool or
-    None as its JSON text."""
-    if key is not None and not isinstance(key, (str, int, float)):
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return key if isinstance(key, str) else json.dumps(key)
+        elif plain:  # three writes, so that no second copy of the block is made
+            write('[\n      "')
+            write(block.replace("\n", '",\n      "'))
+            write('"\n    ]')
+        else:
+            write("[\n      " + ",\n      ".join(map(_encode, block.split("\n"))) + "\n    ]")
+        lead = ",\n"
+    write("\n  }\n}\n")
 
 
 def _cmd_nf(args, P, meta, doc) -> int:
@@ -283,10 +234,11 @@ def _cmd_tor(args, P, meta, doc) -> int:
     doc["kmax"] = args.kmax
     doc["dmax"] = args.dmax
     doc["tor"] = table.as_dict()
+    text = json.dumps(doc, indent=2, default=str)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            _write_json(doc, fh.write)
-    _emit(doc)
+            fh.write(text)
+    print(text)
     return EXIT_OK
 
 
@@ -306,8 +258,7 @@ def _cmd_hilbert(args, P, meta, doc) -> int:
     basis = standard_basis(_prepare(P, meta, doc), args.dmax)
     doc["dmax"] = args.dmax
     doc["counts"] = {str(d): n for d, n in basis.counts().items()}
-    doc["basis"] = _basis_lists(basis)
-    _emit(doc)
+    _emit(doc, basis)
     return EXIT_OK
 
 

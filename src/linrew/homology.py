@@ -311,9 +311,16 @@ def _not_n_homogeneous(why: str) -> RewriteError:
 def koszul_verdict(P: Polygraph2, kmax: int = 4, dmax: int = 6) -> KoszulVerdict:
     """Decision cascade: no criticals; quadratic convergent; concentrated
     after collapse; nonzero off-diagonal Tor; otherwise up-to-bound.
-    Refuses with RewriteError an algebra that is not N-homogeneous: rules of
-    several degrees and no critical branching, or exact Tor_2 (the minimal
-    relations) nonzero in several internal degrees."""
+    Refuses with RewriteError a generator of degree other than 1, since
+    N-Koszulness is defined only for algebras generated in degree 1, and an
+    algebra that is not N-homogeneous: rules of several degrees and no
+    critical branching, or exact Tor_2 (the minimal relations) nonzero in
+    several internal degrees."""
+    for g in P.quiver.generators.values():
+        if g.degree != 1:
+            raise RewriteError(
+                f"Koszulity verdict needs generators of degree 1, but generator {g.name} has degree {g.degree}"
+            )
     if not P.homogeneous or P.homogeneity_degree is None:
         raise RewriteError("Koszulity verdict needs an N-homogeneous system")
     if not P.certified_convergent:

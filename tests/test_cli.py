@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from linrew import Monomial, Polynomial, complete, lpformat, standard_basis
-from linrew.cli import _CHUNK, _Lines, _emit, main
+from linrew.cli import _emit, main
 from linrew.completion import DEFAULT_WORK_BUDGET, MEASURE_PAIR_BUDGET
 
 from brute_force import dense_quotient_dimension
@@ -366,6 +366,29 @@ def test_koszul_mixed_degree_relations_exit_3(capsys, tmp_path, rules, error):
     assert doc["error"] == f"Koszulity verdict needs an N-homogeneous algebra, but {error}"
 
 
+@pytest.mark.parametrize(
+    "rules",
+    [
+        ["x y -> y x"],  # no critical branching: was Koszul-certified, "N=3"
+        ["x x -> y y y y", "x y y -> y y x"],  # was Not-Koszul, witness the generator x
+    ],
+    ids=["no-criticals", "completed"],
+)
+def test_koszul_refuses_generators_of_degree_other_than_1(capsys, tmp_path, rules):
+    path = tmp_path / "weighted.lp"
+    path.write_text(
+        "field Q\ngenerator x : * -> * degree 2\ngenerator y : * -> *\norder deglex y < x\n"
+        + "".join(f"rule r{i} : {r}\n" for i, r in enumerate(rules))
+    )
+    code, doc = run_json(capsys, "koszul", str(path))
+    assert code == 3
+    assert "verdict" not in doc
+    assert doc["error"] == "Koszulity verdict needs generators of degree 1, but generator x has degree 2"
+    code, doc = run_json(capsys, "tor", str(path), "--kmax", "3", "--dmax", "6")
+    assert code == 0
+    assert "hard-zero" in {e["kind"] for e in doc["tor"].values()}
+
+
 def test_koszul_groebner2_relations_in_one_degree(capsys, fixtures_dir):
     # Its rules have degrees 3 and 4, but r2 is no minimal relation: Tor_2
     # lives in degree 3 alone, so the verdict stands.
@@ -433,7 +456,7 @@ def test_reports_deterministic(capsys, fixtures_dir):
 
 
 _ESCAPED = {"quote": '"', "backslash": "\\", "del": "\x7f", "unit-separator": "\x1f", "e-acute": "\u00e9"}
-_CHUNK_ENDS = (0, _CHUNK - 1, _CHUNK)
+_ESCAPE_AT = (0, 4095, 4096)
 
 
 @pytest.mark.parametrize(
@@ -448,22 +471,20 @@ _CHUNK_ENDS = (0, _CHUNK - 1, _CHUNK)
         {"q": [Fraction(1, 3), Fraction(-2), "1/3"], "f": Fraction(5, 7)},
         {1: "one", 2.5: "float", True: "true", None: "none", "k": ("a", ("b", 3))},
         {"many": [f"w{i}" for i in range(10_000)] + [Fraction(1, 2), 7] + ["t"] * 5_000},
-        {"empty": [""] * _CHUNK + ["", "w", ""] + [""] * 10},
-        {"basis": {"0": _Lines(""), "1": _Lines("1_*"), "2": _Lines("\n".join(["x", "y x^2", "x^10 y"] * 3000))}},
+        {"empty": [""] * 4096 + ["", "w", ""] + [""] * 10},
     ]
-    + [  # one item to escape, at the first or last place of a chunk, among plain strings
-        {"plain": [f"w{i}" if i != at else f"a{c}b" for i in range(_CHUNK + 100)] + ["", "z"]}
-        for at in _CHUNK_ENDS
+    + [  # one item to escape among plain strings
+        {"plain": [f"w{i}" if i != at else f"a{c}b" for i in range(4196)] + ["", "z"]}
+        for at in _ESCAPE_AT
         for c in _ESCAPED.values()
     ],
     ids=["empty-dict", "empty-list", "nested-empty", "non-ascii-and-control", "bool-int-none-float",
-         "monomial", "fraction", "non-str-keys", "long-mixed-list", "empty-strings", "lines"]
-    + [f"escape-{name}-at-{at}" for at in _CHUNK_ENDS for name in _ESCAPED],
+         "monomial", "fraction", "non-str-keys", "long-mixed-list", "empty-strings"]
+    + [f"escape-{name}-at-{at}" for at in _ESCAPE_AT for name in _ESCAPED],
 )
 def test_emit_writes_what_json_dump_writes(capsys, doc):
-    """_Lines is written as json.dump writes the list of its strings."""
     expected = io.StringIO()
-    json.dump(doc, expected, indent=2, default=lambda o: _lines_list(o) if isinstance(o, _Lines) else str(o))
+    json.dump(doc, expected, indent=2, default=str)
     _emit(doc)
     assert capsys.readouterr().out == expected.getvalue() + "\n"
 
@@ -479,6 +500,12 @@ _HILBERT_CASES = {
     ),
     "no-words": ("field Q\ngenerators x\norder deglex x\nrule r : x x -> 0\n", 3),
     "dmax-0": ("field Q\ngenerators x y\norder deglex x < y\nrule r : y x -> x y\n", 0),
+    "many-words": ("field Q\ngenerators x y z\norder deglex x < y < z\nrule r : z x -> x z\n", 8),
+    "many-words-escaped": (
+        'field Q\ngenerators x a"b c\\d \u00e9\norder deglex x < a"b < c\\d < \u00e9\n'
+        'rule r : \u00e9 x -> x \u00e9\nrule s : c\\d a"b -> x x\n',
+        7,
+    ),
 }
 
 
@@ -499,10 +526,6 @@ def test_hilbert_report_is_what_json_dump_writes(capsys, tmp_path, text, dmax):
     expected = io.StringIO()
     json.dump(doc, expected, indent=2)
     assert out == expected.getvalue() + "\n"
-
-
-def _lines_list(lines):
-    return lines.block.split("\n") if lines.block else []
 
 
 def test_tor_json_file_is_the_report_on_stdout(capsys, fixtures_dir, tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -17,12 +19,16 @@ from linrew import (
     complete,
     enumerate_chains,
     koszul_verdict,
+    lpformat,
+    standard_basis,
     tor_table,
 )
 from linrew import completion, homology, linalg
+from linrew.completion import CompletionBoundExceeded
 from linrew.resolution import _walk
 
-from conftest import make_poly
+from conftest import FIXTURES, make_poly
+from test_completion import random_quadratic_system
 
 
 @pytest.fixture
@@ -236,3 +242,38 @@ def test_quadratic_convergent_shortcut():
     v = koszul_verdict(P, 4, 6)
     assert v.status == "Koszul-certified"
     assert v.reason == "quadratic-convergent"
+
+
+def _presentations(name):
+    """The fixture or seeded quadratic system completed under deglex in
+    each order of its generators whose completion finishes by degree 10."""
+    if name.startswith("quadratic-"):
+        P = random_quadratic_system(random.Random(int(name.removeprefix("quadratic-"))))
+    else:
+        P = lpformat.parse_file(FIXTURES / f"{name}.lp")[0]
+    out = []
+    for gens in itertools.permutations(sorted(P.quiver.generators)):
+        try:
+            out.append(complete(P, MonomialOrder("deglex", gens), max_degree=10))
+        except CompletionBoundExceeded:
+            pass
+    return out
+
+
+@pytest.mark.parametrize(
+    "name", [*sorted(p.stem for p in FIXTURES.glob("*.lp")), *(f"quadratic-{seed}" for seed in range(10))]
+)
+def test_invariants_do_not_depend_on_the_presentation(name):
+    """Hilbert counts through degree 6 and the exact Tor entries through
+    (4, 6) belong to the algebra: every convergent presentation gives the
+    same ones."""
+    seen = []
+    for P in _presentations(name):
+        table = tor_table(P, 4, 6)
+        exact = {ki: e["dim"] for ki, e in table.entries.items() if e["kind"] == "exact"}
+        seen.append((standard_basis(P, 6).counts(), exact))
+    assert seen
+    for (counts1, exact1), (counts2, exact2) in itertools.combinations(seen, 2):
+        assert counts1 == counts2
+        both = exact1.keys() & exact2.keys()
+        assert {ki: exact1[ki] for ki in both} == {ki: exact2[ki] for ki in both}

@@ -9,7 +9,7 @@ import pytest
 
 from linrew import complete, lpformat, tor_table
 
-from conftest import FIXTURES, cubic_system, deglex_system
+from conftest import FIXTURES, cubic_system, deglex_system, plactic_system
 from test_resolution import _a6_systems
 from tor_oracle import tor_oracle
 
@@ -55,6 +55,12 @@ def test_tor_table_matches_oracle_fixtures(name):
 def test_tor_table_matches_oracle_cubic():
     P = cubic_system()
     _check(complete(P, P.order), 5, 9)
+
+
+def test_tor_table_matches_oracle_plactic_p3():
+    # Three entries of Tor_4 are intervals here: (4, 6), (4, 7) and (4, 8).
+    P = plactic_system(3)
+    _check(complete(P, P.order), 4, 9)
 
 
 def test_tor_table_matches_oracle_a6():
